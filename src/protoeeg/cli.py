@@ -12,10 +12,6 @@ to reproduce a run bit for bit.
 
 Exit codes: 0 success; 1 usage or configuration error; 2 data or file
 format error; 3 numeric failure during computation.
-
-``PROTOEEG_BACKEND`` selects the compute backend (``numba`` or ``numpy``)
-and ``PROTOEEG_THREADS`` caps compiled-kernel parallelism; both are read
-at import time by the kernels module.
 """
 
 from __future__ import annotations
@@ -224,6 +220,8 @@ def _cmd_preprocess(ns) -> None:
            else np.arange(n, dtype=np.int64))
     if votes.shape != (n,) or ids.shape != (n,):
         raise DataFormatError("'votes' and 'ids' must be 1-d with one entry per window")
+    if n == 0:
+        raise DataFormatError(f"{src} holds no windows")
 
     samples = []
     for i in range(n):
@@ -398,9 +396,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="protoeeg",
-        description="Prototype-based EEG spike classifier.",
-        epilog="Environment: PROTOEEG_BACKEND=numba|numpy selects the compute "
-               "backend; PROTOEEG_THREADS caps compiled-kernel parallelism.")
+        description="Prototype-based EEG spike classifier.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND",
                                 parser_class=_Parser)
 

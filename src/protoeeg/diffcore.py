@@ -349,8 +349,9 @@ def conv2d_valid(x: Tensor, kernels: Tensor, stride=(1, 1)) -> Tensor:
     """Valid-mode 2-d convolution (cross-correlation), no padding.
 
     Accepts (C, H, W) or (N, C, H, W) input with (C_out, C_in, kh, kw)
-    kernels.  The heavy lifting is delegated to the selected backend in
-    :mod:`protoeeg.kernels`.
+    kernels.  The heavy lifting is delegated to :mod:`protoeeg.kernels`.
+    The gradient with respect to an input that does not require grad (the
+    raw window into the first block) is not computed.
     """
     sh, sw = int(stride[0]), int(stride[1])
     if sh < 1 or sw < 1:
@@ -377,8 +378,10 @@ def conv2d_valid(x: Tensor, kernels: Tensor, stride=(1, 1)) -> Tensor:
 
     def bwd(g):
         g4 = np.ascontiguousarray(g[None] if squeeze else g)
-        gin = _k.conv2d_backward_input(g4, kc, h, w, sh, sw)
         gk = _k.conv2d_backward_kernels(g4, xc, kh, kw, sh, sw)
+        if not x.requires_grad:
+            return None, gk
+        gin = _k.conv2d_backward_input(g4, kc, h, w, sh, sw)
         return (gin[0] if squeeze else gin), gk
 
     return _make(out[0] if squeeze else out, (x, kernels), bwd)

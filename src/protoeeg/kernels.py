@@ -1,237 +1,83 @@
 """Valid-mode 2-d convolution kernels, the hot inner loops of the network.
 
-Two interchangeable implementations live here:
+One numpy implementation in the im2col/GEMM style (Chellapilla et al.
+2006): an ``as_strided`` view gathers the receptive fields and BLAS does
+the contraction.
 
-* ``numba`` -- an ``@njit`` kernel that gathers each sample's receptive
-  fields into an im2col buffer inside compiled code and hands the actual
-  contraction to BLAS via ``np.dot``.
-* ``numpy`` -- a pure-numpy path built on ``as_strided`` im2col plus a
-  batched ``matmul``.
-
-The active backend is chosen once at import time from the
-``PROTOEEG_BACKEND`` environment variable (``numba`` or ``numpy``;
-default ``numba`` when numba is importable, ``numpy`` otherwise).
-``PROTOEEG_THREADS`` caps the numba thread pool; BLAS reads its own
-environment (``OPENBLAS_NUM_THREADS`` etc.) at process start.
+* ``conv2d_forward`` runs one GEMM per sample (a batched ``matmul``).  A
+  window's output therefore does not depend on the other windows in the
+  batch or on the batch size, bit for bit; push tie-breaking and
+  single-window explanations rely on that.
+* ``conv2d_backward_kernels`` and ``conv2d_backward_input`` each run one
+  GEMM over the whole batch.  Their results are only summed into parameter
+  gradients, so merging the batch there changes the last bits of a
+  gradient, never which window gets which latent.
 
 All kernels take and return C-contiguous float64 arrays.  Shapes follow
 the (N, C, H, W) convention; strides are (stride_h, stride_w) with no
 padding, so output spatial dims are ``(H - kh)//sh + 1`` by
 ``(W - kw)//sw + 1``.
-
-``python -m protoeeg.bench`` times the two backends against each other.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-from .errors import ConfigurationError
-
-try:  # pragma: no cover - exercised indirectly through backend selection
-    import numba
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-
-def _select_backend() -> str:
-    requested = os.environ.get("PROTOEEG_BACKEND", "").strip().lower()
-    if requested == "":
-        return "numba" if _HAVE_NUMBA else "numpy"
-    if requested not in ("numba", "numpy"):
-        raise ConfigurationError(
-            f"PROTOEEG_BACKEND must be 'numba' or 'numpy', got {requested!r}"
-        )
-    if requested == "numba" and not _HAVE_NUMBA:
-        raise ConfigurationError("PROTOEEG_BACKEND=numba but numba is not importable")
-    return requested
-
-
-BACKEND = _select_backend()
-
-if BACKEND == "numba" and os.environ.get("PROTOEEG_THREADS"):
-    try:
-        numba.set_num_threads(max(1, int(os.environ["PROTOEEG_THREADS"])))
-    except ValueError as exc:
-        raise ConfigurationError(f"PROTOEEG_THREADS must be an integer: {exc}") from exc
 
 
 def out_shape(h: int, w: int, kh: int, kw: int, sh: int, sw: int) -> tuple[int, int]:
     return (h - kh) // sh + 1, (w - kw) // sw + 1
 
 
-# ---------------------------------------------------------------------------
-# numpy implementation
-
-
-def _im2col(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """(N, C, H, W) -> (N, C*kh*kw, ho*wo) patch matrix (copies)."""
+def _patches(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
+    """(N, C, H, W) -> read-only (N, C, kh, kw, ho, wo) view of every patch."""
     n, c, h, w = x.shape
     ho, wo = out_shape(h, w, kh, kw, sh, sw)
     sn, sc, srow, scol = x.strides
-    view = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         x,
         shape=(n, c, kh, kw, ho, wo),
         strides=(sn, sc, srow, scol, srow * sh, scol * sw),
         writeable=False,
     )
-    return view.reshape(n, c * kh * kw, ho * wo)
 
 
-def conv2d_forward_numpy(x: np.ndarray, kernels: np.ndarray, sh: int, sw: int) -> np.ndarray:
+def conv2d_forward(x: np.ndarray, kernels: np.ndarray, sh: int, sw: int) -> np.ndarray:
     n, ci, h, w = x.shape
     co, _, kh, kw = kernels.shape
     ho, wo = out_shape(h, w, kh, kw, sh, sw)
-    cols = _im2col(x, kh, kw, sh, sw)
+    cols = _patches(x, kh, kw, sh, sw).reshape(n, ci * kh * kw, ho * wo)
     kmat = kernels.reshape(co, ci * kh * kw)
     out = np.matmul(kmat, cols)
     return np.ascontiguousarray(out.reshape(n, co, ho, wo))
 
 
-def conv2d_backward_input_numpy(
+def _batch_columns(grad_out: np.ndarray) -> np.ndarray:
+    """(N, C_out, ho, wo) -> (C_out, N*ho*wo), the batch merged into columns."""
+    n, co, ho, wo = grad_out.shape
+    return grad_out.transpose(1, 0, 2, 3).reshape(co, n * ho * wo)
+
+
+def conv2d_backward_input(
     grad_out: np.ndarray, kernels: np.ndarray, h: int, w: int, sh: int, sw: int
 ) -> np.ndarray:
     n, co, ho, wo = grad_out.shape
     _, ci, kh, kw = kernels.shape
-    kmat = kernels.reshape(co, ci * kh * kw)
-    gmat = grad_out.reshape(n, co, ho * wo)
-    gcols = np.matmul(kmat.T, gmat).reshape(n, ci, kh, kw, ho, wo)
-    grad_in = np.zeros((n, ci, h, w))
+    # rows ordered (i, j, c) so each kernel offset's block is contiguous
+    kmat_t = kernels.transpose(2, 3, 1, 0).reshape(kh * kw * ci, co)
+    gcols = (kmat_t @ _batch_columns(grad_out)).reshape(kh, kw, ci, n, ho, wo)
+    grad_in = np.zeros((ci, n, h, w))
     for i in range(kh):
         for j in range(kw):
-            grad_in[:, :, i : i + ho * sh : sh, j : j + wo * sw : sw] += gcols[:, :, i, j]
-    return grad_in
+            grad_in[:, :, i : i + ho * sh : sh, j : j + wo * sw : sw] += gcols[i, j]
+    return np.ascontiguousarray(grad_in.transpose(1, 0, 2, 3))
 
 
-def conv2d_backward_kernels_numpy(
+def conv2d_backward_kernels(
     grad_out: np.ndarray, x: np.ndarray, kh: int, kw: int, sh: int, sw: int
 ) -> np.ndarray:
     n, co, ho, wo = grad_out.shape
     ci = x.shape[1]
-    cols = _im2col(x, kh, kw, sh, sw)
-    gmat = grad_out.reshape(n, co, ho * wo)
-    gk = np.matmul(gmat, cols.transpose(0, 2, 1)).sum(axis=0)
-    return np.ascontiguousarray(gk.reshape(co, ci, kh, kw))
-
-
-# ---------------------------------------------------------------------------
-# numba implementation
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True, fastmath=True)
-    def _fwd_numba(x, kmat, kh, kw, sh, sw):
-        n, ci, h, w = x.shape
-        co = kmat.shape[0]
-        ho = (h - kh) // sh + 1
-        wo = (w - kw) // sw + 1
-        out = np.empty((n, co, ho, wo))
-        cols = np.empty((ci * kh * kw, ho * wo))
-        for s in range(n):
-            for c in range(ci):
-                for i in range(kh):
-                    for j in range(kw):
-                        r = (c * kh + i) * kw + j
-                        for oh in range(ho):
-                            ih = oh * sh + i
-                            base = oh * wo
-                            for ow in range(wo):
-                                cols[r, base + ow] = x[s, c, ih, ow * sw + j]
-            res = np.dot(kmat, cols)
-            for c in range(co):
-                for oh in range(ho):
-                    base = oh * wo
-                    for ow in range(wo):
-                        out[s, c, oh, ow] = res[c, base + ow]
-        return out
-
-    @njit(cache=True, fastmath=True)
-    def _bwd_input_numba(grad_out, kmat_t, ci, kh, kw, h, w, sh, sw):
-        n, co, ho, wo = grad_out.shape
-        grad_in = np.zeros((n, ci, h, w))
-        gmat = np.empty((co, ho * wo))
-        for s in range(n):
-            for c in range(co):
-                for oh in range(ho):
-                    base = oh * wo
-                    for ow in range(wo):
-                        gmat[c, base + ow] = grad_out[s, c, oh, ow]
-            gcols = np.dot(kmat_t, gmat)
-            for c in range(ci):
-                for i in range(kh):
-                    for j in range(kw):
-                        r = (c * kh + i) * kw + j
-                        for oh in range(ho):
-                            ih = oh * sh + i
-                            base = oh * wo
-                            for ow in range(wo):
-                                grad_in[s, c, ih, ow * sw + j] += gcols[r, base + ow]
-        return grad_in
-
-    @njit(cache=True, fastmath=True)
-    def _bwd_kernels_numba(grad_out, x, kh, kw, sh, sw):
-        n, co, ho, wo = grad_out.shape
-        ci = x.shape[1]
-        gk_mat = np.zeros((co, ci * kh * kw))
-        cols_t = np.empty((ho * wo, ci * kh * kw))
-        gmat = np.empty((co, ho * wo))
-        for s in range(n):
-            for c in range(ci):
-                for i in range(kh):
-                    for j in range(kw):
-                        r = (c * kh + i) * kw + j
-                        for oh in range(ho):
-                            ih = oh * sh + i
-                            base = oh * wo
-                            for ow in range(wo):
-                                cols_t[base + ow, r] = x[s, c, ih, ow * sw + j]
-            for c in range(co):
-                for oh in range(ho):
-                    base = oh * wo
-                    for ow in range(wo):
-                        gmat[c, base + ow] = grad_out[s, c, oh, ow]
-            gk_mat += np.dot(gmat, cols_t)
-        return gk_mat
-
-    def conv2d_forward_numba(x, kernels, sh, sw):
-        co, ci, kh, kw = kernels.shape
-        kmat = np.ascontiguousarray(kernels.reshape(co, ci * kh * kw))
-        return _fwd_numba(x, kmat, kh, kw, sh, sw)
-
-    def conv2d_backward_input_numba(grad_out, kernels, h, w, sh, sw):
-        co, ci, kh, kw = kernels.shape
-        kmat_t = np.ascontiguousarray(kernels.reshape(co, ci * kh * kw).T)
-        return _bwd_input_numba(grad_out, kmat_t, ci, kh, kw, h, w, sh, sw)
-
-    def conv2d_backward_kernels_numba(grad_out, x, kh, kw, sh, sw):
-        ci = x.shape[1]
-        co = grad_out.shape[1]
-        gk_mat = _bwd_kernels_numba(grad_out, x, kh, kw, sh, sw)
-        return np.ascontiguousarray(gk_mat.reshape(co, ci, kh, kw))
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-
-if BACKEND == "numba":
-    conv2d_forward = conv2d_forward_numba
-    conv2d_backward_input = conv2d_backward_input_numba
-    conv2d_backward_kernels = conv2d_backward_kernels_numba
-else:
-    conv2d_forward = conv2d_forward_numpy
-    conv2d_backward_input = conv2d_backward_input_numpy
-    conv2d_backward_kernels = conv2d_backward_kernels_numpy
-
-
-def warmup() -> None:
-    """Trigger JIT compilation on tiny arrays so timed code paths run hot."""
-    x = np.zeros((1, 2, 6, 5))
-    k = np.zeros((3, 2, 2, 2))
-    out = conv2d_forward(x, k, 2, 1)
-    conv2d_backward_input(out, k, 6, 5, 2, 1)
-    conv2d_backward_kernels(out, x, 2, 2, 2, 1)
+    cols = _patches(x, kh, kw, sh, sw).transpose(1, 2, 3, 0, 4, 5)
+    cols = cols.reshape(ci * kh * kw, n * ho * wo)
+    gk = _batch_columns(grad_out) @ cols.T
+    return gk.reshape(co, ci, kh, kw)

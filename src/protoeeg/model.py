@@ -418,33 +418,43 @@ def load_model(path) -> ProtoEEGNet:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"model header is not valid JSON: {exc}") from exc
 
-    config = BackboneConfig.from_dict(header["backbone"])
-    num_classes = int(header["num_classes"])
-    per_class = int(header["per_class"])
+    try:
+        config = BackboneConfig.from_dict(header["backbone"])
+        num_classes = int(header["num_classes"])
+        per_class = int(header["per_class"])
+        specs = [(str(spec["name"]), tuple(int(d) for d in spec["shape"]))
+                 for spec in header["parameters"]]
+        provenance = [PushRecord.from_dict(p) if p is not None else None
+                      for p in header["provenance"]]
+        config_digest = header["config_digest"]
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise DataFormatError(
+            f"model header is missing or has an ill-typed field: {exc!r}") from exc
     offset = header_len
     tensors = {}
-    for spec in header["parameters"]:
-        shape = tuple(spec["shape"])
+    for name, shape in specs:
         count = int(np.prod(shape))
         end = offset + count * 8
         if end > len(payload):
-            raise DataFormatError(f"model file truncated inside block {spec['name']!r}")
+            raise DataFormatError(f"model file truncated inside block {name!r}")
         arr = np.frombuffer(payload, dtype="<f8", count=count,
                             offset=offset).reshape(shape)
-        tensors[spec["name"]] = Tensor(arr.copy(), requires_grad=True)
+        tensors[name] = Tensor(arr.copy(), requires_grad=True)
         offset = end
     if offset != len(payload):
         raise DataFormatError("model file has trailing bytes after parameter blocks")
 
     n_blocks = len(config.blocks)
-    conv = [tensors[f"conv{i}"] for i in range(n_blocks)]
-    gains = [tensors[f"ln_gain{i}"] for i in range(n_blocks)]
-    biases = [tensors[f"ln_bias{i}"] for i in range(n_blocks)]
-    provenance = [PushRecord.from_dict(p) if p is not None else None
-                  for p in header["provenance"]]
-    bank = PrototypeBank(vectors=tensors["prototypes"], num_classes=num_classes,
+    try:
+        conv = [tensors[f"conv{i}"] for i in range(n_blocks)]
+        gains = [tensors[f"ln_gain{i}"] for i in range(n_blocks)]
+        biases = [tensors[f"ln_bias{i}"] for i in range(n_blocks)]
+        vectors, head = tensors["prototypes"], tensors["head"]
+    except KeyError as exc:
+        raise DataFormatError(f"model file lacks parameter block {exc}") from exc
+    bank = PrototypeBank(vectors=vectors, num_classes=num_classes,
                          per_class=per_class, provenance=provenance)
-    model = ProtoEEGNet(config, conv, gains, biases, bank, tensors["head"])
-    if model.config_digest() != header["config_digest"]:
+    model = ProtoEEGNet(config, conv, gains, biases, bank, head)
+    if model.config_digest() != config_digest:
         raise DataFormatError("config digest mismatch in model header")
     return model

@@ -291,7 +291,9 @@ def _epoch_pass(model, data, config, opt, rng, latents_cache=None) -> dict:
     return {k: float(v / n) for k, v in agg.items()}
 
 
-def _record(history, model, data, *, epoch, stage, lr, losses) -> None:
+def _record(history, model, data, *, epoch, stage, lr, losses, defer_val) -> None:
+    """Append one epoch's record.  Epochs in `defer_val` get ``"val": None``;
+    train() validates those after the push and refit that follow them."""
     if history is None:
         return
     history.append({
@@ -299,7 +301,7 @@ def _record(history, model, data, *, epoch, stage, lr, losses) -> None:
         "stage": stage,
         "lr": {k: float(v) for k, v in lr.items()},
         "loss": losses,
-        "val": _validation_metrics(model, data),
+        "val": None if epoch in defer_val else _validation_metrics(model, data),
     })
 
 
@@ -308,7 +310,7 @@ def _record(history, model, data, *, epoch, stage, lr, losses) -> None:
 
 
 def run_warm_stage(model, data, config, epochs=None, *, rng=None,
-                   history=None) -> ProtoEEGNet:
+                   history=None, defer_val=()) -> ProtoEEGNet:
     """Train prototype vectors alone; backbone and head stay untouched.
 
     Latents are computed once up front — with the backbone frozen they
@@ -326,12 +328,13 @@ def run_warm_stage(model, data, config, epochs=None, *, rng=None,
         losses = _epoch_pass(model, data, config, opt, rng,
                              latents_cache=cache)
         _record(history, model, data, epoch=epoch, stage="warm",
-                lr={"prototypes": config.warm_prototype_lr}, losses=losses)
+                lr={"prototypes": config.warm_prototype_lr}, losses=losses,
+                defer_val=defer_val)
     return model
 
 
 def run_secondary_warm_stage(model, data, config, epochs=None, *, rng=None,
-                             history=None) -> ProtoEEGNet:
+                             history=None, defer_val=()) -> ProtoEEGNet:
     """Train prototypes and backbone together; head stays frozen."""
     _require_nonempty(data)
     if rng is None:
@@ -350,12 +353,12 @@ def run_secondary_warm_stage(model, data, config, epochs=None, *, rng=None,
     for epoch in epochs:
         losses = _epoch_pass(model, data, config, opt, rng)
         _record(history, model, data, epoch=epoch, stage="secondary_warm",
-                lr=lr, losses=losses)
+                lr=lr, losses=losses, defer_val=defer_val)
     return model
 
 
 def run_joint_stage(model, data, config, epochs=None, *, rng=None,
-                    history=None) -> ProtoEEGNet:
+                    history=None, defer_val=()) -> ProtoEEGNet:
     """Train all parameter groups, halving their rates on the ladder."""
     _require_nonempty(data)
     if rng is None:
@@ -380,7 +383,7 @@ def run_joint_stage(model, data, config, epochs=None, *, rng=None,
             opt.set_lr(name, value)
         losses = _epoch_pass(model, data, config, opt, rng)
         _record(history, model, data, epoch=epoch, stage="joint",
-                lr=lr, losses=losses)
+                lr=lr, losses=losses, defer_val=defer_val)
     return model
 
 
@@ -594,7 +597,8 @@ def train(config: TrainConfig, dataset, model: ProtoEEGNet = None,
             continue
         op = _STAGE_OPS[stage]
         for seg in _segments(span, push_set):
-            op(model, data, config, seg, rng=rng, history=history.records)
+            op(model, data, config, seg, rng=rng, history=history.records,
+               defer_val=push_set)
             last = seg[-1]
             if last not in push_set:
                 continue

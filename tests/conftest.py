@@ -1,7 +1,12 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from protoeeg import diffcore as dc
+from protoeeg import model as m
 
 
 def fd_gradient(loss_fn, param: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -57,6 +62,24 @@ def gradcheck(build_loss, params: list, h: float = 1e-5) -> None:
         analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
         numeric = fd_gradient(lambda: float(build_loss(params).data), p.data, h=h)
         assert_grad_matches(analytic, numeric)
+
+
+def rewrite_header(path, edit) -> None:
+    """Drop or replace one checkpoint header key and recompute the CRC."""
+    blob = path.read_bytes()
+    magic, version, header_len = m._CKPT_HEAD.unpack_from(blob, 0)
+    start = m._CKPT_HEAD.size
+    header = json.loads(blob[start:start + header_len])
+    if "drop" in edit:
+        del header[edit["drop"]]
+    else:
+        key, value = edit["set"]
+        header[key] = value
+    new_header = json.dumps(header, sort_keys=True).encode()
+    payload = new_header + blob[start + header_len:-4]
+    crc = zlib.crc32(payload) & 0xFFFFFFFF
+    path.write_bytes(m._CKPT_HEAD.pack(magic, version, len(new_header)) + payload
+                     + struct.pack("<I", crc))
 
 
 @pytest.fixture

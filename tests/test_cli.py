@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import rewrite_header
 from protoeeg.cli import main, resolve_config
 from protoeeg.dataset import load
 from protoeeg.errors import ConfigurationError, DataFormatError
@@ -178,6 +179,13 @@ class TestPreprocess:
         assert main(["preprocess", "--input", str(src),
                      "--out", str(tmp_path / "o")]) == 2
 
+    def test_zero_windows_is_format_error(self, tmp_path):
+        src = tmp_path / "raw.npz"
+        np.savez(src, values=np.zeros((0, 256, 37)), sample_rate_hz=np.float64(256.0))
+        out = tmp_path / "o"
+        assert main(["preprocess", "--input", str(src), "--out", str(out)]) == 2
+        assert not (out / "dataset.peeg").exists()
+
 
 class TestSplit:
     def test_resplit_preserves_acquisition_metadata(self, data_dir, tmp_path):
@@ -262,6 +270,14 @@ class TestEval:
         _, manifest = load(data_dir / "dataset.peeg")
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["n_test"] == len(manifest.ids_for("val"))
+
+    def test_model_header_without_backbone_is_format_error(self, run_dir, data_dir,
+                                                           tmp_path):
+        model = tmp_path / "model.pegm"
+        model.write_bytes((run_dir / "model.pegm").read_bytes())
+        rewrite_header(model, {"drop": "backbone"})
+        assert main(["eval", "--model", str(model), "--data", str(data_dir),
+                     "--rounds", "200", "--out", str(tmp_path / "ev")]) == 2
 
     def test_missing_model_is_format_error(self, data_dir, tmp_path):
         assert main(["eval", "--model", str(tmp_path / "nope.pegm"),

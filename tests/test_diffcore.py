@@ -291,6 +291,24 @@ class TestConv2d:
                                                     dc.conv2d_valid(ps[0], ps[1], (sh, sw)))),
                           [x, k])
 
+    def test_constant_input_gets_no_gradient(self, monkeypatch):
+        # the raw window into block 1 needs no gradient: only the kernels' is computed
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.standard_normal((3, 2, 9, 7)))
+        k = leaf(rng, 4, 2, 3, 2)
+
+        def loss(ps):
+            y = dc.conv2d_valid(x, ps[0], (2, 1))
+            return dc.tsum(dc.mul(y, y))
+
+        gradcheck(loss, [k])
+        assert x.grad is None
+        y = dc.conv2d_valid(x, k, (2, 1))
+        monkeypatch.setattr(dc._k, "conv2d_backward_input", None)
+        gin, gk = y._backward(np.ones_like(y.data))
+        assert gin is None
+        assert gk.shape == k.shape
+
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
             dc.conv2d_valid(Tensor(np.zeros((3, 8, 8))), Tensor(np.zeros((2, 4, 3, 3))))

@@ -1,19 +1,35 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
+from protoeeg import diffcore as dc
 from protoeeg import kernels as k
+from protoeeg.model import INPUT_CHANNELS, INPUT_TIME, ProtoEEGNet
 
 
 SHAPES = [
-    # (n, ci, h, w), (co, kh, kw), (sh, sw) -- includes the real backbone blocks
-    ((2, 1, 128, 37), (16, 5, 5), (2, 2)),
-    ((2, 16, 62, 17), (32, 5, 4), (2, 2)),
-    ((2, 32, 29, 7), (64, 10, 3), (2, 2)),
-    ((2, 64, 10, 3), (128, 10, 3), (1, 1)),
+    # (n, ci, h, w), (co, kh, kw), (sh, sw) -- includes the real backbone blocks;
+    # n >= 3 so a sample-ordering slip in a batch-merged GEMM shows up
+    ((3, 1, 128, 37), (16, 5, 5), (2, 2)),
+    ((3, 16, 62, 17), (32, 5, 4), (2, 2)),
+    ((3, 32, 29, 7), (64, 10, 3), (2, 2)),
+    ((3, 64, 10, 3), (128, 10, 3), (1, 1)),
     ((3, 2, 9, 8), (4, 3, 3), (1, 2)),
-    ((1, 3, 6, 6), (2, 6, 6), (1, 1)),  # kernel == input, single output cell
+    ((3, 3, 6, 6), (2, 6, 6), (1, 1)),  # kernel == input, single output cell
 ]
+
+
+def _case(xshape, kspec, stride, rng):
+    n, ci, h, w = xshape
+    co, kh, kw = kspec
+    x = rng.standard_normal(xshape)
+    kern = rng.standard_normal((co, ci, kh, kw))
+    ho, wo = k.out_shape(h, w, kh, kw, *stride)
+    y = rng.standard_normal((n, co, ho, wo))
+    return x, kern, y
+
+
+def _patch(sh, sw, kh, kw, oh, ow):
+    return np.s_[:, oh * sh:oh * sh + kh, ow * sw:ow * sw + kw]
 
 
 def test_out_shape():
@@ -28,7 +44,7 @@ def test_forward_matches_direct_sum(xshape, kspec, stride, rng):
     sh, sw = stride
     x = rng.standard_normal(xshape)
     kern = rng.standard_normal((co, ci, kh, kw))
-    out = k.conv2d_forward_numpy(x, kern, sh, sw)
+    out = k.conv2d_forward(x, kern, sh, sw)
     ho, wo = k.out_shape(h, w, kh, kw, sh, sw)
     assert out.shape == (n, co, ho, wo)
     for s in (0, n - 1):
@@ -40,6 +56,38 @@ def test_forward_matches_direct_sum(xshape, kspec, stride, rng):
 
 
 @pytest.mark.parametrize("xshape,kspec,stride", SHAPES)
+def test_backward_input_matches_loop(xshape, kspec, stride, rng):
+    # grad_in[s, :, patch(oh, ow)] += sum_c y[s, c, oh, ow] * kern[c], one sample at a time
+    x, kern, y = _case(xshape, kspec, stride, rng)
+    _, _, kh, kw = kern.shape
+    ref = np.zeros_like(x)
+    for s in range(y.shape[0]):
+        for oh in range(y.shape[2]):
+            for ow in range(y.shape[3]):
+                ref[s][_patch(*stride, kh, kw, oh, ow)] += np.tensordot(
+                    y[s, :, oh, ow], kern, axes=1)
+    got = k.conv2d_backward_input(y, kern, x.shape[2], x.shape[3], *stride)
+    assert got.shape == x.shape and got.flags.c_contiguous
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("xshape,kspec,stride", SHAPES)
+def test_backward_kernels_matches_loop(xshape, kspec, stride, rng):
+    # grad_k[c] = sum over samples and output cells of y[s, c, oh, ow] * patch
+    x, kern, y = _case(xshape, kspec, stride, rng)
+    _, _, kh, kw = kern.shape
+    ref = np.zeros_like(kern)
+    for s in range(y.shape[0]):
+        for oh in range(y.shape[2]):
+            for ow in range(y.shape[3]):
+                patch = x[s][_patch(*stride, kh, kw, oh, ow)]
+                ref += y[s, :, oh, ow][:, None, None, None] * patch
+    got = k.conv2d_backward_kernels(y, x, kh, kw, *stride)
+    assert got.shape == kern.shape and got.flags.c_contiguous
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("xshape,kspec,stride", SHAPES)
 def test_backward_input_is_adjoint(xshape, kspec, stride, rng):
     # <conv(x), y> == <x, conv_bwd_input(y)> for all y
     n, ci, h, w = xshape
@@ -47,9 +95,9 @@ def test_backward_input_is_adjoint(xshape, kspec, stride, rng):
     sh, sw = stride
     x = rng.standard_normal(xshape)
     kern = rng.standard_normal((co, ci, kh, kw))
-    out = k.conv2d_forward_numpy(x, kern, sh, sw)
+    out = k.conv2d_forward(x, kern, sh, sw)
     y = rng.standard_normal(out.shape)
-    gin = k.conv2d_backward_input_numpy(y, kern, h, w, sh, sw)
+    gin = k.conv2d_backward_input(y, kern, h, w, sh, sw)
     assert np.vdot(out, y) == pytest.approx(np.vdot(x, gin), rel=1e-10)
 
 
@@ -60,43 +108,23 @@ def test_backward_kernels_is_adjoint(xshape, kspec, stride, rng):
     sh, sw = stride
     x = rng.standard_normal(xshape)
     kern = rng.standard_normal((co, ci, kh, kw))
-    out = k.conv2d_forward_numpy(x, kern, sh, sw)
+    out = k.conv2d_forward(x, kern, sh, sw)
     y = rng.standard_normal(out.shape)
-    gk = k.conv2d_backward_kernels_numpy(y, x, kh, kw, sh, sw)
+    gk = k.conv2d_backward_kernels(y, x, kh, kw, sh, sw)
     assert np.vdot(out, y) == pytest.approx(np.vdot(kern, gk), rel=1e-10)
 
 
-needs_numba = pytest.mark.skipif(not k._HAVE_NUMBA, reason="numba not installed")
-
-
-@needs_numba
-@pytest.mark.parametrize("xshape,kspec,stride", SHAPES)
-def test_backends_agree(xshape, kspec, stride, rng):
-    n, ci, h, w = xshape
-    co, kh, kw = kspec
-    sh, sw = stride
-    x = rng.standard_normal(xshape)
-    kern = rng.standard_normal((co, ci, kh, kw))
-    f_np = k.conv2d_forward_numpy(x, kern, sh, sw)
-    f_nb = k.conv2d_forward_numba(x, kern, sh, sw)
-    assert_allclose(f_nb, f_np, rtol=1e-10, atol=1e-12)
-
-    g = rng.standard_normal(f_np.shape)
-    assert_allclose(
-        k.conv2d_backward_input_numba(g, kern, h, w, sh, sw),
-        k.conv2d_backward_input_numpy(g, kern, h, w, sh, sw),
-        rtol=1e-10, atol=1e-12,
-    )
-    assert_allclose(
-        k.conv2d_backward_kernels_numba(g, x, kh, kw, sh, sw),
-        k.conv2d_backward_kernels_numpy(g, x, kh, kw, sh, sw),
-        rtol=1e-10, atol=1e-12,
-    )
-
-
-def test_selected_backend_reported():
-    assert k.BACKEND in ("numba", "numpy")
-
-
-def test_warmup_runs():
-    k.warmup()
+def test_embedding_is_batch_invariant(rng):
+    # push tie-breaks and single-window explanations need a window's latent to be
+    # bit-identical wherever it sits in a batch and whatever the batch size
+    net = ProtoEEGNet.initialize(seed=3)
+    window = rng.standard_normal((INPUT_TIME, INPUT_CHANNELS))
+    with dc.no_grad():
+        alone = net.embed(window).data
+    for size in (7, 75):
+        batch = rng.standard_normal((size, INPUT_TIME, INPUT_CHANNELS))
+        positions = sorted({0, 1, size // 2, size - 2, size - 1})
+        batch[positions] = window
+        latents = net.embed(batch).data
+        for pos in positions:
+            assert np.array_equal(latents[pos], alone), (size, pos)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import rewrite_header
+
 from protoeeg import diffcore as dc
 from protoeeg import model as m
 from protoeeg.diffcore import Tensor
@@ -297,6 +299,18 @@ class TestCheckpoint:
         blob[5000] ^= 0xFF
         path.write_bytes(bytes(blob))
         with pytest.raises(DataFormatError, match="checksum"):
+            m.load_model(path)
+
+    @pytest.mark.parametrize("edit", [
+        {"drop": "backbone"}, {"drop": "num_classes"}, {"drop": "per_class"},
+        {"drop": "parameters"}, {"set": ("num_classes", "nine")},
+        {"set": ("parameters", 5)}, {"set": ("backbone", [1, 2])},
+    ])
+    def test_malformed_header_is_format_error(self, net, tmp_path, edit):
+        path = tmp_path / "model.pegm"
+        m.save_model(net, path)
+        rewrite_header(path, edit)
+        with pytest.raises(DataFormatError, match="header"):
             m.load_model(path)
 
     def test_initialize_deterministic(self, tmp_path):

@@ -501,6 +501,19 @@ class TestTrain:
         assert outputs[0][0] == outputs[1][0]
         assert outputs[0][1] == outputs[1][1]
 
+    def test_validates_once_per_epoch_after_the_refit(self, toy_data, monkeypatch):
+        d = toy_data
+        data = tr.TrainData(d.train_values, d.train_labels, d.train_ids,
+                            d.train_values[:12], d.train_labels[:12], d.train_ids[:12])
+        calls = []
+        validate = tr._validation_metrics
+        monkeypatch.setattr(tr, "_validation_metrics",
+                            lambda model, data: calls.append(1) or validate(model, data))
+        net, history = tr.train(self.small_cfg(), data, model=toy_model(seed=9))
+        assert len(calls) == len(history.records) == 6
+        # epoch 6 ends with the last push and refit, so its val is the final model's
+        assert history.records[-1]["val"] == validate(net, data)
+
     def test_toy_accuracy_after_full_schedule(self, toy_data):
         net, _ = tr.train(toy_config(), toy_data, model=toy_model(seed=9))
         out = net.forward_probs(toy_data.train_values)
