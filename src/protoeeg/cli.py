@@ -212,7 +212,10 @@ def _cmd_preprocess(ns) -> None:
     if values.ndim != 3:
         raise DataFormatError(
             f"'values' must be (n, time, channel), got shape {values.shape}")
-    fs_in = float(np.asarray(archive["sample_rate_hz"]).reshape(-1)[0])
+    try:
+        fs_in = float(np.asarray(archive["sample_rate_hz"]).reshape(-1)[0])
+    except (IndexError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"'sample_rate_hz' must hold a number: {exc}") from exc
     n = values.shape[0]
     votes = (np.asarray(archive["votes"], dtype=np.int64) if "votes" in names
              else np.zeros(n, dtype=np.int64))
@@ -335,7 +338,7 @@ def _cmd_push(ns) -> None:
     data_file = _dataset_file(ns.data)
     samples, manifest = load(data_file)
     data = TrainData.from_dataset(samples, manifest)
-    records = push_prototypes(model, data, cfg, epoch=0)
+    records, _ = push_prototypes(model, data, cfg, epoch=0)
     out = _ensure_out(ns.out)
     save_model(model, out / "model.pegm")
     (out / "push_records.json").write_text(

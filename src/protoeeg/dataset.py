@@ -27,7 +27,6 @@ from .errors import ConfigurationError, DataFormatError
 TIME_STEPS = 128
 CHANNELS = 37
 SAMPLE_RATE_HZ = 128.0
-NUM_CLASSES = 9
 NUM_ANNOTATORS = 8
 DEFAULT_FRACTIONS = (0.73, 0.12, 0.15)
 SPLIT_NAMES = ("train", "val", "test")
@@ -190,20 +189,26 @@ class DatasetManifest:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"manifest is not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise DataFormatError("manifest must hold a JSON object")
         required = ("version", "sample_count", "channel_count", "time_steps",
                     "sample_rate_hz", "splits", "seed", "config_digest")
         for key in required:
             if key not in raw:
                 raise DataFormatError(f"manifest missing field {key!r}")
-        splits = {}
-        for key, name in raw["splits"].items():
-            if name not in SPLIT_NAMES:
-                raise DataFormatError(f"manifest split for sample {key} is {name!r}")
-            splits[int(key)] = name
-        return cls(version=int(raw["version"]), sample_count=int(raw["sample_count"]),
-                   channel_count=int(raw["channel_count"]), time_steps=int(raw["time_steps"]),
-                   sample_rate_hz=float(raw["sample_rate_hz"]), splits=splits,
-                   seed=int(raw["seed"]), config_digest=str(raw["config_digest"]))
+        try:
+            splits = {}
+            for key, name in raw["splits"].items():
+                if name not in SPLIT_NAMES:
+                    raise DataFormatError(f"manifest split for sample {key} is {name!r}")
+                splits[int(key)] = name
+            return cls(version=int(raw["version"]), sample_count=int(raw["sample_count"]),
+                       channel_count=int(raw["channel_count"]),
+                       time_steps=int(raw["time_steps"]),
+                       sample_rate_hz=float(raw["sample_rate_hz"]), splits=splits,
+                       seed=int(raw["seed"]), config_digest=str(raw["config_digest"]))
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"manifest has an ill-typed field: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +360,6 @@ def split(samples, fractions=DEFAULT_FRACTIONS, seed: int = 0) -> DatasetManifes
     )
 
 
-def class_histogram(samples) -> np.ndarray:
-    counts = np.zeros(NUM_CLASSES, dtype=np.int64)
-    for s in samples:
-        counts[s.votes] += 1
-    return counts
-
-
 # ---------------------------------------------------------------------------
 # storage
 
@@ -409,18 +407,17 @@ def load(path):
         raise DataFormatError(
             f"dataset payload truncated: expected {expected} bytes, got {len(blob)}"
         )
-    payload = blob[_HEADER.size:-4]
     (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
+    crc = zlib.crc32(memoryview(blob)[_HEADER.size:-4]) & 0xFFFFFFFF
     if crc != stored_crc:
         raise DataFormatError(f"checksum mismatch: stored {stored_crc:#x}, computed {crc:#x}")
 
     samples = []
-    offset = 0
+    offset = _HEADER.size
     for _ in range(count):
-        sid, votes = _RECORD_HEAD.unpack_from(payload, offset)
+        sid, votes = _RECORD_HEAD.unpack_from(blob, offset)
         offset += _RECORD_HEAD.size
-        values = np.frombuffer(payload, dtype="<f4", count=time_steps * channels,
+        values = np.frombuffer(blob, dtype="<f4", count=time_steps * channels,
                                offset=offset).reshape(time_steps, channels)
         offset += time_steps * channels * 4
         sample = EEGSample(values=values.copy(), votes=int(votes), sample_id=int(sid))
@@ -444,7 +441,7 @@ def split_arrays(samples, manifest: DatasetManifest, split_name: str):
     ids = manifest.ids_for(split_name)
     missing = [i for i in ids if i not in by_id]
     if missing:
-        raise ConfigurationError(f"manifest references missing sample ids {missing[:5]}")
+        raise DataFormatError(f"manifest references missing sample ids {missing[:5]}")
     values = np.stack([by_id[i].values for i in ids]).astype(np.float64)
     votes = np.array([by_id[i].votes for i in ids], dtype=np.int64)
     return values, votes, np.array(ids, dtype=np.int64)

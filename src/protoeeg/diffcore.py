@@ -41,10 +41,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
-
-
 class Tensor:
     """float64 array with reverse-mode gradient tracking.
 

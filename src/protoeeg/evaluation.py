@@ -155,17 +155,6 @@ def auroc(scores, labels) -> RocResult:
     return result
 
 
-def filtered_view(samples):
-    """Drop borderline samples (3, 4, or 5 votes); accepts vote-carrying
-    objects or plain integers."""
-    kept = []
-    for sample in samples:
-        votes = sample.votes if hasattr(sample, "votes") else int(sample)
-        if votes not in AMBIGUOUS_VOTES:
-            kept.append(sample)
-    return kept
-
-
 def ambiguity_mask(votes) -> np.ndarray:
     """Boolean keep-mask over a votes array: True where the sample survives."""
     votes = np.asarray(votes)

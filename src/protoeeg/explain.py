@@ -18,7 +18,7 @@ from .errors import (ConfigurationError, MissingSampleError, NumericError,
                      ProvenanceError)
 from .evaluation import BinaryScore, binarize
 from .model import ProtoEEGNet, points_contributed
-from .training import TrainData, embed_all
+from .training import TrainData
 
 
 def _fmt(x: float) -> str:
@@ -232,12 +232,13 @@ def render_report(explanation: Explanation, dataset, out_dir) -> dict:
     `.values`; it must contain the query sample and every source sample
     referenced by the predicted class's rows.
     """
+    needed = {row.source_sample_id for row in explanation.sections[0].rows}
+    wanted = needed | {explanation.sample_id}
     index = {s.sample_id: np.asarray(s.values, dtype=np.float64)
-             for s in dataset}
+             for s in dataset if s.sample_id in wanted}
     if explanation.sample_id not in index:
         raise MissingSampleError(
             f"query sample {explanation.sample_id} not in dataset")
-    needed = {row.source_sample_id for row in explanation.sections[0].rows}
     missing = sorted(needed - set(index))
     if missing:
         raise MissingSampleError(
@@ -279,8 +280,7 @@ def global_prototype_report(model: ProtoEEGNet, dataset) -> dict:
         raise ConfigurationError(
             f"class {int(missing[0])} has no training samples to audit against")
 
-    latents = embed_all(model, data.train_values)
-    sims = latents @ bank.vectors.data.T  # (n, count)
+    sims = model.forward_probs(data.train_values)["similarities"]  # (n, count)
     rows, flagged = [], []
     for j in range(bank.count):
         c = bank.class_of(j)

@@ -23,7 +23,7 @@ from .losses import LossCoefficients, total_loss
 from .model import ProtoEEGNet, PushRecord, save_model
 
 __all__ = [
-    "TrainConfig", "TrainData", "TrainHistory", "embed_all", "stage_spans",
+    "TrainConfig", "TrainData", "TrainHistory", "stage_spans",
     "joint_lr_factor", "run_warm_stage", "run_secondary_warm_stage",
     "run_joint_stage", "push_prototypes", "optimize_last_layer", "train",
 ]
@@ -205,18 +205,6 @@ def _require_nonempty(data: TrainData) -> None:
         raise ConfigurationError("training split is empty")
 
 
-def embed_all(model: ProtoEEGNet, values: np.ndarray,
-              batch_size: int = 256) -> np.ndarray:
-    """Latents for a stack of windows, off the autodiff tape, in chunks."""
-    values = np.asarray(values, dtype=np.float64)
-    out = np.empty((values.shape[0], model.config.latent_dim))
-    with dc.no_grad():
-        for lo in range(0, values.shape[0], batch_size):
-            z = model.embed(values[lo:lo + batch_size])
-            out[lo:lo + z.data.shape[0]] = z.data
-    return out
-
-
 # ---------------------------------------------------------------------------
 # history
 
@@ -228,25 +216,11 @@ class TrainHistory:
     records: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
 
-    def stage_boundaries(self) -> list:
-        """Last epoch of each stage except the final one (e.g. [10, 20])."""
-        out = []
-        for prev, cur in zip(self.records, self.records[1:]):
-            if cur["stage"] != prev["stage"]:
-                out.append(prev["epoch"])
-        return out
-
     def to_jsonl(self) -> str:
         return "\n".join(json.dumps(r, sort_keys=True) for r in self.records)
 
     def save(self, path) -> None:
         Path(path).write_text(self.to_jsonl() + "\n")
-
-    @classmethod
-    def load(cls, path) -> "TrainHistory":
-        records = [json.loads(line)
-                   for line in Path(path).read_text().splitlines() if line]
-        return cls(records=records)
 
 
 def _zero_grads(params) -> None:
@@ -323,7 +297,7 @@ def run_warm_stage(model, data, config, epochs=None, *, rng=None,
         epochs = range(1, config.num_warm_epochs + 1)
     opt = dc.Adam([{"name": "prototypes", "params": [model.bank.vectors],
                     "lr": config.warm_prototype_lr}])
-    cache = embed_all(model, data.train_values)
+    cache = model.forward_probs(data.train_values)["latents"]
     for epoch in epochs:
         losses = _epoch_pass(model, data, config, opt, rng,
                              latents_cache=cache)
@@ -391,13 +365,17 @@ def run_joint_stage(model, data, config, epochs=None, *, rng=None,
 # prototype projection
 
 
-def push_prototypes(model, data, config, *, epoch: int = 0) -> list:
+def push_prototypes(model, data, config, *, epoch: int = 0) -> tuple:
     """Snap each prototype onto its most similar same-class training latent.
 
-    Samples are scanned in ascending sample_id order in batches of
+    The training split is embedded once (a latent does not depend on its
+    batch) and scanned in ascending sample_id order in batches of
     `train_push_batch_size`; a strict improvement is required to replace
     the incumbent, so ties resolve to the smallest sample_id.  Prototype
     rows are overwritten with the winning latents byte for byte.
+
+    Returns (records, latents): the training split's latents in `data`
+    order, which the frozen-backbone head refit reuses.
     """
     _require_nonempty(data)
     bank = model.bank
@@ -413,11 +391,12 @@ def push_prototypes(model, data, config, *, epoch: int = 0) -> list:
     best_id = np.full(bank.count, -1, dtype=np.int64)
     best_latent = np.zeros_like(protos)
     order = np.argsort(data.train_ids, kind="stable")
+    step = config.train_push_batch_size
+    latents = model.forward_probs(data.train_values, batch_size=step)["latents"]
 
-    for lo in range(0, order.size, config.train_push_batch_size):
-        sel = order[lo:lo + config.train_push_batch_size]
-        z = embed_all(model, data.train_values[sel],
-                      batch_size=config.train_push_batch_size)
+    for lo in range(0, order.size, step):
+        sel = order[lo:lo + step]
+        z = latents[sel]
         sims = z @ protos.T
         batch_labels = labels[sel]
         batch_ids = data.train_ids[sel]
@@ -446,7 +425,7 @@ def push_prototypes(model, data, config, *, epoch: int = 0) -> list:
         bank.provenance[j] = rec
         records.append(rec)
     protos[:] = best_latent
-    return records
+    return records, latents
 
 
 # ---------------------------------------------------------------------------
@@ -526,16 +505,19 @@ def _prox_head_fit(sims, labels, weights0, per_class, l1_coef, max_iters,
     return w, info
 
 
-def optimize_last_layer(model, data, l1_coef: float = 0.01,
+def optimize_last_layer(model, latents, labels, *, l1_coef: float = 0.01,
                         max_iters: int = 500, tol: float = 1e-9) -> tuple:
     """Convex re-fit of the head with backbone and prototypes frozen.
 
-    Returns (model, info); info carries the monotone objective trace and
-    a `converged` flag — hitting max_iters is reported, never raised.
+    `latents` are the training windows' latents under the current backbone
+    (push_prototypes returns them), row-aligned with `labels`.  Returns
+    (model, info); info carries the monotone objective trace and a
+    `converged` flag — hitting max_iters is reported, never raised.
     """
-    _require_nonempty(data)
-    sims = embed_all(model, data.train_values) @ model.bank.vectors.data.T
-    weights, info = _prox_head_fit(sims, data.train_labels, model.head.data,
+    if len(labels) == 0:
+        raise ConfigurationError("training split is empty")
+    sims = latents @ model.bank.vectors.data.T
+    weights, info = _prox_head_fit(sims, labels, model.head.data,
                                    model.bank.per_class, l1_coef, max_iters,
                                    tol)
     model.head.data[:] = weights
@@ -602,9 +584,9 @@ def train(config: TrainConfig, dataset, model: ProtoEEGNet = None,
             last = seg[-1]
             if last not in push_set:
                 continue
-            pushes = push_prototypes(model, data, config, epoch=last)
+            pushes, latents = push_prototypes(model, data, config, epoch=last)
             model, info = optimize_last_layer(
-                model, data, l1_coef=config.coefficients.l1,
+                model, latents, data.train_labels, l1_coef=config.coefficients.l1,
                 max_iters=config.last_layer_max_iters,
                 tol=config.last_layer_tol)
             if not info["converged"]:

@@ -336,8 +336,8 @@ def test_criterion_03_push_postconditions():
 
     net = m.ProtoEEGNet.initialize(seed=1)
     old_protos = net.bank.vectors.data.copy()
-    z = tr.embed_all(net, values)
-    records = tr.push_prototypes(net, data, tr.TrainConfig(), epoch=7)
+    z = net.forward_probs(values)["latents"]
+    records, _ = tr.push_prototypes(net, data, tr.TrainConfig(), epoch=7)
 
     protos = net.bank.vectors.data
     assert np.all(np.abs(np.linalg.norm(protos, axis=1) - 1.0) <= 1e-9)
@@ -405,13 +405,13 @@ def test_criterion_04_convex_stage():
     rng = np.random.default_rng(2)
     values = rng.standard_normal((60, 128, 37))
     labels = rng.integers(0, 4, 60)
-    data = tr.TrainData.of(values, labels)
 
     net = toy_model(seed=3)
-    sims = tr.embed_all(net, values) @ net.bank.vectors.data.T
+    latents = net.forward_probs(values)["latents"]
+    sims = latents @ net.bank.vectors.data.T
     before = [t.data.copy() for t in net.backbone_parameters()]
 
-    net, info = tr.optimize_last_layer(net, data, l1_coef=0.01,
+    net, info = tr.optimize_last_layer(net, latents, labels, l1_coef=0.01,
                                        max_iters=20000, tol=1e-14)
     trace = np.asarray(info["trace"])
     assert np.all(np.diff(trace) <= 0.0)
@@ -424,8 +424,8 @@ def test_criterion_04_convex_stage():
 
     # heavy penalty drives every off-class connection to exactly zero
     net2 = toy_model(seed=3)
-    net2, _ = tr.optimize_last_layer(net2, data, l1_coef=10.0,
-                                     max_iters=20000, tol=1e-14)
+    net2, _ = tr.optimize_last_layer(net2, net2.forward_probs(values)["latents"], labels,
+                                     l1_coef=10.0, max_iters=20000, tol=1e-14)
     pclass = np.repeat(np.arange(4), 2)
     off = pclass[None, :] != np.arange(4)[:, None]
     assert np.all(net2.head.data[off] == 0.0)

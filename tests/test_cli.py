@@ -50,6 +50,16 @@ def _sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _copy_with_manifest(data_dir: Path, dest: Path, edit) -> Path:
+    """Copy the dataset into dest, passing its manifest dict through edit."""
+    dest.mkdir()
+    (dest / "dataset.peeg").write_bytes((data_dir / "dataset.peeg").read_bytes())
+    raw = json.loads((data_dir / "dataset.manifest.json").read_text())
+    edit(raw)
+    (dest / "dataset.manifest.json").write_text(json.dumps(raw))
+    return dest
+
+
 class TestParsing:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert main(["frobnicate", "--out", "x"]) == 1
@@ -186,6 +196,14 @@ class TestPreprocess:
         assert main(["preprocess", "--input", str(src), "--out", str(out)]) == 2
         assert not (out / "dataset.peeg").exists()
 
+    def test_empty_sample_rate_is_format_error(self, tmp_path, capsys):
+        src = tmp_path / "raw.npz"
+        np.savez(src, values=np.zeros((2, 256, 37)), sample_rate_hz=np.array([]))
+        out = tmp_path / "o"
+        assert main(["preprocess", "--input", str(src), "--out", str(out)]) == 2
+        assert "sample_rate_hz" in capsys.readouterr().err
+        assert not (out / "dataset.peeg").exists()
+
 
 class TestSplit:
     def test_resplit_preserves_acquisition_metadata(self, data_dir, tmp_path):
@@ -199,6 +217,15 @@ class TestSplit:
         assert new.seed == 3
         sizes = [len(new.ids_for(s)) for s in ("train", "val", "test")]
         assert sum(sizes) == len(samples) and sizes[0] > sizes[1]
+
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw["splits"].update({"seven": "train"}),
+        lambda raw: raw.update(splits=["train", "val"]),
+        lambda raw: raw.update(seed="three"),
+    ], ids=["non_integer_split_key", "splits_not_an_object", "ill_typed_seed"])
+    def test_malformed_manifest_is_format_error(self, data_dir, tmp_path, edit):
+        bad = _copy_with_manifest(data_dir, tmp_path / "bad", edit)
+        assert main(["split", "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
 class TestTrain:
@@ -239,6 +266,14 @@ class TestTrain:
     def test_missing_dataset_is_format_error(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_manifest_naming_an_absent_sample_is_format_error(self, data_dir, cfg_file,
+                                                              tmp_path, capsys):
+        bad = _copy_with_manifest(data_dir, tmp_path / "bad",
+                                  lambda raw: raw["splits"].update({"4242": "train"}))
+        assert main(["train", "--config", str(cfg_file), "--data", str(bad),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "4242" in capsys.readouterr().err
 
 
 class TestEval:

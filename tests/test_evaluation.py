@@ -2,7 +2,6 @@
 
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -136,20 +135,13 @@ class TestAuroc:
 
 
 class TestFilteredView:
-    def test_one_sample_per_vote_class(self):
-        kept = ev.filtered_view(list(range(9)))
-        assert kept == [0, 1, 2, 6, 7, 8]
-
-    def test_borderline_votes_excluded(self):
-        samples = [SimpleNamespace(votes=v, name=f"s{v}") for v in (2, 3, 4, 5, 6)]
-        kept = ev.filtered_view(samples)
-        assert [s.votes for s in kept] == [2, 6]
-        assert kept[1].votes >= ev.POSITIVE_VOTE_THRESHOLD  # retained positive
-
     def test_mask_matches_view(self):
         votes = np.array([0, 3, 4, 5, 6, 8, 2])
         mask = ev.ambiguity_mask(votes)
         assert mask.tolist() == [True, False, False, False, True, True, True]
+        # one sample per vote class: only the borderline 3, 4 and 5 drop out
+        assert ev.ambiguity_mask(np.arange(9)).tolist() == \
+            [True, True, True, False, False, False, True, True, True]
 
 
 class TestBootstrap:

@@ -46,7 +46,7 @@ def pushed():
                          push_epochs=(4,), batch_size=8,
                          train_push_batch_size=10, seed=2)
     tr.run_warm_stage(net, data, cfg)
-    records = tr.push_prototypes(net, data, cfg, epoch=4)
+    records, _ = tr.push_prototypes(net, data, cfg, epoch=4)
     samples = [EEGSample(values=values[i].astype(np.float32),
                          votes=int(labels[i]), sample_id=int(data.train_ids[i]))
                for i in range(len(labels))]

@@ -150,7 +150,7 @@ class TestWarmStage:
     def test_same_class_similarity_strictly_increases(self, toy_data):
         net = toy_model(seed=11)
         cfg = toy_config()
-        latents = tr.embed_all(net, toy_data.train_values)
+        latents = net.forward_probs(toy_data.train_values)["latents"]
         rng = np.random.default_rng(0)
 
         def metric():
@@ -283,10 +283,13 @@ class TestPush:
         cfg = toy_config(train_push_batch_size=push_batch)
         protos_before = net.bank.vectors.data.copy()
         order = np.argsort(data.train_ids)
-        latents = tr.embed_all(net, data.train_values[order],
-                               batch_size=push_batch)
+        latents = net.forward_probs(data.train_values[order],
+                                    batch_size=push_batch)["latents"]
 
-        records = tr.push_prototypes(net, data, cfg, epoch=12)
+        records, pushed_latents = tr.push_prototypes(net, data, cfg, epoch=12)
+
+        # the push hands back every training latent, in data order, unchanged
+        assert np.array_equal(pushed_latents[order], latents)
 
         oracle_ids, oracle_latents = push_oracle(
             latents, data.train_labels[order], data.train_ids[order],
@@ -302,7 +305,7 @@ class TestPush:
     def test_tie_breaks_to_smallest_id(self):
         data = push_toy_data()
         net = toy_model(seed=13)
-        records = tr.push_prototypes(net, data, toy_config())
+        records, _ = tr.push_prototypes(net, data, toy_config())
         class0_ids = sorted(data.train_ids[data.train_labels == 0])
         for rec in records:
             if rec.prototype_class == 0:
@@ -311,7 +314,7 @@ class TestPush:
     def test_max_same_class_similarity_is_one(self, toy_data):
         net = toy_model(seed=4)
         tr.push_prototypes(net, toy_data, toy_config())
-        latents = tr.embed_all(net, toy_data.train_values)
+        latents = net.forward_probs(toy_data.train_values)["latents"]
         sims = latents @ net.bank.vectors.data.T
         per = net.bank.per_class
         for j in range(net.bank.count):
@@ -321,12 +324,12 @@ class TestPush:
 
     def test_prototype_equals_source_latent(self, toy_data):
         net = toy_model(seed=4)
-        records = tr.push_prototypes(net, toy_data, toy_config())
+        records, _ = tr.push_prototypes(net, toy_data, toy_config())
         for rec in records:
             j = rec.prototype_class * net.bank.per_class + rec.prototype_index
             row = np.nonzero(toy_data.train_ids == rec.source_sample_id)[0][0]
-            solo = tr.embed_all(net, toy_data.train_values[row][None])
-            np.testing.assert_allclose(net.bank.vectors.data[j], solo[0],
+            solo = net.forward_probs(toy_data.train_values[row])["latents"]
+            np.testing.assert_allclose(net.bank.vectors.data[j], solo,
                                        rtol=1e-12, atol=1e-15)
 
     def test_missing_class_rejected(self):
@@ -426,7 +429,10 @@ class TestConvexHeadFit:
         protos_before = net.bank.vectors.data.tobytes()
         head_before = net.head.data.tobytes()
 
-        _, info = tr.optimize_last_layer(net, toy_data, max_iters=50)
+        latents = net.forward_probs(toy_data.train_values)["latents"]
+
+        _, info = tr.optimize_last_layer(net, latents, toy_data.train_labels,
+                                         max_iters=50)
 
         assert param_bytes(net.backbone_parameters()) == backbone_before
         assert net.bank.vectors.data.tobytes() == protos_before
@@ -435,18 +441,20 @@ class TestConvexHeadFit:
 
     def test_nonconvergence_flag(self, toy_data):
         net = toy_model(seed=6)
-        _, info = tr.optimize_last_layer(net, toy_data, max_iters=1,
-                                         tol=1e-15)
+        latents = net.forward_probs(toy_data.train_values)["latents"]
+        _, info = tr.optimize_last_layer(net, latents, toy_data.train_labels,
+                                         max_iters=1, tol=1e-15)
         assert not info["converged"]
 
     def test_sparsity_direction(self, toy_data):
         net = toy_model(seed=8)
         cfg = toy_config()
         tr.run_warm_stage(net, toy_data, cfg)
-        tr.push_prototypes(net, toy_data, cfg)
+        _, latents = tr.push_prototypes(net, toy_data, cfg)
         off = tr._offclass_mask(net.bank.num_classes, net.bank.per_class)
         before = np.mean(np.abs(net.head.data[off]))
-        tr.optimize_last_layer(net, toy_data, l1_coef=0.01, max_iters=400)
+        tr.optimize_last_layer(net, latents, toy_data.train_labels,
+                               l1_coef=0.01, max_iters=400)
         after = np.mean(np.abs(net.head.data[off]))
         assert after < before
 
@@ -474,7 +482,6 @@ class TestTrain:
         assert [r["stage"] for r in history.records] == \
             ["warm", "warm", "secondary_warm", "secondary_warm",
              "joint", "joint"]
-        assert history.stage_boundaries() == [2, 4]
         assert [r["epoch"] for r in history.records if "push" in r] == [5, 6]
         for rec in history.records:
             if "push" in rec:
@@ -486,9 +493,7 @@ class TestTrain:
         assert (tmp_path / "checkpoint_epoch006.pegm").exists()
         lines = (tmp_path / "history.jsonl").read_text().splitlines()
         assert len(lines) == 6
-        assert all(json.loads(line) for line in lines)
-        reloaded = tr.TrainHistory.load(tmp_path / "history.jsonl")
-        assert reloaded.records == history.records
+        assert [json.loads(line) for line in lines] == history.records
 
     def test_deterministic_under_seed(self, toy_data, tmp_path):
         cfg = self.small_cfg()
@@ -513,6 +518,28 @@ class TestTrain:
         assert len(calls) == len(history.records) == 6
         # epoch 6 ends with the last push and refit, so its val is the final model's
         assert history.records[-1]["val"] == validate(net, data)
+
+    def test_embeds_each_split_once_per_pass(self, toy_data, monkeypatch):
+        d = toy_data
+        data = tr.TrainData(d.train_values, d.train_labels, d.train_ids,
+                            d.train_values[:12], d.train_labels[:12], d.train_ids[:12])
+        off_tape = []
+        embed = m.ProtoEEGNet.embed
+
+        def counting_embed(self, values):
+            z = embed(self, values)
+            if not z.requires_grad:
+                off_tape.append(z.data.shape[0])
+            return z
+
+        monkeypatch.setattr(m.ProtoEEGNet, "embed", counting_embed)
+        cfg = self.small_cfg()
+        tr.train(cfg, data, model=toy_model(seed=9))
+        n_train, n_val = len(d.train_labels), 12
+        # the warm-stage cache, one push scan per push epoch (the refit reuses
+        # its latents), and one validation pass per epoch
+        assert sum(off_tape) == (n_train + len(cfg.push_epochs) * n_train
+                                 + cfg.num_train_epochs * n_val)
 
     def test_toy_accuracy_after_full_schedule(self, toy_data):
         net, _ = tr.train(toy_config(), toy_data, model=toy_model(seed=9))
