@@ -143,14 +143,14 @@ class EEGSample:
 
     def validate(self, time_steps: int = TIME_STEPS, channels: int = CHANNELS) -> None:
         if self.values.shape != (time_steps, channels):
-            raise ConfigurationError(
+            raise DataFormatError(
                 f"sample {self.sample_id}: shape {self.values.shape} != "
                 f"({time_steps}, {channels})"
             )
         if not np.all(np.isfinite(self.values)):
-            raise ConfigurationError(f"sample {self.sample_id}: non-finite values")
+            raise DataFormatError(f"sample {self.sample_id}: non-finite values")
         if not 0 <= self.votes <= NUM_ANNOTATORS:
-            raise ConfigurationError(
+            raise DataFormatError(
                 f"sample {self.sample_id}: votes {self.votes} outside 0..{NUM_ANNOTATORS}"
             )
 
@@ -368,10 +368,17 @@ def manifest_path(path) -> Path:
     return Path(path).with_suffix(".manifest.json")
 
 
+def _check_unique_ids(samples) -> None:
+    ids, counts = np.unique([s.sample_id for s in samples], return_counts=True)
+    if np.any(counts > 1):
+        raise DataFormatError(f"duplicate sample ids {ids[counts > 1][:5].tolist()}")
+
+
 def save(samples, manifest: DatasetManifest, path) -> None:
     path = Path(path)
     if not samples:
         raise ConfigurationError("refusing to save an empty dataset")
+    _check_unique_ids(samples)
     time_steps, channels = samples[0].values.shape
     payload = bytearray()
     for s in samples:
@@ -423,6 +430,7 @@ def load(path):
         sample = EEGSample(values=values.copy(), votes=int(votes), sample_id=int(sid))
         sample.validate(time_steps=time_steps, channels=channels)
         samples.append(sample)
+    _check_unique_ids(samples)
 
     mpath = manifest_path(path)
     if not mpath.exists():

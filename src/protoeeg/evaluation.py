@@ -3,8 +3,9 @@
 The vote classes collapse to a binary task at the 4-vote threshold: the
 positive score averages the five high-vote class probabilities, the
 negative score the four low-vote ones, and a two-way softmax renormalizes
-the pair.  AUROC uses the Mann-Whitney convention (ties get half credit),
-which the threshold-sweep trapezoid area reproduces exactly.
+the pair.  AUROC is the Mann-Whitney statistic over midranks (ties get
+half credit), one expression for the point estimate and for every
+bootstrap round.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from .errors import (ConfigurationError, ContractError, DimensionError,
 
 POSITIVE_VOTE_THRESHOLD = 4
 AMBIGUOUS_VOTES = frozenset({3, 4, 5})
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
+# index draws per bootstrap block: bounds the block's rank temporaries
+_BOOTSTRAP_BLOCK_DRAWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -40,25 +41,6 @@ class BinaryScore:
             raise ContractError(f"p_pos {self.p_pos!r} outside (0, 1)")
         if self.label not in (0, 1):
             raise ContractError(f"binary label must be 0 or 1, got {self.label!r}")
-
-
-@dataclass(frozen=True)
-class RocResult:
-    auroc: float
-    fpr: np.ndarray
-    tpr: np.ndarray
-    n_pos: int
-    n_neg: int
-
-    def validate(self) -> None:
-        if not (0.0 <= self.auroc <= 1.0):
-            raise ContractError(f"auroc {self.auroc} outside [0, 1]")
-        if (self.fpr[0], self.tpr[0]) != (0.0, 0.0):
-            raise ContractError("ROC curve must start at (0, 0)")
-        if (self.fpr[-1], self.tpr[-1]) != (1.0, 1.0):
-            raise ContractError("ROC curve must end at (1, 1)")
-        if np.any(np.diff(self.fpr) < 0) or np.any(np.diff(self.tpr) < 0):
-            raise ContractError("ROC curve must be nondecreasing")
 
 
 @dataclass(frozen=True)
@@ -120,39 +102,21 @@ def _check_score_inputs(scores, labels):
     return scores, labels, n_pos, n_neg
 
 
-def _auroc_value(scores, labels, n_pos, n_neg) -> float:
-    """Mann-Whitney statistic via midranks (ties get half credit)."""
-    ranks = rankdata(scores)
-    return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0)
-                 / (n_pos * n_neg))
+def _auroc_value(scores, labels, n_pos, n_neg):
+    """Mann-Whitney statistic via midranks (ties get half credit).
 
-
-def auroc(scores, labels) -> RocResult:
-    """AUROC with the ROC curve from a descending threshold sweep.
-
-    The trapezoid area under the sweep equals the midrank statistic; the
-    two are cross-checked and any disagreement raises.
+    Ranks along the last axis, so a block of rows gives one value per row.
+    Midranks are half-integers, so the rank sums are exact in float64.
     """
+    ranks = rankdata(scores, axis=-1)
+    return (((ranks * labels).sum(axis=-1) - n_pos * (n_pos + 1) / 2.0)
+            / (n_pos * n_neg))
+
+
+def auroc(scores, labels) -> float:
+    """AUROC of binary labels under real-valued scores (higher = positive)."""
     scores, labels, n_pos, n_neg = _check_score_inputs(scores, labels)
-    value = _auroc_value(scores, labels, n_pos, n_neg)
-
-    order = np.argsort(-scores, kind="mergesort")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    tps = np.cumsum(sorted_labels)
-    fps = np.cumsum(1 - sorted_labels)
-    last_of_group = np.r_[np.nonzero(np.diff(sorted_scores))[0],
-                          sorted_scores.size - 1]
-    fpr = np.r_[0.0, fps[last_of_group] / n_neg]
-    tpr = np.r_[0.0, tps[last_of_group] / n_pos]
-    area = float(_trapezoid(tpr, fpr))
-    if abs(area - value) > 1e-9:
-        raise NumericError(
-            f"threshold-sweep area {area} disagrees with rank statistic {value}")
-
-    result = RocResult(auroc=value, fpr=fpr, tpr=tpr, n_pos=n_pos, n_neg=n_neg)
-    result.validate()
-    return result
+    return float(_auroc_value(scores, labels, n_pos, n_neg))
 
 
 def ambiguity_mask(votes) -> np.ndarray:
@@ -165,24 +129,30 @@ def bootstrap_ci(scores, labels, rounds: int = 10000, seed: int = 0) -> Bootstra
     """Percentile bootstrap of the AUROC, deterministic under seed.
 
     Resamples with replacement; rounds that draw a single class are
-    redrawn so exactly `rounds` estimates enter the percentiles.  The
-    interval is widened (rarely) to include the point estimate, keeping
-    lower <= point <= upper.
+    redrawn so exactly `rounds` estimates enter the percentiles.  Rounds
+    are drawn in blocks of rows from one generator stream and single-class
+    rows are dropped, so the kept rows are the ones a round-by-round loop
+    with redraws would keep.  The interval is widened (rarely) to include
+    the point estimate, keeping lower <= point <= upper.
     """
     scores, labels, n_pos, n_neg = _check_score_inputs(scores, labels)
     if rounds < 1:
         raise ConfigurationError("bootstrap rounds must be >= 1")
-    point = _auroc_value(scores, labels, n_pos, n_neg)
+    point = float(_auroc_value(scores, labels, n_pos, n_neg))
     n = scores.size
+    rows = min(rounds, max(1, _BOOTSTRAP_BLOCK_DRAWS // n))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    estimates = np.empty(rounds)
-    for r in range(rounds):
-        while True:
-            idx = rng.integers(0, n, size=n)
-            pos = int(labels[idx].sum())
-            if 0 < pos < n:
-                break
-        estimates[r] = _auroc_value(scores[idx], labels[idx], pos, n - pos)
+    blocks = []
+    kept = 0
+    while kept < rounds:
+        idx = rng.integers(0, n, size=(rows, n))
+        drawn = labels[idx]
+        pos = drawn.sum(axis=1)
+        valid = np.nonzero((pos > 0) & (pos < n))[0][:rounds - kept]
+        idx, drawn, pos = idx[valid], drawn[valid], pos[valid]
+        blocks.append(_auroc_value(scores[idx], drawn, pos, n - pos))
+        kept += valid.size
+    estimates = np.concatenate(blocks)
     lower, upper = np.percentile(estimates, [2.5, 97.5])
     return BootstrapCI(point=point, lower=float(min(lower, point)),
                        upper=float(max(upper, point)), rounds=rounds,
@@ -214,19 +184,12 @@ def metrics_from_scores(binary_scores, votes, rounds: int = 10000,
     filtered = auroc(p_pos[keep], labels[keep])
     ci_f = bootstrap_ci(p_pos[keep], labels[keep], rounds=rounds, seed=seed)
     return {
-        "auroc_unfiltered": unfiltered.auroc,
+        "auroc_unfiltered": unfiltered,
         "ci_unfiltered": [ci_u.lower, ci_u.upper],
-        "auroc_filtered": filtered.auroc,
+        "auroc_filtered": filtered,
         "ci_filtered": [ci_f.lower, ci_f.upper],
         "n_test": int(votes.size),
         "n_filtered": int(keep.sum()),
         "seed": int(seed),
         "rounds": int(rounds),
     }
-
-
-def evaluate(model, samples, rounds: int = 10000, seed: int = 0) -> dict:
-    """Score a test split and report both AUROC views with CIs."""
-    scores = score_samples(model, samples)
-    votes = [s.votes for s in samples]
-    return metrics_from_scores(scores, votes, rounds=rounds, seed=seed)

@@ -37,6 +37,10 @@ PROTOS_PER_CLASS = 12
 NUM_PROTOTYPES = NUM_CLASSES * PROTOS_PER_CLASS
 FINAL_TIME_EXTENT = 10
 
+# windows per off-tape chunk: small chunks are faster per window and keep
+# the peak low, and a window's latent does not depend on its chunk
+OFF_TAPE_CHUNK = 32
+
 MODEL_MAGIC = b"PEGM"
 MODEL_VERSION = 1
 
@@ -329,11 +333,11 @@ class ProtoEEGNet:
             z = dc.reshape(z, (self.config.latent_dim,))
         return z
 
-    def forward_probs(self, values: np.ndarray, batch_size: int = 256) -> dict:
+    def forward_probs(self, values: np.ndarray) -> dict:
         """Inference pass: latents, similarities, logits, probabilities.
 
-        Runs off-tape in chunks; logits come from :func:`class_logits`
-        so they match explanation row sums exactly.
+        Runs off-tape in chunks of ``OFF_TAPE_CHUNK`` windows; logits come
+        from :func:`class_logits` so they match explanation row sums exactly.
         """
         vals = np.asarray(values, dtype=np.float64)
         squeeze = vals.ndim == 2
@@ -341,8 +345,8 @@ class ProtoEEGNet:
             vals = vals[None]
         lat = np.empty((vals.shape[0], self.config.latent_dim))
         with dc.no_grad():
-            for lo in range(0, vals.shape[0], batch_size):
-                chunk = vals[lo:lo + batch_size]
+            for lo in range(0, vals.shape[0], OFF_TAPE_CHUNK):
+                chunk = vals[lo:lo + OFF_TAPE_CHUNK]
                 lat[lo:lo + chunk.shape[0]] = self.embed(chunk).data
         sims = similarities(lat, self.bank)
         logits = class_logits(sims, self.head.data)

@@ -392,7 +392,7 @@ def push_prototypes(model, data, config, *, epoch: int = 0) -> tuple:
     best_latent = np.zeros_like(protos)
     order = np.argsort(data.train_ids, kind="stable")
     step = config.train_push_batch_size
-    latents = model.forward_probs(data.train_values, batch_size=step)["latents"]
+    latents = model.forward_probs(data.train_values)["latents"]
 
     for lo in range(0, order.size, step):
         sel = order[lo:lo + step]

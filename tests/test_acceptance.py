@@ -23,7 +23,8 @@ from protoeeg import sigproc
 from protoeeg import training as tr
 from protoeeg.dataset import SynthConfig, generate_synthetic, load
 from protoeeg.diffcore import Tensor
-from protoeeg.evaluation import auroc, bootstrap_ci, evaluate
+from protoeeg.evaluation import (auroc, bootstrap_ci, metrics_from_scores,
+                                 score_samples)
 from protoeeg.explain import explain
 from protoeeg.losses import LossCoefficients, l1_offclass, total_loss
 
@@ -451,10 +452,10 @@ def test_criterion_05_auroc_sweep_vs_pairwise():
         wins = float((pos[:, None] > neg[None, :]).sum())
         ties = float((pos[:, None] == neg[None, :]).sum())
         brute = (wins + 0.5 * ties) / (pos.size * neg.size)
-        assert abs(r.auroc - brute) <= 1e-12
+        assert abs(r - brute) <= 1e-12
 
     worked = auroc(np.array([0.1, 0.4, 0.35, 0.8]), np.array([0, 0, 1, 1]))
-    assert worked.auroc == pytest.approx(0.75, abs=1e-15)
+    assert worked == pytest.approx(0.75, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +472,7 @@ def test_criterion_06_bootstrap():
     ci_a = bootstrap_ci(scores, labels, rounds=10000, seed=99)
     ci_b = bootstrap_ci(scores, labels, rounds=10000, seed=99)
     assert (ci_a.lower, ci_a.upper) == (ci_b.lower, ci_b.upper)
-    assert ci_a.point == auroc(scores, labels).auroc
+    assert ci_a.point == auroc(scores, labels)
 
     ci_small = bootstrap_ci(scores[:200], labels[:200], rounds=10000, seed=99)
     assert (ci_a.upper - ci_a.lower) < (ci_small.upper - ci_small.lower)
@@ -533,7 +534,9 @@ def trained_run():
     elapsed = time.monotonic() - t0
     test_samples = [samples[i] for i in manifest.ids_for("test")]
     train_labels = {int(i): samples[i].votes for i in manifest.ids_for("train")}
-    metrics = evaluate(net, test_samples, rounds=10000, seed=0)
+    metrics = metrics_from_scores(score_samples(net, test_samples),
+                                  [s.votes for s in test_samples],
+                                  rounds=10000, seed=0)
     return {"model": net, "samples": samples, "test": test_samples,
             "train_labels": train_labels, "metrics": metrics,
             "elapsed": elapsed}

@@ -204,6 +204,23 @@ class TestPreprocess:
         assert "sample_rate_hz" in capsys.readouterr().err
         assert not (out / "dataset.peeg").exists()
 
+    def test_out_of_range_votes_is_format_error(self, tmp_path):
+        src = tmp_path / "raw.npz"
+        np.savez(src, values=np.zeros((2, 256, 37)), sample_rate_hz=np.float64(256.0),
+                 votes=np.array([0, 12]))
+        out = tmp_path / "o"
+        assert main(["preprocess", "--input", str(src), "--out", str(out)]) == 2
+        assert not (out / "dataset.peeg").exists()
+
+    def test_duplicate_ids_are_format_error(self, tmp_path, capsys):
+        src = tmp_path / "raw.npz"
+        np.savez(src, values=np.zeros((3, 256, 37)), sample_rate_hz=np.float64(256.0),
+                 ids=np.array([5, 5, 6]))
+        out = tmp_path / "o"
+        assert main(["preprocess", "--input", str(src), "--out", str(out)]) == 2
+        assert "duplicate" in capsys.readouterr().err
+        assert not (out / "dataset.peeg").exists()
+
 
 class TestSplit:
     def test_resplit_preserves_acquisition_metadata(self, data_dir, tmp_path):

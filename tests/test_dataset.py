@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -210,22 +213,49 @@ class TestStorage:
         with pytest.raises(DataFormatError):
             ds.load(tmp_path / "nope.peeg")
 
+    def test_duplicate_ids_rejected_on_save(self, small_set, tmp_path):
+        samples, manifest = small_set
+        twin = ds.EEGSample(samples[1].values, votes=samples[1].votes,
+                            sample_id=samples[0].sample_id)
+        path = tmp_path / "d.peeg"
+        with pytest.raises(DataFormatError, match="duplicate"):
+            ds.save([samples[0], twin, *samples[2:]], manifest, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("field, match", [("sample_id", "duplicate"),
+                                              ("votes", "votes")])
+    def test_bad_record_under_valid_checksum(self, small_set, tmp_path, field,
+                                             match):
+        samples, manifest = small_set
+        path = tmp_path / "d.peeg"
+        ds.save(samples, manifest, path)
+        blob = bytearray(path.read_bytes())
+        head = {"sample_id": samples[1].sample_id, "votes": samples[1].votes}
+        head[field] = samples[0].sample_id if field == "sample_id" else 12
+        second = ds._HEADER.size + ds._RECORD_HEAD.size + samples[0].values.nbytes
+        ds._RECORD_HEAD.pack_into(blob, second, head["sample_id"], head["votes"])
+        crc = zlib.crc32(blob[ds._HEADER.size:-4]) & 0xFFFFFFFF
+        blob[-4:] = struct.pack("<I", crc)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataFormatError, match=match):
+            ds.load(path)
+
 
 class TestSampleValidation:
     def test_wrong_shape(self):
         s = ds.EEGSample(np.zeros((64, 37), np.float32), votes=0, sample_id=1)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DataFormatError):
             s.validate()
 
     def test_nonfinite(self):
         vals = np.zeros((128, 37), np.float32)
         vals[0, 0] = np.nan
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DataFormatError):
             ds.EEGSample(vals, votes=0, sample_id=1).validate()
 
     def test_votes_range(self):
         s = ds.EEGSample(np.zeros((128, 37), np.float32), votes=9, sample_id=1)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DataFormatError):
             s.validate()
 
 

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from protoeeg import evaluation as ev
 from protoeeg import model as m
@@ -73,16 +74,13 @@ class TestBinarize:
 
 class TestAuroc:
     def test_worked_example(self):
-        result = ev.auroc([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1])
-        assert result.auroc == 0.75
+        assert ev.auroc([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1]) == 0.75
 
     def test_perfect_separation(self):
-        result = ev.auroc([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1])
-        assert result.auroc == 1.0
+        assert ev.auroc([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1]) == 1.0
 
     def test_all_ties_is_half(self):
-        result = ev.auroc([0.5] * 6, [0, 1, 0, 1, 0, 1])
-        assert result.auroc == 0.5
+        assert ev.auroc([0.5] * 6, [0, 1, 0, 1, 0, 1]) == 0.5
 
     def test_matches_pairwise_oracle_with_ties(self, rng):
         for _ in range(200):
@@ -91,35 +89,22 @@ class TestAuroc:
             labels = rng.integers(0, 2, size=n)
             if labels.sum() in (0, n):
                 labels[0], labels[-1] = 0, 1
-            got = ev.auroc(scores, labels).auroc
+            got = ev.auroc(scores, labels)
             assert abs(got - pairwise_auroc(scores, labels)) <= 1e-12
-
-    def test_curve_shape_and_area(self, rng):
-        scores = rng.random(60)
-        labels = rng.integers(0, 2, size=60)
-        labels[:2] = [0, 1]
-        result = ev.auroc(scores, labels)
-        assert (result.fpr[0], result.tpr[0]) == (0.0, 0.0)
-        assert (result.fpr[-1], result.tpr[-1]) == (1.0, 1.0)
-        assert np.all(np.diff(result.fpr) >= 0)
-        assert np.all(np.diff(result.tpr) >= 0)
-        area = np.trapezoid(result.tpr, result.fpr) \
-            if hasattr(np, "trapezoid") else np.trapz(result.tpr, result.fpr)
-        assert abs(area - result.auroc) <= 1e-12
 
     def test_flip_symmetry(self, rng):
         scores = rng.random(40)
         labels = np.r_[np.zeros(20, int), np.ones(20, int)]
-        a = ev.auroc(scores, labels).auroc
-        b = ev.auroc(-scores, labels).auroc
+        a = ev.auroc(scores, labels)
+        b = ev.auroc(-scores, labels)
         assert abs(a + b - 1.0) <= 1e-12
 
     def test_monotone_transform_invariance(self, rng):
         scores = rng.random(50)
         labels = rng.integers(0, 2, size=50)
         labels[:2] = [0, 1]
-        base = ev.auroc(scores, labels).auroc
-        assert abs(ev.auroc(np.exp(3 * scores) + 2, labels).auroc - base) <= 1e-12
+        base = ev.auroc(scores, labels)
+        assert abs(ev.auroc(np.exp(3 * scores) + 2, labels) - base) <= 1e-12
 
     def test_error_paths(self):
         with pytest.raises(UndefinedMetricError):
@@ -144,7 +129,43 @@ class TestFilteredView:
             [True, True, True, False, False, False, True, True, True]
 
 
+def reference_bootstrap(scores, labels, rounds, seed):
+    """Round-by-round percentile bootstrap: single-class rounds are redrawn."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    n = scores.size
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+
+    def midrank_auroc(s, y):
+        pos = int(y.sum())
+        ranks = rankdata(s)
+        return (ranks[y == 1].sum() - pos * (pos + 1) / 2.0) / (pos * (n - pos))
+
+    point = midrank_auroc(scores, labels)
+    estimates = np.empty(rounds)
+    for r in range(rounds):
+        while True:
+            idx = rng.integers(0, n, size=n)
+            if 0 < labels[idx].sum() < n:
+                break
+        estimates[r] = midrank_auroc(scores[idx], labels[idx])
+    lower, upper = np.percentile(estimates, [2.5, 97.5])
+    return point, min(lower, point), max(upper, point)
+
+
 class TestBootstrap:
+    @pytest.mark.parametrize("n", [3, 150])
+    def test_matches_round_by_round_reference(self, n):
+        rng = np.random.default_rng(n)
+        if n == 3:  # about a third of all draws hold a single class
+            scores, labels = np.array([0.3, 0.6, 0.4]), np.array([0, 1, 0])
+        else:
+            scores = rng.integers(0, 20, size=n) / 19.0  # ties
+            labels = rng.integers(0, 2, size=n)
+        ci = ev.bootstrap_ci(scores, labels, rounds=2000, seed=5)
+        assert (ci.point, ci.lower, ci.upper) == \
+            reference_bootstrap(scores, labels, rounds=2000, seed=5)
+
     def test_perfect_separation_degenerate_interval(self):
         ci = ev.bootstrap_ci([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1],
                              rounds=200, seed=1)
@@ -165,7 +186,7 @@ class TestBootstrap:
         labels = rng.integers(0, 2, size=50)
         labels[:2] = [0, 1]
         ci = ev.bootstrap_ci(scores, labels, rounds=100, seed=0)
-        assert ci.point == ev.auroc(scores, labels).auroc
+        assert ci.point == ev.auroc(scores, labels)
 
     def test_interval_orders_and_bounds(self, rng):
         scores = rng.random(40)
@@ -217,12 +238,17 @@ def nine_class_model():
                                     per_class=2)
 
 
+def metrics(model, samples, **kw):
+    return ev.metrics_from_scores(ev.score_samples(model, samples),
+                                  [s.votes for s in samples], **kw)
+
+
 class TestEvaluate:
     VOTES = [0, 1, 2, 6, 7, 8, 3, 4, 5, 0, 8, 2, 7, 1, 6]
 
     def test_report_schema(self, nine_class_model):
         samples = make_samples(self.VOTES)
-        report = ev.evaluate(nine_class_model, samples, rounds=150, seed=9)
+        report = metrics(nine_class_model, samples, rounds=150, seed=9)
         assert set(report) == {"auroc_unfiltered", "ci_unfiltered",
                                "auroc_filtered", "ci_filtered", "n_test",
                                "n_filtered", "seed", "rounds"}
@@ -235,24 +261,16 @@ class TestEvaluate:
 
     def test_deterministic(self, nine_class_model):
         samples = make_samples(self.VOTES)
-        a = ev.evaluate(nine_class_model, samples, rounds=120, seed=3)
-        b = ev.evaluate(nine_class_model, samples, rounds=120, seed=3)
+        a = metrics(nine_class_model, samples, rounds=120, seed=3)
+        b = metrics(nine_class_model, samples, rounds=120, seed=3)
         assert a == b
-
-    def test_recomputable_from_saved_scores(self, nine_class_model):
-        samples = make_samples(self.VOTES)
-        scores = ev.score_samples(nine_class_model, samples)
-        direct = ev.metrics_from_scores(scores, [s.votes for s in samples],
-                                        rounds=120, seed=3)
-        assert direct == ev.evaluate(nine_class_model, samples,
-                                     rounds=120, seed=3)
 
     def test_empty_split_rejected(self, nine_class_model):
         with pytest.raises(ConfigurationError):
-            ev.evaluate(nine_class_model, [])
+            ev.score_samples(nine_class_model, [])
 
     def test_single_class_filtered_subset_rejected(self, nine_class_model):
         # after dropping 3/4/5-vote samples only negatives remain
         samples = make_samples([0, 1, 2, 4, 5])
         with pytest.raises(UndefinedMetricError):
-            ev.evaluate(nine_class_model, samples, rounds=50, seed=0)
+            metrics(nine_class_model, samples, rounds=50, seed=0)

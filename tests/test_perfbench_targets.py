@@ -1,26 +1,45 @@
 """The benchmark's tracer wraps protoeeg functions by name.
 
 A traced function that is renamed or deleted is reported by the benchmark
-as absent and its metrics silently drop out; this test fails instead.
+as absent and its metrics silently drop out; these tests fail instead.
+The same holds for a hook that reads a field the function no longer
+returns.
 """
 
 import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from protoeeg.evaluation import bootstrap_ci
+from protoeeg.model import ProtoEEGNet
+from protoeeg.training import optimize_last_layer
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture(scope="module")
-def targets():
+def spans():
     sys.path.insert(0, str(PERFBENCH))
     try:
-        spans = importlib.import_module("spans")
+        return importlib.import_module("spans")
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+@pytest.fixture(scope="module")
+def targets(spans):
     return spans.TARGETS
+
+
+def hook_attrs(spans, name, result) -> dict:
+    """The attributes the benchmark's hook for `name` records from `result`."""
+    hook = {entry[0]: entry[3] for entry in spans.TARGETS}[name]
+    span = spans.Span(name, 0.0, None, None)
+    hook(span, (), {}, result)
+    return span.attrs
 
 
 def test_every_traced_function_exists(targets):
@@ -30,3 +49,19 @@ def test_every_traced_function_exists(targets):
         for part in attr.split("."):
             owner = getattr(owner, part, None)
         assert callable(owner), f"{name}: {module}.{attr} is not in the program"
+
+
+def test_bootstrap_hook_records_rounds(spans):
+    ci = bootstrap_ci([0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1], rounds=50, seed=0)
+    assert hook_attrs(spans, "evaluation.bootstrap_ci", ci) == {"rounds": 50}
+
+
+def test_refit_hook_records_iterations(spans):
+    net = ProtoEEGNet.initialize(seed=0)
+    rng = np.random.default_rng(0)
+    latents = rng.standard_normal((2 * net.bank.num_classes, net.config.latent_dim))
+    latents /= np.linalg.norm(latents, axis=1, keepdims=True)
+    labels = np.arange(latents.shape[0]) % net.bank.num_classes
+    result = optimize_last_layer(net, latents, labels, max_iters=7)
+    assert hook_attrs(spans, "training.optimize_last_layer", result) == \
+        {"iterations": result[1]["iterations"]}

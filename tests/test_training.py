@@ -283,8 +283,7 @@ class TestPush:
         cfg = toy_config(train_push_batch_size=push_batch)
         protos_before = net.bank.vectors.data.copy()
         order = np.argsort(data.train_ids)
-        latents = net.forward_probs(data.train_values[order],
-                                    batch_size=push_batch)["latents"]
+        latents = net.forward_probs(data.train_values[order])["latents"]
 
         records, pushed_latents = tr.push_prototypes(net, data, cfg, epoch=12)
 
