@@ -392,7 +392,7 @@ def save(samples, manifest: DatasetManifest, path) -> None:
         fh.write(header)
         fh.write(payload)
         fh.write(struct.pack("<I", crc))
-    manifest_path(path).write_text(manifest.to_json())
+    manifest_path(path).write_text(manifest.to_json(), "utf-8")
 
 
 def load(path):
@@ -435,7 +435,7 @@ def load(path):
     mpath = manifest_path(path)
     if not mpath.exists():
         raise DataFormatError(f"manifest sidecar {mpath} does not exist")
-    manifest = DatasetManifest.from_json(mpath.read_text())
+    manifest = DatasetManifest.from_json(mpath.read_text("utf-8"))
     if manifest.sample_count != count:
         raise DataFormatError(
             f"manifest sample_count {manifest.sample_count} != container count {count}"

@@ -6,14 +6,14 @@ topological order.  Gradients accumulate additively into ``.grad`` until
 explicitly reset, so repeated backward passes sum their contributions
 (the semantics optimizers rely on for gradient accumulation).
 
-Only the operations the network needs are provided.  Everything runs in
-float64; inputs of other dtypes are converted on construction.
+Only the operations the network needs are provided, each for the batched
+layout the network sends it.  Everything runs in float64; inputs of other
+dtypes are converted on construction.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,10 +62,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() on tensor of shape {self.data.shape}")
@@ -74,33 +70,13 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def backward(self) -> None:
-        backward(self)
-
-    # operator sugar; scalars and ndarrays are wrapped as constants
+    # operator sugar for weighting and summing losses; scalars and ndarrays
+    # are wrapped as constants
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __truediv__(self, other):
         if isinstance(other, Tensor):
@@ -250,44 +226,29 @@ def tmean(a: Tensor) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
-    if ad.ndim not in (1, 2) or bd.ndim not in (1, 2):
+    if ad.ndim != 2 or bd.ndim != 2:
         raise DimensionError(
-            f"matmul supports 1-d/2-d operands, got {ad.ndim}-d @ {bd.ndim}-d"
+            f"matmul supports 2-d operands only, got {ad.ndim}-d @ {bd.ndim}-d"
         )
     try:
         data = ad @ bd
     except ValueError as exc:
         raise DimensionError(f"matmul shape mismatch {ad.shape} @ {bd.shape}") from exc
-
-    def bwd(g):
-        if ad.ndim == 2 and bd.ndim == 2:
-            return g @ bd.T, ad.T @ g
-        if ad.ndim == 2 and bd.ndim == 1:
-            return np.outer(g, bd), ad.T @ g
-        if ad.ndim == 1 and bd.ndim == 2:
-            return bd @ g, np.outer(ad, g)
-        return g * bd, g * ad
-
-    return _make(data, (a, b), bwd)
+    return _make(data, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
 def linear(x: Tensor, weight: Tensor) -> Tensor:
-    """Apply ``weight @ x`` (1-d input) or ``x @ weight.T`` (batched rows)."""
+    """Apply ``x @ weight.T`` to a batch of rows."""
     w = weight.data
     if w.ndim != 2:
         raise DimensionError(f"linear weight must be 2-d, got ndim={w.ndim}")
     xd = x.data
-    if xd.ndim == 1:
-        if xd.shape[0] != w.shape[1]:
-            raise DimensionError(f"linear: weight {w.shape} incompatible with input {xd.shape}")
-        data = w @ xd
-        return _make(data, (x, weight), lambda g: (w.T @ g, np.outer(g, xd)))
-    if xd.ndim == 2:
-        if xd.shape[1] != w.shape[1]:
-            raise DimensionError(f"linear: weight {w.shape} incompatible with input {xd.shape}")
-        data = xd @ w.T
-        return _make(data, (x, weight), lambda g: (g @ w, g.T @ xd))
-    raise DimensionError(f"linear input must be 1-d or 2-d, got ndim={xd.ndim}")
+    if xd.ndim != 2:
+        raise DimensionError(f"linear input must be 2-d, got ndim={xd.ndim}")
+    if xd.shape[1] != w.shape[1]:
+        raise DimensionError(f"linear: weight {w.shape} incompatible with input {xd.shape}")
+    data = xd @ w.T
+    return _make(data, (x, weight), lambda g: (g @ w, g.T @ xd))
 
 
 # ---------------------------------------------------------------------------
@@ -303,18 +264,12 @@ def elu(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over all non-batch axes, then apply a broadcast affine.
-
-    4-d input is treated as (N, C, H, W) with per-sample normalization;
-    3-d input as a single (C, H, W) sample.
-    """
+    """Normalize each sample of an (N, C, H, W) batch over (C, H, W), then
+    apply a broadcast affine."""
     xd = x.data
-    if xd.ndim == 4:
-        axes = (1, 2, 3)
-    elif xd.ndim == 3:
-        axes = (0, 1, 2)
-    else:
-        raise DimensionError(f"layer_norm expects 3-d or 4-d input, got ndim={xd.ndim}")
+    if xd.ndim != 4:
+        raise DimensionError(f"layer_norm expects 4-d input, got ndim={xd.ndim}")
+    axes = (1, 2, 3)
 
     mu = xd.mean(axis=axes, keepdims=True)
     xc = xd - mu
@@ -344,8 +299,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def conv2d_valid(x: Tensor, kernels: Tensor, stride=(1, 1)) -> Tensor:
     """Valid-mode 2-d convolution (cross-correlation), no padding.
 
-    Accepts (C, H, W) or (N, C, H, W) input with (C_out, C_in, kh, kw)
-    kernels.  The heavy lifting is delegated to :mod:`protoeeg.kernels`.
+    Takes (N, C, H, W) input and (C_out, C_in, kh, kw) kernels.  The heavy
+    lifting is delegated to :mod:`protoeeg.kernels`.
     The gradient with respect to an input that does not require grad (the
     raw window into the first block) is not computed.
     """
@@ -356,11 +311,8 @@ def conv2d_valid(x: Tensor, kernels: Tensor, stride=(1, 1)) -> Tensor:
     if kd.ndim != 4:
         raise DimensionError(f"kernels must be 4-d, got ndim={kd.ndim}")
     xd = x.data
-    squeeze = xd.ndim == 3
-    if squeeze:
-        xd = xd[None]
     if xd.ndim != 4:
-        raise DimensionError(f"conv input must be 3-d or 4-d, got ndim={x.data.ndim}")
+        raise DimensionError(f"conv input must be 4-d, got ndim={xd.ndim}")
     n, ci, h, w = xd.shape
     co, kci, kh, kw = kd.shape
     if kci != ci:
@@ -373,39 +325,32 @@ def conv2d_valid(x: Tensor, kernels: Tensor, stride=(1, 1)) -> Tensor:
     out = _k.conv2d_forward(xc, kc, sh, sw)
 
     def bwd(g):
-        g4 = np.ascontiguousarray(g[None] if squeeze else g)
-        gk = _k.conv2d_backward_kernels(g4, xc, kh, kw, sh, sw)
+        g = np.ascontiguousarray(g)
+        gk = _k.conv2d_backward_kernels(g, xc, kh, kw, sh, sw)
         if not x.requires_grad:
             return None, gk
-        gin = _k.conv2d_backward_input(g4, kc, h, w, sh, sw)
-        return (gin[0] if squeeze else gin), gk
+        return _k.conv2d_backward_input(g, kc, h, w, sh, sw), gk
 
-    return _make(out[0] if squeeze else out, (x, kernels), bwd)
+    return _make(out, (x, kernels), bwd)
 
 
 def l2_normalize(v: Tensor) -> Tensor:
-    """Scale a vector (or each row of a matrix) to unit L2 norm."""
+    """Scale each row of a matrix to unit L2 norm."""
     vd = v.data
-    if vd.ndim == 1:
-        norm = np.linalg.norm(vd)
-        if norm <= 1e-8:
-            raise DegenerateInputError(f"cannot normalize vector with norm {norm:.3e}")
-        y = vd / norm
-        return _make(y, (v,), lambda g: ((g - y * np.dot(y, g)) / norm,))
-    if vd.ndim == 2:
-        norms = np.linalg.norm(vd, axis=1, keepdims=True)
-        if np.any(norms <= 1e-8):
-            bad = int(np.argmin(norms))
-            raise DegenerateInputError(
-                f"cannot normalize row {bad} with norm {float(norms[bad, 0]):.3e}"
-            )
-        y = vd / norms
+    if vd.ndim != 2:
+        raise DimensionError(f"l2_normalize expects 2-d input, got ndim={vd.ndim}")
+    norms = np.linalg.norm(vd, axis=1, keepdims=True)
+    if np.any(norms <= 1e-8):
+        bad = int(np.argmin(norms))
+        raise DegenerateInputError(
+            f"cannot normalize row {bad} with norm {float(norms[bad, 0]):.3e}"
+        )
+    y = vd / norms
 
-        def bwd(g):
-            return ((g - y * np.sum(y * g, axis=1, keepdims=True)) / norms,)
+    def bwd(g):
+        return ((g - y * np.sum(y * g, axis=1, keepdims=True)) / norms,)
 
-        return _make(y, (v,), bwd)
-    raise DimensionError(f"l2_normalize expects 1-d or 2-d input, got ndim={vd.ndim}")
+    return _make(y, (v,), bwd)
 
 
 def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
@@ -431,10 +376,10 @@ def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis of a 1-d or 2-d tensor."""
+    """Softmax over each row of an (N, K) tensor."""
     xd = x.data
-    if xd.ndim not in (1, 2):
-        raise DimensionError(f"softmax expects 1-d or 2-d input, got ndim={xd.ndim}")
+    if xd.ndim != 2:
+        raise DimensionError(f"softmax expects 2-d input, got ndim={xd.ndim}")
     if not np.all(np.isfinite(xd)):
         raise NumericError("softmax received non-finite input")
     z = xd - xd.max(axis=-1, keepdims=True)
@@ -449,50 +394,33 @@ def softmax(x: Tensor) -> Tensor:
 
 
 def cross_entropy(probs: Tensor, labels) -> Tensor:
-    """Negative log-likelihood of ``labels`` under ``probs``.
+    """Batch-mean negative log-likelihood of ``labels`` under (N, K) probs.
 
-    1-d probs with an int label gives a single-sample loss; 2-d probs
-    with a label vector gives the batch mean.  Probabilities are clamped
-    at 1e-12 inside the log.
+    Probabilities are clamped at 1e-12 inside the log.
     """
     pd = probs.data
-    if pd.ndim == 1:
-        label = int(labels)
-        if not 0 <= label < pd.shape[0]:
-            raise IndexError(f"label {label} outside [0, {pd.shape[0]})")
-        picked = max(float(pd[label]), 1e-12)
-        data = np.asarray(-np.log(picked))
+    if pd.ndim != 2:
+        raise DimensionError(f"cross_entropy expects 2-d probs, got ndim={pd.ndim}")
+    lab = np.asarray(labels, dtype=np.int64)
+    if lab.ndim != 1 or lab.shape[0] != pd.shape[0]:
+        raise DimensionError(
+            f"labels shape {lab.shape} does not match probs {pd.shape}"
+        )
+    if lab.size and (lab.min() < 0 or lab.max() >= pd.shape[1]):
+        raise IndexError(
+            f"labels must lie in [0, {pd.shape[1]}), got range "
+            f"[{lab.min()}, {lab.max()}]"
+        )
+    n = pd.shape[0]
+    picked = np.maximum(pd[np.arange(n), lab], 1e-12)
+    data = np.asarray(-np.mean(np.log(picked)))
 
-        def bwd(g):
-            gp = np.zeros_like(pd)
-            gp[label] = -float(g) / picked
-            return (gp,)
+    def bwd(g):
+        gp = np.zeros_like(pd)
+        gp[np.arange(n), lab] = -float(g) / (n * picked)
+        return (gp,)
 
-        return _make(data, (probs,), bwd)
-
-    if pd.ndim == 2:
-        lab = np.asarray(labels, dtype=np.int64)
-        if lab.ndim != 1 or lab.shape[0] != pd.shape[0]:
-            raise DimensionError(
-                f"labels shape {lab.shape} does not match probs {pd.shape}"
-            )
-        if lab.size and (lab.min() < 0 or lab.max() >= pd.shape[1]):
-            raise IndexError(
-                f"labels must lie in [0, {pd.shape[1]}), got range "
-                f"[{lab.min()}, {lab.max()}]"
-            )
-        n = pd.shape[0]
-        picked = np.maximum(pd[np.arange(n), lab], 1e-12)
-        data = np.asarray(-np.mean(np.log(picked)))
-
-        def bwd(g):
-            gp = np.zeros_like(pd)
-            gp[np.arange(n), lab] = -float(g) / (n * picked)
-            return (gp,)
-
-        return _make(data, (probs,), bwd)
-
-    raise DimensionError(f"cross_entropy expects 1-d or 2-d probs, got ndim={pd.ndim}")
+    return _make(data, (probs,), bwd)
 
 
 def masked_rowmax(x: Tensor, mask: np.ndarray) -> Tensor:
@@ -523,100 +451,58 @@ def masked_rowmax(x: Tensor, mask: np.ndarray) -> Tensor:
 # Adam
 
 
-@dataclass
-class AdamState:
-    """Moment buffers for one parameter list."""
-
-    first_moment: list = field(default_factory=list)
-    second_moment: list = field(default_factory=list)
-    step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-
-def init_adam(params: list, beta1: float = 0.9, beta2: float = 0.999,
-              epsilon: float = 1e-8) -> AdamState:
-    return AdamState(
-        first_moment=[np.zeros_like(p) for p in params],
-        second_moment=[np.zeros_like(p) for p in params],
-        step=0,
-        beta1=beta1,
-        beta2=beta2,
-        epsilon=epsilon,
-    )
-
-
-def adam_step(params: list, grads: list, state: AdamState, lr: float):
-    """One bias-corrected Adam update, mutating ``params`` in place.
-
-    Returns ``(params, state)``.  A zero gradient leaves the matching
-    parameter exactly unchanged on the first step.
-    """
-    if len(params) != len(grads) or len(params) != len(state.first_moment):
-        raise DimensionError(
-            f"adam_step: got {len(params)} params, {len(grads)} grads, "
-            f"{len(state.first_moment)} moment buffers"
-        )
-    if lr < 0:
-        raise ConfigurationError(f"adam_step: negative learning rate {lr}")
-    state.step += 1
-    b1, b2, eps = state.beta1, state.beta2, state.epsilon
-    c1 = 1.0 - b1 ** state.step
-    c2 = 1.0 - b2 ** state.step
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
-        if p.shape != g.shape:
-            raise DimensionError(f"adam_step: param {p.shape} vs grad {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError("adam_step received a non-finite gradient")
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * (g * g)
-        p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-    return params, state
-
-
 class Adam:
-    """Adam over named parameter groups of Tensors with per-group rates."""
+    """Bias-corrected Adam over named groups of Tensors, one rate per group,
+    one step counter, one pair of moments per parameter.  A missing
+    gradient counts as zero and leaves its parameter unchanged."""
+
+    beta1, beta2, epsilon = 0.9, 0.999, 1e-8
 
     def __init__(self, groups: list[dict]):
         if not groups:
             raise ConfigurationError("Adam requires at least one parameter group")
         self.groups = []
+        self.step_count = 0
         for spec in groups:
+            name = spec.get("name", f"group{len(self.groups)}")
             params = list(spec["params"])
-            lr = float(spec["lr"])
-            if lr < 0:
-                raise ConfigurationError(f"negative learning rate for group {spec.get('name')}")
             self.groups.append({
-                "name": spec.get("name", f"group{len(self.groups)}"),
+                "name": name,
                 "params": params,
-                "lr": lr,
-                "state": init_adam([p.data for p in params]),
+                "lr": _checked_lr(name, spec["lr"]),
+                "moments": [(np.zeros_like(p.data), np.zeros_like(p.data))
+                            for p in params],
             })
 
     def set_lr(self, name: str, lr: float) -> None:
         for g in self.groups:
             if g["name"] == name:
-                g["lr"] = float(lr)
+                g["lr"] = _checked_lr(name, lr)
                 return
         raise ConfigurationError(f"no parameter group named {name!r}")
 
-    def lr_of(self, name: str) -> float:
-        for g in self.groups:
-            if g["name"] == name:
-                return g["lr"]
-        raise ConfigurationError(f"no parameter group named {name!r}")
-
     def step(self) -> None:
-        for g in self.groups:
-            datas = [p.data for p in g["params"]]
-            grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-                     for p in g["params"]]
-            adam_step(datas, grads, g["state"], g["lr"])
+        """One update of every parameter, mutating ``.data`` in place."""
+        self.step_count += 1
+        b1, b2, eps = self.beta1, self.beta2, self.epsilon
+        c1 = 1.0 - b1 ** self.step_count
+        c2 = 1.0 - b2 ** self.step_count
+        for group in self.groups:
+            for p, (m, v) in zip(group["params"], group["moments"]):
+                g = p.grad if p.grad is not None else np.zeros_like(p.data)
+                if p.data.shape != g.shape:
+                    raise DimensionError(f"Adam: param {p.data.shape} vs grad {g.shape}")
+                if not np.all(np.isfinite(g)):
+                    raise NumericError("Adam received a non-finite gradient")
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * (g * g)
+                p.data -= group["lr"] * (m / c1) / (np.sqrt(v / c2) + eps)
 
-    def zero_grad(self) -> None:
-        for g in self.groups:
-            for p in g["params"]:
-                p.grad = None
+
+def _checked_lr(name: str, lr) -> float:
+    lr = float(lr)
+    if lr < 0:
+        raise ConfigurationError(f"negative learning rate {lr} for group {name!r}")
+    return lr

@@ -249,10 +249,10 @@ def render_report(explanation: Explanation, dataset, out_dir) -> dict:
     stem = f"explain_{explanation.sample_id}"
     paths = {kind: out_dir / f"{stem}.{kind}" for kind in ("json", "svg", "txt")}
     paths["json"].write_text(
-        json.dumps(explanation.to_dict(), indent=2, sort_keys=True) + "\n")
+        json.dumps(explanation.to_dict(), indent=2, sort_keys=True) + "\n", "utf-8")
     paths["svg"].write_text(
-        _svg_report(explanation, index[explanation.sample_id], index) + "\n")
-    paths["txt"].write_text(_text_report(explanation) + "\n")
+        _svg_report(explanation, index[explanation.sample_id], index) + "\n", "utf-8")
+    paths["txt"].write_text(_text_report(explanation) + "\n", "utf-8")
     return paths
 
 

@@ -199,30 +199,27 @@ def init_head(num_classes: int = NUM_CLASSES,
     return Tensor(w, requires_grad=True)
 
 
-def similarities(z, bank: PrototypeBank):
+def similarities(z: np.ndarray, bank: PrototypeBank) -> np.ndarray:
     """Cosine similarities of unit latent(s) against the whole bank.
 
-    Tensor input stays on the autodiff tape; ndarray input returns an
-    ndarray.  Rows of ``z`` and all prototypes are assumed unit-norm, so
-    the similarity is a dot product.
+    Rows of ``z`` and all prototypes are assumed unit-norm, so the
+    similarity is a dot product.  The training losses build their own
+    product on the autodiff tape.
     """
-    if isinstance(z, Tensor):
-        if z.data.ndim == 1:
-            return dc.matmul(bank.vectors, z)
-        return dc.matmul(z, dc.transpose(bank.vectors))
     return np.asarray(z) @ bank.vectors.data.T
 
 
 def class_logits(sims: np.ndarray, head: np.ndarray) -> np.ndarray:
-    """Bias-free logits as explicit sums of per-prototype contributions.
+    """Bias-free logits of (N, count) similarities as explicit sums of
+    per-prototype contributions.
 
     Computed as sum(head * sims) over the prototype axis so that the
     row sums of :func:`points_contributed` reproduce these logits bit
     for bit (explanation completeness).
     """
     sims = np.asarray(sims)
-    if sims.ndim == 1:
-        return np.sum(head * sims[None, :], axis=1)
+    if sims.ndim != 2:
+        raise DimensionError(f"class_logits expects (N, count) sims, got {sims.shape}")
     return np.sum(head[None, :, :] * sims[:, None, :], axis=2)
 
 
@@ -245,6 +242,19 @@ def points_contributed(sims: np.ndarray, head: np.ndarray) -> np.ndarray:
     return head * sims[None, :]
 
 
+def _param_shapes(config: BackboneConfig, num_classes: int,
+                  per_class: int) -> list[tuple]:
+    """Parameter shapes in checkpoint order: conv kernel, LayerNorm gain and
+    bias per block, then the prototypes and the head."""
+    shapes, c_in = [], 1
+    for b in config.blocks:
+        o = b.out_channels
+        shapes += [(o, c_in, *b.kernel), (o, 1, 1), (o, 1, 1)]
+        c_in = o
+    count = num_classes * per_class
+    return shapes + [(count, config.latent_dim), (num_classes, count)]
+
+
 class ProtoEEGNet:
     """Full network with grouped parameters for staged training."""
 
@@ -258,6 +268,13 @@ class ProtoEEGNet:
         self.bank = bank
         self.head = head
         bank.validate()
+        shapes = _param_shapes(config, bank.num_classes, bank.per_class)
+        for (name, t), shape in zip(_param_manifest(self), shapes):
+            if t.data.shape != shape:
+                raise ConfigurationError(
+                    f"parameter {name} has shape {t.data.shape}, the config "
+                    f"expects {shape}"
+                )
 
     @classmethod
     def initialize(cls, config: BackboneConfig = BackboneConfig(), seed: int = 0,
@@ -265,15 +282,12 @@ class ProtoEEGNet:
                    per_class: int = PROTOS_PER_CLASS) -> "ProtoEEGNet":
         config.validate()
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        conv_kernels, ln_gains, ln_biases = [], [], []
-        c_in = 1
-        for b in config.blocks:
-            fan_in = c_in * b.kernel[0] * b.kernel[1]
-            w = rng.standard_normal((b.out_channels, c_in, *b.kernel)) * np.sqrt(2.0 / fan_in)
-            conv_kernels.append(Tensor(w, requires_grad=True))
-            ln_gains.append(Tensor(np.ones((b.out_channels, 1, 1)), requires_grad=True))
-            ln_biases.append(Tensor(np.zeros((b.out_channels, 1, 1)), requires_grad=True))
-            c_in = b.out_channels
+        shapes = _param_shapes(config, num_classes, per_class)[:-2]
+        # He init: the fan-in of a kernel is c_in * kh * kw
+        conv_kernels = [Tensor(rng.standard_normal(s) * np.sqrt(2.0 / np.prod(s[1:])),
+                               requires_grad=True) for s in shapes[0::3]]
+        ln_gains = [Tensor(np.ones(s), requires_grad=True) for s in shapes[1::3]]
+        ln_biases = [Tensor(np.zeros(s), requires_grad=True) for s in shapes[2::3]]
         bank = init_prototypes(rng.integers(0, 2**63 - 1), num_classes=num_classes,
                                per_class=per_class, latent_dim=config.latent_dim)
         head = init_head(num_classes=num_classes, per_class=per_class)
@@ -281,14 +295,11 @@ class ProtoEEGNet:
 
     # -- parameter groups ----------------------------------------------------
 
-    def backbone_parameters(self) -> list[Tensor]:
-        out = []
-        for k, g, b in zip(self.conv_kernels, self.ln_gains, self.ln_biases):
-            out.extend([k, g, b])
-        return out
-
     def all_parameters(self) -> list[Tensor]:
-        return self.backbone_parameters() + [self.bank.vectors, self.head]
+        return [t for _, t in _param_manifest(self)]
+
+    def backbone_parameters(self) -> list[Tensor]:
+        return self.all_parameters()[:-2]
 
     def config_digest(self) -> str:
         arch = {
@@ -458,7 +469,10 @@ def load_model(path) -> ProtoEEGNet:
         raise DataFormatError(f"model file lacks parameter block {exc}") from exc
     bank = PrototypeBank(vectors=vectors, num_classes=num_classes,
                          per_class=per_class, provenance=provenance)
-    model = ProtoEEGNet(config, conv, gains, biases, bank, head)
+    try:
+        model = ProtoEEGNet(config, conv, gains, biases, bank, head)
+    except ConfigurationError as exc:
+        raise DataFormatError(f"model header disagrees with its blocks: {exc}") from exc
     if model.config_digest() != config_digest:
         raise DataFormatError("config digest mismatch in model header")
     return model

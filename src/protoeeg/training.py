@@ -220,12 +220,7 @@ class TrainHistory:
         return "\n".join(json.dumps(r, sort_keys=True) for r in self.records)
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_jsonl() + "\n")
-
-
-def _zero_grads(params) -> None:
-    for p in params:
-        p.grad = None
+        Path(path).write_text(self.to_jsonl() + "\n", "utf-8")
 
 
 def _validation_metrics(model: ProtoEEGNet, data: TrainData):
@@ -256,7 +251,8 @@ def _epoch_pass(model, data, config, opt, rng, latents_cache=None) -> dict:
             latents = model.embed(data.train_values[idx])
         report = total_loss(latents, data.train_labels[idx], model.bank,
                             model.head, config.coefficients)
-        _zero_grads(model.all_parameters())
+        for p in model.all_parameters():
+            p.zero_grad()
         dc.backward(report.tensor)
         opt.step()
         model.bank.renormalize()

@@ -120,14 +120,10 @@ def _op_instances():
         return [a, b], lambda ps: _weighted_sum(dc.matmul(ps[0], ps[1]), w)
 
     def linear_b(rng):
-        if rng.random() < 0.5:
-            x = Tensor(rng.standard_normal((5, 4)), requires_grad=True)
-            w_shape = (5, 3)
-        else:
-            x = Tensor(rng.standard_normal(4), requires_grad=True)
-            w_shape = (3,)
+        rows = 5 if rng.random() < 0.5 else 1  # a batch, or a batch of one
+        x = Tensor(rng.standard_normal((rows, 4)), requires_grad=True)
         wgt = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        w = Tensor(rng.standard_normal(w_shape))
+        w = Tensor(rng.standard_normal((rows, 3)))
         return [x, wgt], lambda ps: _weighted_sum(dc.linear(ps[0], ps[1]), w)
 
     def elu_b(rng):
@@ -153,12 +149,9 @@ def _op_instances():
             dc.conv2d_valid(ps[0], ps[1], stride=stride), w)
 
     def l2_normalize_b(rng):
-        if rng.random() < 0.5:
-            v = Tensor(_signed_away(rng, 5), requires_grad=True)
-            w = Tensor(rng.standard_normal(5))
-        else:
-            v = Tensor(_signed_away(rng, (3, 4)), requires_grad=True)
-            w = Tensor(rng.standard_normal((3, 4)))
+        shape = (1, 5) if rng.random() < 0.5 else (3, 4)  # a batch of one, or more
+        v = Tensor(_signed_away(rng, shape), requires_grad=True)
+        w = Tensor(rng.standard_normal(shape))
         return [v], lambda ps: _weighted_sum(dc.l2_normalize(ps[0]), w)
 
     def cosine_b(rng):

@@ -5,14 +5,19 @@ suites; these tests pin the wiring: exit codes, config resolution, artifact
 layout, and run-to-run determinism.
 """
 
+import ast
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import rewrite_header
+import protoeeg
 from protoeeg.cli import main, resolve_config
 from protoeeg.dataset import load
 from protoeeg.errors import ConfigurationError, DataFormatError
@@ -331,6 +336,16 @@ class TestEval:
         assert main(["eval", "--model", str(model), "--data", str(data_dir),
                      "--rounds", "200", "--out", str(tmp_path / "ev")]) == 2
 
+    def test_header_disagreeing_with_blocks_is_format_error(self, run_dir, data_dir,
+                                                           tmp_path, capsys):
+        model = tmp_path / "model.pegm"
+        model.write_bytes((run_dir / "model.pegm").read_bytes())
+        rewrite_header(model, {"set": ("provenance", [None])})
+        assert main(["eval", "--model", str(model), "--data", str(data_dir),
+                     "--rounds", "200", "--out", str(tmp_path / "ev")]) == 2
+        err = capsys.readouterr().err
+        assert "header" in err and "Traceback" not in err
+
     def test_missing_model_is_format_error(self, data_dir, tmp_path):
         assert main(["eval", "--model", str(tmp_path / "nope.pegm"),
                      "--data", str(data_dir), "--out", str(tmp_path / "o")]) == 2
@@ -359,6 +374,24 @@ class TestExplain:
         assert {f"explain_{sid}.json", f"explain_{sid}.svg",
                 f"explain_{sid}.txt", "resolved_config.json"} == names
 
+    def test_ascii_locale_writes_utf8(self, run_dir, data_dir, tmp_path):
+        # the SVG holds non-ASCII text; an ASCII locale must not decide its encoding
+        _, manifest = load(data_dir / "dataset.peeg")
+        sid = manifest.ids_for("test")[0]
+        out = tmp_path / "ex"
+        src = str(Path(protoeeg.__file__).resolve().parents[1])
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONUTF8": "0", "PYTHONPATH": src}
+        code = ("import sys; from protoeeg.cli import main; "
+                "sys.exit(main(sys.argv[1:]))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "explain", "--model", str(run_dir),
+             "--data", str(data_dir), "--sample-id", str(sid), "--out", str(out)],
+            env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        svg = (out / f"explain_{sid}.svg").read_bytes().decode("utf-8")
+        assert not svg.isascii()
+
     def test_absent_sample_is_data_error(self, run_dir, data_dir, tmp_path,
                                          capsys):
         assert main(["explain", "--model", str(run_dir), "--data", str(data_dir),
@@ -375,3 +408,22 @@ class TestReport:
         model = load_model(run_dir / "model.pegm")
         assert len(doc["prototypes"]) == model.bank.count
         assert set(doc["flagged"]) <= set(range(model.bank.count))
+
+
+def test_text_io_names_an_encoding():
+    """Every read_text/write_text call in the package passes an encoding,
+    so no artifact depends on the locale."""
+    package = Path(protoeeg.__file__).resolve().parent
+    unnamed = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            # the encoding is the first argument of read_text, the second of write_text
+            position = {"read_text": 1, "write_text": 2}.get(node.func.attr)
+            if position is None:
+                continue
+            if len(node.args) < position and not any(
+                    k.arg == "encoding" for k in node.keywords):
+                unnamed.append(f"{path.name}:{node.lineno}")
+    assert not unnamed, f"text I/O without an encoding at {unnamed}"

@@ -110,8 +110,9 @@ class TestElementwiseGradients:
 
 class TestLinearAlgebraGradients:
     def test_matmul_all_rank_combos(self):
+        # vector operands are one-row and one-column matrices
         rng = np.random.default_rng(5)
-        shapes = [((3, 4), (4, 2)), ((3, 4), (4,)), ((4,), (4, 2)), ((4,), (4,))]
+        shapes = [((3, 4), (4, 2)), ((3, 4), (4, 1)), ((1, 4), (4, 2)), ((1, 4), (4, 1))]
         for sa, sb in shapes:
             for _ in range(20):
                 a, b = leaf(rng, *sa), leaf(rng, *sb)
@@ -122,17 +123,18 @@ class TestLinearAlgebraGradients:
             dc.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
 
     def test_linear_vector_and_batch(self):
+        # the vector case is a batch of one row
         rng = np.random.default_rng(6)
         for _ in range(20):
             w = leaf(rng, 3, 5)
-            x1 = leaf(rng, 5)
+            x1 = leaf(rng, 1, 5)
             xb = leaf(rng, 4, 5)
             gradcheck(lambda ps: dc.tsum(dc.linear(ps[1], ps[0])), [w, x1])
             gradcheck(lambda ps: dc.tsum(dc.linear(ps[1], ps[0])), [w, xb])
 
     def test_linear_rejects_bad_shapes(self):
         with pytest.raises(DimensionError):
-            dc.linear(Tensor(np.ones(4)), Tensor(np.ones((3, 5))))
+            dc.linear(Tensor(np.ones((2, 4))), Tensor(np.ones((3, 5))))
 
 
 class TestNormalizationGradients:
@@ -146,15 +148,6 @@ class TestNormalizationGradients:
                                                 dc.layer_norm(ps[0], ps[1], ps[2]))),
                       [x, g, b])
 
-    def test_layer_norm_3d_single_sample(self):
-        rng = np.random.default_rng(8)
-        for _ in range(20):
-            x = leaf(rng, 3, 4, 2)
-            g = Tensor(np.ones((3, 1, 1)), requires_grad=True)
-            b = Tensor(np.zeros((3, 1, 1)), requires_grad=True)
-            gradcheck(lambda ps: dc.tsum(dc.mul(dc.layer_norm(*ps), dc.layer_norm(*ps))),
-                      [x, g, b])
-
     def test_layer_norm_standardizes(self, rng):
         x = Tensor(rng.standard_normal((4, 3, 8, 5)) * 3 + 7)
         y = dc.layer_norm(x, Tensor(np.ones((3, 1, 1))), Tensor(np.zeros((3, 1, 1))))
@@ -166,25 +159,25 @@ class TestNormalizationGradients:
     def test_l2_normalize_gradients(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            v = leaf(rng, 6)
+            v = leaf(rng, 1, 6)
             m = leaf(rng, 4, 6)
-            w = Tensor(rng.standard_normal(6), requires_grad=False)
+            w = Tensor(rng.standard_normal((1, 6)), requires_grad=False)
             gradcheck(lambda ps: dc.tsum(dc.mul(dc.l2_normalize(ps[0]), Tensor(w.data))), [v])
             gradcheck(lambda ps: dc.tsum(dc.mul(dc.l2_normalize(ps[0]),
                                                 Tensor(rng.standard_normal((1, 6)) * 0 + w.data))), [m])
 
     def test_l2_normalize_degenerate(self):
         with pytest.raises(DegenerateInputError):
-            dc.l2_normalize(Tensor(np.zeros(4)))
+            dc.l2_normalize(Tensor(np.zeros((1, 4))))
         with pytest.raises(DegenerateInputError):
             dc.l2_normalize(Tensor(np.vstack([np.ones(4), np.zeros(4)])))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_l2_normalize_unit_norm_property(self, seed):
-        v = np.random.default_rng(seed).standard_normal(16) + 0.01
+        v = np.random.default_rng(seed).standard_normal((1, 16)) + 0.01
         y = dc.l2_normalize(Tensor(v)).data
-        assert abs(np.linalg.norm(y) - 1.0) < 1e-12
+        assert abs(np.linalg.norm(y[0]) - 1.0) < 1e-12
 
 
 class TestSimilarityGradients:
@@ -224,7 +217,7 @@ class TestSoftmaxCrossEntropy:
         rng = np.random.default_rng(12)
         w = rng.standard_normal(5)
         for _ in range(20):
-            q1 = leaf(rng, 5)
+            q1 = leaf(rng, 1, 5)
             q2 = leaf(rng, 3, 5)
             gradcheck(lambda ps: dc.tsum(dc.mul(dc.softmax(ps[0]), Tensor(w))), [q1])
             gradcheck(lambda ps: dc.tsum(dc.mul(dc.softmax(ps[0]), Tensor(w))), [q2])
@@ -232,11 +225,11 @@ class TestSoftmaxCrossEntropy:
     def test_softmax_rows_sum_to_one(self, rng):
         p = dc.softmax(Tensor(rng.standard_normal((10, 9)) * 5)).data
         assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
-        assert_allclose(dc.softmax(Tensor(np.zeros(2))).data, [0.5, 0.5])
+        assert_allclose(dc.softmax(Tensor(np.zeros((1, 2)))).data, [[0.5, 0.5]])
 
     def test_softmax_nonfinite(self):
         with pytest.raises(NumericError):
-            dc.softmax(Tensor(np.array([1.0, np.nan])))
+            dc.softmax(Tensor(np.array([[1.0, np.nan]])))
 
     def test_cross_entropy_gradient_through_softmax(self):
         rng = np.random.default_rng(13)
@@ -245,17 +238,11 @@ class TestSoftmaxCrossEntropy:
             labels = rng.integers(0, 6, size=4)
             gradcheck(lambda ps: dc.cross_entropy(dc.softmax(ps[0]), labels), [q])
 
-    def test_cross_entropy_single(self):
-        p = Tensor(np.array([0.25, 0.25, 0.5]))
-        assert dc.cross_entropy(p, 2).item() == pytest.approx(-np.log(0.5))
-        with pytest.raises(IndexError):
-            dc.cross_entropy(p, 3)
-
     def test_cross_entropy_batch_is_mean(self, rng):
         q = rng.standard_normal((6, 4))
         labels = rng.integers(0, 4, size=6)
         batch = dc.cross_entropy(dc.softmax(Tensor(q)), labels).item()
-        singles = [dc.cross_entropy(dc.softmax(Tensor(q[i])), int(labels[i])).item()
+        singles = [dc.cross_entropy(dc.softmax(Tensor(q[i:i + 1])), labels[i:i + 1]).item()
                    for i in range(6)]
         assert batch == pytest.approx(np.mean(singles), rel=1e-12)
 
@@ -267,10 +254,10 @@ class TestSoftmaxCrossEntropy:
 
 class TestConv2d:
     def test_output_shape_backbone_block(self, rng):
-        x = Tensor(rng.standard_normal((1, 128, 37)))
+        x = Tensor(rng.standard_normal((1, 1, 128, 37)))
         k = Tensor(rng.standard_normal((16, 1, 5, 5)))
         y = dc.conv2d_valid(x, k, stride=(2, 2))
-        assert y.shape == (16, 62, 17)
+        assert y.shape == (1, 16, 62, 17)
 
     def test_gradients_batched(self):
         rng = np.random.default_rng(14)
@@ -282,10 +269,11 @@ class TestConv2d:
                       [x, k])
 
     def test_gradients_single_sample_strides(self):
+        # a single sample is a batch of one
         rng = np.random.default_rng(15)
         for sh, sw in [(1, 1), (2, 2), (3, 1)]:
             for _ in range(4):
-                x = leaf(rng, 2, 9, 5)
+                x = leaf(rng, 1, 2, 9, 5)
                 k = leaf(rng, 4, 2, 3, 2)
                 gradcheck(lambda ps: dc.tsum(dc.mul(dc.conv2d_valid(ps[0], ps[1], (sh, sw)),
                                                     dc.conv2d_valid(ps[0], ps[1], (sh, sw)))),
@@ -311,80 +299,114 @@ class TestConv2d:
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
-            dc.conv2d_valid(Tensor(np.zeros((3, 8, 8))), Tensor(np.zeros((2, 4, 3, 3))))
+            dc.conv2d_valid(Tensor(np.zeros((1, 3, 8, 8))), Tensor(np.zeros((2, 4, 3, 3))))
 
     def test_kernel_too_large(self):
         with pytest.raises(DimensionError):
-            dc.conv2d_valid(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((2, 1, 5, 3))))
+            dc.conv2d_valid(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((2, 1, 5, 3))))
 
     def test_zero_stride_rejected(self):
         with pytest.raises(ConfigurationError):
-            dc.conv2d_valid(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((2, 1, 2, 2))),
+            dc.conv2d_valid(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((2, 1, 2, 2))),
                             stride=(0, 1))
 
     def test_matches_explicit_loop(self, rng):
-        x = rng.standard_normal((2, 7, 6))
+        x = rng.standard_normal((2, 2, 7, 6))
         k = rng.standard_normal((3, 2, 3, 2))
         got = dc.conv2d_valid(Tensor(x), Tensor(k), (2, 2)).data
         ref = np.zeros_like(got)
-        for co in range(3):
-            for oh in range(3):
-                for ow in range(3):
-                    patch = x[:, oh * 2:oh * 2 + 3, ow * 2:ow * 2 + 2]
-                    ref[co, oh, ow] = np.sum(patch * k[co])
+        for n in range(2):
+            for co in range(3):
+                for oh in range(3):
+                    for ow in range(3):
+                        patch = x[n, :, oh * 2:oh * 2 + 3, ow * 2:ow * 2 + 2]
+                        ref[n, co, oh, ow] = np.sum(patch * k[co])
         assert_allclose(got, ref, rtol=1e-12, atol=1e-14)
+
+
+def _adam_on(data, grad, lr=0.1):
+    """One Adam step on a fresh parameter whose gradient is ``grad``."""
+    p = Tensor(np.array(data, dtype=float), requires_grad=True)
+    p.grad = None if grad is None else np.asarray(grad, dtype=float)
+    dc.Adam([{"name": "p", "params": [p], "lr": lr}]).step()
+    return p
 
 
 class TestAdam:
     def test_zero_gradient_is_identity(self):
-        p = np.array([1.0, -2.0, 3.0])
-        state = dc.init_adam([p])
-        before = p.copy()
-        dc.adam_step([p], [np.zeros(3)], state, lr=0.1)
-        assert np.array_equal(p, before)
+        before = np.array([1.0, -2.0, 3.0])
+        for grad in (np.zeros(3), None):  # no gradient counts as zero
+            assert np.array_equal(_adam_on(before, grad).data, before)
 
     def test_first_step_moves_by_lr(self):
-        p = np.array([1.0])
-        state = dc.init_adam([p])
-        dc.adam_step([p], [np.array([1.0])], state, lr=0.1)
-        assert p[0] == pytest.approx(0.9, abs=1e-8)
+        p = _adam_on([1.0], [1.0])
+        assert p.data[0] == pytest.approx(0.9, abs=1e-8)
 
     def test_shape_mismatch(self):
-        p = np.zeros(3)
-        state = dc.init_adam([p])
         with pytest.raises(DimensionError):
-            dc.adam_step([p], [np.zeros(4)], state, lr=0.1)
+            _adam_on(np.zeros(3), np.zeros(4))
 
     def test_nonfinite_gradient(self):
-        p = np.zeros(2)
-        state = dc.init_adam([p])
         with pytest.raises(NumericError):
-            dc.adam_step([p], [np.array([1.0, np.inf])], state, lr=0.1)
+            _adam_on(np.zeros(2), [1.0, np.inf])
+
+    def test_negative_rate_rejected(self):
+        p = Tensor(np.zeros(2), requires_grad=True)
+        with pytest.raises(ConfigurationError):
+            dc.Adam([{"name": "p", "params": [p], "lr": -0.1}])
+        opt = dc.Adam([{"name": "p", "params": [p], "lr": 0.1}])
+        with pytest.raises(ConfigurationError):
+            opt.set_lr("p", -0.1)
+        with pytest.raises(ConfigurationError):
+            opt.set_lr("q", 0.1)
 
     def test_optimizer_groups_and_lr_update(self, rng):
         a = Tensor(rng.standard_normal(4), requires_grad=True)
         b = Tensor(rng.standard_normal(3), requires_grad=True)
         opt = dc.Adam([{"name": "a", "params": [a], "lr": 0.1},
                        {"name": "b", "params": [b], "lr": 0.0}])
-        b_before = b.data.copy()
+        a_before, b_before = a.data.copy(), b.data.copy()
         loss = dc.tsum(dc.mul(a, a)) + dc.tsum(dc.mul(b, b))
         dc.backward(loss)
         opt.step()
         assert np.array_equal(b.data, b_before)  # lr 0 group untouched
-        assert not np.array_equal(a.data, rng.standard_normal(4))
+        assert np.all(a.grad * (a_before - a.data) > 0)  # a descends
         opt.set_lr("b", 0.05)
-        assert opt.lr_of("b") == 0.05
-        opt.zero_grad()
-        assert a.grad is None
+        opt.step()  # same gradients, one shared step counter
+        assert np.all(b.grad * (b_before - b.data) > 0)
 
     def test_converges_on_quadratic(self):
         x = Tensor(np.array([5.0, -3.0]), requires_grad=True)
         opt = dc.Adam([{"name": "x", "params": [x], "lr": 0.2}])
         for _ in range(400):
-            opt.zero_grad()
+            x.zero_grad()
             dc.backward(dc.tsum(dc.mul(x, x)))
             opt.step()
         assert np.all(np.abs(x.data) < 1e-3)
+
+
+_ONE = Tensor(np.ones(3))
+_REMOVED_LAYOUTS = {
+    "conv2d_valid_3d": lambda: dc.conv2d_valid(Tensor(np.zeros((1, 6, 6))),
+                                               Tensor(np.zeros((2, 1, 3, 3)))),
+    "layer_norm_3d": lambda: dc.layer_norm(Tensor(np.ones((3, 4, 2))),
+                                           Tensor(np.ones((3, 1, 1))),
+                                           Tensor(np.zeros((3, 1, 1)))),
+    "l2_normalize_1d": lambda: dc.l2_normalize(_ONE),
+    "linear_1d": lambda: dc.linear(_ONE, Tensor(np.ones((2, 3)))),
+    "softmax_1d": lambda: dc.softmax(_ONE),
+    "cross_entropy_1d": lambda: dc.cross_entropy(Tensor(np.full(3, 1 / 3)), 0),
+    "matmul_1d_left": lambda: dc.matmul(_ONE, Tensor(np.ones((3, 2)))),
+    "matmul_1d_right": lambda: dc.matmul(Tensor(np.ones((2, 3))), _ONE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REMOVED_LAYOUTS))
+def test_single_sample_layout_is_rejected(name):
+    # tape ops take the batched layout only; embed and forward_probs batch
+    # a single window before any op runs
+    with pytest.raises(DimensionError):
+        _REMOVED_LAYOUTS[name]()
 
 
 class TestFdOracleSelfCheck:

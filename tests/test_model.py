@@ -129,34 +129,26 @@ class TestSimilarities:
         sims = m.similarities(z, bank)
         assert np.all(np.abs(sims) <= 1.0 + 1e-12)
 
-    def test_tensor_path_matches_numpy(self):
-        rng = np.random.default_rng(6)
-        bank = m.init_prototypes(seed=6)
-        z = rng.standard_normal((3, 128))
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        t = m.similarities(Tensor(z), bank)
-        assert_allclose(t.data, m.similarities(z, bank), atol=1e-14)
-
 
 class TestHeadMath:
     def test_zero_sims_uniform(self):
-        p = m.class_probabilities(np.zeros(108), m.init_head().data)
-        assert_allclose(p, np.full(9, 1 / 9), atol=1e-15)
+        p = m.class_probabilities(np.zeros((1, 108)), m.init_head().data)
+        assert_allclose(p, np.full((1, 9), 1 / 9), atol=1e-15)
 
     def test_one_hot_sim_predicts_that_class(self):
         head = m.init_head().data
         for c in (0, 4, 8):
-            sims = np.zeros(108)
-            sims[c * 12 + 3] = 1.0
+            sims = np.zeros((1, 108))
+            sims[0, c * 12 + 3] = 1.0
             p = m.class_probabilities(sims, head)
-            assert int(np.argmax(p)) == c
+            assert int(np.argmax(p[0])) == c
 
     def test_logits_match_dense_product(self):
         rng = np.random.default_rng(7)
         head = rng.standard_normal((9, 108))
-        sims = rng.uniform(-1, 1, 108)
+        sims = rng.uniform(-1, 1, (4, 108))
         q = m.class_logits(sims, head)
-        assert_allclose(q, head @ sims, atol=1e-12)
+        assert_allclose(q, sims @ head.T, atol=1e-12)
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(8)
@@ -174,11 +166,11 @@ class TestHeadMath:
         head = rng.standard_normal((9, 108))
         sims = rng.uniform(-1, 1, 108)
         points = m.points_contributed(sims, head)
-        assert np.array_equal(points.sum(axis=1), m.class_logits(sims, head))
+        assert np.array_equal(points.sum(axis=1), m.class_logits(sims[None], head)[0])
 
     def test_nonfinite_sims_rejected(self):
-        sims = np.zeros(108)
-        sims[0] = np.inf
+        sims = np.zeros((1, 108))
+        sims[0, 0] = np.inf
         with pytest.raises(NumericError):
             m.class_probabilities(sims, m.init_head().data)
 
@@ -245,6 +237,21 @@ def _reference_embed(net, window):
     return z / np.linalg.norm(z)
 
 
+def _shapes_with(name, shape) -> list:
+    """The default model's parameter table with one block's shape replaced."""
+    net = m.ProtoEEGNet.initialize(seed=0)
+    return [{"name": n, "shape": list(shape) if n == name else list(t.data.shape)}
+            for n, t in m._param_manifest(net)]
+
+
+# the default table with a final time kernel of 9: the backbone ends at 2x1
+NONREDUCING_BACKBONE = {
+    "blocks": [[b.out_channels, list(b.kernel), list(b.stride)]
+               for b in m.DEFAULT_BLOCKS[:3]] + [[128, [9, 3], [1, 1]]],
+    "latent_dim": 128,
+}
+
+
 class TestCheckpoint:
     def test_roundtrip_forward_identical(self, net, windows, tmp_path):
         path = tmp_path / "model.pegm"
@@ -305,6 +312,11 @@ class TestCheckpoint:
         {"drop": "backbone"}, {"drop": "num_classes"}, {"drop": "per_class"},
         {"drop": "parameters"}, {"set": ("num_classes", "nine")},
         {"set": ("parameters", 5)}, {"set": ("backbone", [1, 2])},
+        # well-formed headers that disagree with the blocks they describe
+        {"set": ("parameters", _shapes_with("head", [108, 9]))},
+        {"set": ("parameters", _shapes_with("conv0", [16, 1, 25, 1]))},
+        {"set": ("provenance", [None])},
+        {"set": ("backbone", NONREDUCING_BACKBONE)},
     ])
     def test_malformed_header_is_format_error(self, net, tmp_path, edit):
         path = tmp_path / "model.pegm"
