@@ -26,6 +26,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import sigproc
+from .container import write_json
 from .dataset import (DatasetManifest, EEGSample, SynthConfig,
                       generate_synthetic, load, save)
 from .errors import (ConfigurationError, ContractError, DataFormatError,
@@ -133,12 +134,6 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _ensure_out(arg) -> Path:
-    out = Path(arg)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _write_resolved(out: Path, command: str, config: dict, inputs: dict) -> None:
     """Echo the run record: resolved config plus input/output checksums."""
     outputs = sorted(p for p in out.rglob("*")
@@ -151,8 +146,7 @@ def _write_resolved(out: Path, command: str, config: dict, inputs: dict) -> None
                    for name, p in sorted(inputs.items())},
         "outputs": {p.relative_to(out).as_posix(): _sha256(p) for p in outputs},
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    (out / "resolved_config.json").write_text(text, "utf-8")
+    write_json(out / "resolved_config.json", doc)
 
 
 def _dataset_file(arg) -> Path:
@@ -182,7 +176,7 @@ def _cmd_synth(ns) -> None:
         raise UsageError("synth needs --n or an 'n_samples' config key")
     cfg = _build(SynthConfig.from_dict, merged)
     samples, manifest = generate_synthetic(cfg)
-    out = _ensure_out(ns.out)
+    out = Path(ns.out)
     data_path = out / "dataset.peeg"
     save(samples, manifest, data_path)
     _write_resolved(out, "synth", cfg.to_dict(), inputs={})
@@ -243,7 +237,7 @@ def _cmd_preprocess(ns) -> None:
         version=ds.FORMAT_VERSION, sample_count=n, channel_count=channels,
         time_steps=time_steps, sample_rate_hz=float(merged["target_fs"]),
         splits={}, seed=int(merged["seed"]), config_digest=digest)
-    out = _ensure_out(ns.out)
+    out = Path(ns.out)
     data_path = out / "dataset.peeg"
     save(samples, manifest, data_path)
     _write_resolved(out, "preprocess", merged, inputs={"input": src})
@@ -263,7 +257,7 @@ def _cmd_split(ns) -> None:
     # split() only sees samples; acquisition facts carry over from the source
     manifest.sample_rate_hz = old.sample_rate_hz
     manifest.config_digest = old.config_digest
-    out = _ensure_out(ns.out)
+    out = Path(ns.out)
     data_path = out / "dataset.peeg"
     save(samples, manifest, data_path)
     _write_resolved(out, "split", merged, inputs={"dataset": data_file})
@@ -280,7 +274,7 @@ def _cmd_train(ns) -> None:
     cfg = _build(TrainConfig.from_dict, merged)
     data_file = _dataset_file(ns.data)
     samples, manifest = load(data_file)
-    out = _ensure_out(ns.out)
+    out = Path(ns.out)
     model, history = train(cfg, (samples, manifest), out_dir=out)
     final = out / "model.pegm"
     save_model(model, final)
@@ -312,14 +306,12 @@ def _cmd_eval(ns) -> None:
     votes = [s.votes for s in subset]
     metrics = metrics_from_scores(scores, votes, rounds=int(merged["rounds"]),
                                   seed=int(merged["seed"]))
-    out = _ensure_out(ns.out)
-    (out / "metrics.json").write_text(
-        json.dumps(metrics, indent=2, sort_keys=True) + "\n", "utf-8")
+    out = Path(ns.out)
+    write_json(out / "metrics.json", metrics)
     score_rows = [{"sample_id": b.sample_id, "p_pos": b.p_pos, "p_neg": b.p_neg,
                    "label": b.label, "votes": int(v)}
                   for b, v in zip(scores, votes)]
-    (out / "scores.json").write_text(
-        json.dumps(score_rows, indent=2, sort_keys=True) + "\n", "utf-8")
+    write_json(out / "scores.json", score_rows)
     _write_resolved(out, "eval", merged,
                     inputs={"model": model_file, "dataset": data_file})
     view = "filtered" if merged["filtered"] else "unfiltered"
@@ -339,11 +331,9 @@ def _cmd_push(ns) -> None:
     samples, manifest = load(data_file)
     data = TrainData.from_dataset(samples, manifest)
     records, _ = push_prototypes(model, data, cfg, epoch=0)
-    out = _ensure_out(ns.out)
+    out = Path(ns.out)
     save_model(model, out / "model.pegm")
-    (out / "push_records.json").write_text(
-        json.dumps([r.to_dict() for r in records], indent=2, sort_keys=True) + "\n",
-        "utf-8")
+    write_json(out / "push_records.json", [r.to_dict() for r in records])
     _write_resolved(out, "push", cfg.to_dict(),
                     inputs={"model": model_file, "dataset": data_file})
     print(f"pushed {len(records)} prototypes; model at {out / 'model.pegm'}")
@@ -362,7 +352,7 @@ def _cmd_explain(ns) -> None:
         raise MissingSampleError(
             f"sample id {ns.sample_id} is not present in {data_file}")
     explanation = explain(model, sample, top_k=int(merged["top_k"]))
-    out = _ensure_out(ns.out)
+    out = Path(ns.out)
     paths = render_report(explanation, samples, out)
     _write_resolved(out, "explain", merged,
                     inputs={"model": model_file, "dataset": data_file})
@@ -378,9 +368,8 @@ def _cmd_report(ns) -> None:
     data_file = _dataset_file(ns.data)
     samples, manifest = load(data_file)
     doc = global_prototype_report(model, (samples, manifest))
-    out = _ensure_out(ns.out)
-    (out / "prototype_report.json").write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", "utf-8")
+    out = Path(ns.out)
+    write_json(out / "prototype_report.json", doc)
     _write_resolved(out, "report", merged,
                     inputs={"model": model_file, "dataset": data_file})
     print(f"{len(doc['flagged'])} of {len(doc['prototypes'])} prototypes flagged; "

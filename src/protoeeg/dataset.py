@@ -7,8 +7,8 @@ alpha rhythm; with probability ``spike_rate`` a spike-and-wave event
 with latent salience s in (0, 1] is added, and annotators vote positive
 with probability sigmoid(a_j * (s + noise - b_j)).
 
-Storage is a little-endian binary container (magic ``PEEG``) with a
-JSON manifest sidecar carrying split assignments.
+Storage is a framed container (magic ``PEEG``, framed by :mod:`.container`
+like a checkpoint) with a JSON manifest sidecar carrying split assignments.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .container import read_framed, write_atomic, write_framed
 from .errors import ConfigurationError, DataFormatError
 
 TIME_STEPS = 128
@@ -33,7 +33,6 @@ SPLIT_NAMES = ("train", "val", "test")
 
 MAGIC = b"PEEG"
 FORMAT_VERSION = 1
-_HEADER = struct.Struct("<4sIIII")
 _RECORD_HEAD = struct.Struct("<QB")
 
 
@@ -207,7 +206,7 @@ class DatasetManifest:
                        time_steps=int(raw["time_steps"]),
                        sample_rate_hz=float(raw["sample_rate_hz"]), splits=splits,
                        seed=int(raw["seed"]), config_digest=str(raw["config_digest"]))
-        except (AttributeError, TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise DataFormatError(f"manifest has an ill-typed field: {exc!r}") from exc
 
 
@@ -347,11 +346,11 @@ def split(samples, fractions=DEFAULT_FRACTIONS, seed: int = 0) -> DatasetManifes
                 assignments[int(sid)] = name
             pos += c
 
-    time_steps = samples[0].values.shape[0]
+    time_steps, channels = samples[0].values.shape
     return DatasetManifest(
         version=FORMAT_VERSION,
         sample_count=len(samples),
-        channel_count=CHANNELS,
+        channel_count=channels,
         time_steps=time_steps,
         sample_rate_hz=float(time_steps),
         splits=assignments,
@@ -375,7 +374,6 @@ def _check_unique_ids(samples) -> None:
 
 
 def save(samples, manifest: DatasetManifest, path) -> None:
-    path = Path(path)
     if not samples:
         raise ConfigurationError("refusing to save an empty dataset")
     _check_unique_ids(samples)
@@ -385,46 +383,21 @@ def save(samples, manifest: DatasetManifest, path) -> None:
         s.validate(time_steps=time_steps, channels=channels)
         payload += _RECORD_HEAD.pack(s.sample_id, s.votes)
         payload += np.ascontiguousarray(s.values, dtype="<f4").tobytes()
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, len(samples), time_steps, channels)
-    crc = zlib.crc32(bytes(payload)) & 0xFFFFFFFF
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
-        fh.write(struct.pack("<I", crc))
-    manifest_path(path).write_text(manifest.to_json(), "utf-8")
+    write_framed(path, MAGIC, FORMAT_VERSION, (len(samples), time_steps, channels), payload)
+    write_atomic(manifest_path(path), manifest.to_json())
 
 
 def load(path):
     """Read a dataset container and its manifest sidecar."""
-    path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"dataset file {path} does not exist")
-    blob = path.read_bytes()
-    if len(blob) < _HEADER.size + 4:
-        raise DataFormatError("dataset file truncated: header incomplete")
-    magic, version, count, time_steps, channels = _HEADER.unpack_from(blob, 0)
-    if magic != MAGIC:
-        raise DataFormatError(f"bad magic bytes {magic!r}, expected {MAGIC!r}")
-    if version != FORMAT_VERSION:
-        raise DataFormatError(f"unsupported dataset version {version}")
-    record = _RECORD_HEAD.size + time_steps * channels * 4
-    expected = _HEADER.size + count * record + 4
-    if len(blob) != expected:
-        raise DataFormatError(
-            f"dataset payload truncated: expected {expected} bytes, got {len(blob)}"
-        )
-    (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    crc = zlib.crc32(memoryview(blob)[_HEADER.size:-4]) & 0xFFFFFFFF
-    if crc != stored_crc:
-        raise DataFormatError(f"checksum mismatch: stored {stored_crc:#x}, computed {crc:#x}")
-
+    (count, time_steps, channels), payload = read_framed(
+        path, MAGIC, FORMAT_VERSION, 3, "dataset",
+        lambda n, t, c: n * (_RECORD_HEAD.size + t * c * 4))
     samples = []
-    offset = _HEADER.size
+    offset = 0
     for _ in range(count):
-        sid, votes = _RECORD_HEAD.unpack_from(blob, offset)
+        sid, votes = _RECORD_HEAD.unpack_from(payload, offset)
         offset += _RECORD_HEAD.size
-        values = np.frombuffer(blob, dtype="<f4", count=time_steps * channels,
+        values = np.frombuffer(payload, dtype="<f4", count=time_steps * channels,
                                offset=offset).reshape(time_steps, channels)
         offset += time_steps * channels * 4
         sample = EEGSample(values=values.copy(), votes=int(votes), sample_id=int(sid))
@@ -433,13 +406,14 @@ def load(path):
     _check_unique_ids(samples)
 
     mpath = manifest_path(path)
-    if not mpath.exists():
-        raise DataFormatError(f"manifest sidecar {mpath} does not exist")
-    manifest = DatasetManifest.from_json(mpath.read_text("utf-8"))
-    if manifest.sample_count != count:
-        raise DataFormatError(
-            f"manifest sample_count {manifest.sample_count} != container count {count}"
-        )
+    try:
+        manifest = DatasetManifest.from_json(mpath.read_text("utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:  # absent, or not UTF-8
+        raise DataFormatError(f"cannot read manifest sidecar {mpath}: {exc}") from exc
+    for key, value in (("sample_count", count), ("time_steps", time_steps),
+                       ("channel_count", channels)):
+        if getattr(manifest, key) != value:
+            raise DataFormatError(f"manifest {key} {getattr(manifest, key)} != container {value}")
     return samples, manifest
 
 

@@ -8,12 +8,12 @@ query window next to the training windows its prototypes came from.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .container import write_atomic, write_json
 from .errors import (ConfigurationError, MissingSampleError, NumericError,
                      ProvenanceError)
 from .evaluation import BinaryScore, binarize
@@ -244,15 +244,12 @@ def render_report(explanation: Explanation, dataset, out_dir) -> dict:
         raise MissingSampleError(
             f"source sample {missing[0]} not in dataset")
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"explain_{explanation.sample_id}"
-    paths = {kind: out_dir / f"{stem}.{kind}" for kind in ("json", "svg", "txt")}
-    paths["json"].write_text(
-        json.dumps(explanation.to_dict(), indent=2, sort_keys=True) + "\n", "utf-8")
-    paths["svg"].write_text(
-        _svg_report(explanation, index[explanation.sample_id], index) + "\n", "utf-8")
-    paths["txt"].write_text(_text_report(explanation) + "\n", "utf-8")
+    paths = {kind: Path(out_dir) / f"{stem}.{kind}" for kind in ("json", "svg", "txt")}
+    write_json(paths["json"], explanation.to_dict())
+    write_atomic(paths["svg"],
+                 _svg_report(explanation, index[explanation.sample_id], index) + "\n")
+    write_atomic(paths["txt"], _text_report(explanation) + "\n")
     return paths
 
 

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
-import zlib
+import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from . import diffcore as dc
+from .container import read_framed, write_framed
 from .diffcore import Tensor
 from .errors import (
     ConfigurationError,
@@ -370,9 +369,7 @@ class ProtoEEGNet:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format
-
-_CKPT_HEAD = struct.Struct("<4sII")  # magic, version, header length
+# checkpoint format: one framed container whose one field is the header length
 
 
 def _param_manifest(model: ProtoEEGNet) -> list[tuple[str, Tensor]]:
@@ -386,7 +383,6 @@ def _param_manifest(model: ProtoEEGNet) -> list[tuple[str, Tensor]]:
 
 
 def save_model(model: ProtoEEGNet, path) -> None:
-    path = Path(path)
     named = _param_manifest(model)
     header = {
         "format_version": MODEL_VERSION,
@@ -402,34 +398,15 @@ def save_model(model: ProtoEEGNet, path) -> None:
     payload = bytearray(header_bytes)
     for _, t in named:
         payload += np.ascontiguousarray(t.data, dtype="<f8").tobytes()
-    crc = zlib.crc32(bytes(payload)) & 0xFFFFFFFF
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_HEAD.pack(MODEL_MAGIC, MODEL_VERSION, len(header_bytes)))
-        fh.write(payload)
-        fh.write(struct.pack("<I", crc))
+    write_framed(path, MODEL_MAGIC, MODEL_VERSION, (len(header_bytes),), payload)
 
 
 def load_model(path) -> ProtoEEGNet:
-    path = Path(path)
-    if not path.exists():
-        raise DataFormatError(f"model file {path} does not exist")
-    blob = path.read_bytes()
-    if len(blob) < _CKPT_HEAD.size + 4:
-        raise DataFormatError("model file truncated: header incomplete")
-    magic, version, header_len = _CKPT_HEAD.unpack_from(blob, 0)
-    if magic != MODEL_MAGIC:
-        raise DataFormatError(f"bad magic bytes {magic!r}, expected {MODEL_MAGIC!r}")
-    if version != MODEL_VERSION:
-        raise DataFormatError(f"unsupported model version {version}")
-    payload = blob[_CKPT_HEAD.size:-4]
-    (stored_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    if zlib.crc32(payload) & 0xFFFFFFFF != stored_crc:
-        raise DataFormatError("checksum mismatch in model file")
+    (header_len,), payload = read_framed(path, MODEL_MAGIC, MODEL_VERSION, 1, "model")
     if len(payload) < header_len:
         raise DataFormatError("model file truncated: header shorter than declared")
     try:
-        header = json.loads(payload[:header_len].decode())
+        header = json.loads(bytes(payload[:header_len]).decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataFormatError(f"model header is not valid JSON: {exc}") from exc
 
@@ -442,13 +419,15 @@ def load_model(path) -> ProtoEEGNet:
         provenance = [PushRecord.from_dict(p) if p is not None else None
                       for p in header["provenance"]]
         config_digest = header["config_digest"]
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise DataFormatError(
             f"model header is missing or has an ill-typed field: {exc!r}") from exc
     offset = header_len
     tensors = {}
     for name, shape in specs:
-        count = int(np.prod(shape))
+        if min(shape, default=1) < 1:
+            raise DataFormatError(f"model header gives block {name!r} the shape {shape}")
+        count = math.prod(shape)
         end = offset + count * 8
         if end > len(payload):
             raise DataFormatError(f"model file truncated inside block {name!r}")

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diffcore as dc
+from .container import write_atomic
 from .dataset import split_arrays
 from .errors import ConfigurationError
 from .losses import LossCoefficients, total_loss
@@ -218,9 +219,6 @@ class TrainHistory:
 
     def to_jsonl(self) -> str:
         return "\n".join(json.dumps(r, sort_keys=True) for r in self.records)
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_jsonl() + "\n", "utf-8")
 
 
 def _validation_metrics(model: ProtoEEGNet, data: TrainData):
@@ -564,7 +562,6 @@ def train(config: TrainConfig, dataset, model: ProtoEEGNet = None,
         model = ProtoEEGNet.initialize(seed=config.seed)
     if out_dir is not None:
         out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
 
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     history = TrainHistory()
@@ -604,5 +601,5 @@ def train(config: TrainConfig, dataset, model: ProtoEEGNet = None,
             f"history covers {len(history.records)} epochs, expected "
             f"{config.num_train_epochs}")
     if out_dir is not None:
-        history.save(out_dir / "history.jsonl")
+        write_atomic(out_dir / "history.jsonl", history.to_jsonl() + "\n")
     return model, history

@@ -1,12 +1,11 @@
 import json
-import struct
-import zlib
 
 import numpy as np
 import pytest
 
 from protoeeg import diffcore as dc
 from protoeeg import model as m
+from protoeeg.container import read_framed, write_framed
 
 
 def fd_gradient(loss_fn, param: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -66,20 +65,16 @@ def gradcheck(build_loss, params: list, h: float = 1e-5) -> None:
 
 def rewrite_header(path, edit) -> None:
     """Drop or replace one checkpoint header key and recompute the CRC."""
-    blob = path.read_bytes()
-    magic, version, header_len = m._CKPT_HEAD.unpack_from(blob, 0)
-    start = m._CKPT_HEAD.size
-    header = json.loads(blob[start:start + header_len])
+    (header_len,), payload = read_framed(path, m.MODEL_MAGIC, m.MODEL_VERSION, 1, "model")
+    header = json.loads(bytes(payload[:header_len]))
     if "drop" in edit:
         del header[edit["drop"]]
     else:
         key, value = edit["set"]
         header[key] = value
     new_header = json.dumps(header, sort_keys=True).encode()
-    payload = new_header + blob[start + header_len:-4]
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    path.write_bytes(m._CKPT_HEAD.pack(magic, version, len(new_header)) + payload
-                     + struct.pack("<I", crc))
+    write_framed(path, m.MODEL_MAGIC, m.MODEL_VERSION, (len(new_header),),
+                 new_header + payload[header_len:])
 
 
 @pytest.fixture

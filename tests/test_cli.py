@@ -9,6 +9,8 @@ import ast
 import hashlib
 import json
 import os
+import re
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -244,7 +246,9 @@ class TestSplit:
         lambda raw: raw["splits"].update({"seven": "train"}),
         lambda raw: raw.update(splits=["train", "val"]),
         lambda raw: raw.update(seed="three"),
-    ], ids=["non_integer_split_key", "splits_not_an_object", "ill_typed_seed"])
+        lambda raw: raw.update(time_steps=64, channel_count=5),
+    ], ids=["non_integer_split_key", "splits_not_an_object", "ill_typed_seed",
+            "shape_disagrees_with_container"])
     def test_malformed_manifest_is_format_error(self, data_dir, tmp_path, edit):
         bad = _copy_with_manifest(data_dir, tmp_path / "bad", edit)
         assert main(["split", "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
@@ -258,6 +262,14 @@ class TestTrain:
         doc = json.loads((run_dir / "resolved_config.json").read_text())
         assert doc["config"]["num_train_epochs"] == 6
         assert "dataset" in doc["inputs"]
+
+    def test_artifacts_have_the_mode_of_a_plain_open(self, run_dir, data_dir, tmp_path):
+        with open(tmp_path / "plain", "wb"):
+            pass
+        plain = stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+        files = [*run_dir.iterdir(), *data_dir.iterdir()]
+        assert {stat.S_IMODE(p.stat().st_mode) for p in files} == {plain}
+        assert not [p.name for p in files if p.name.startswith(".")]  # no temp file left
 
     def test_epochs_flag_beats_config_file(self, data_dir, tmp_path):
         cfg = tmp_path / "c.json"
@@ -346,6 +358,15 @@ class TestEval:
         err = capsys.readouterr().err
         assert "header" in err and "Traceback" not in err
 
+    def test_non_utf8_manifest_is_format_error(self, run_dir, data_dir, tmp_path,
+                                              capsys):
+        bad = _copy_with_manifest(data_dir, tmp_path / "bad", lambda raw: None)
+        (bad / "dataset.manifest.json").write_bytes(b"\xff\xfe{}")
+        assert main(["eval", "--model", str(run_dir), "--data", str(bad),
+                     "--rounds", "200", "--out", str(tmp_path / "ev")]) == 2
+        err = capsys.readouterr().err
+        assert "manifest" in err and len(err.splitlines()) == 1
+
     def test_missing_model_is_format_error(self, data_dir, tmp_path):
         assert main(["eval", "--model", str(tmp_path / "nope.pegm"),
                      "--data", str(data_dir), "--out", str(tmp_path / "o")]) == 2
@@ -410,20 +431,43 @@ class TestReport:
         assert set(doc["flagged"]) <= set(range(model.bank.count))
 
 
+def _write_mode(call: ast.Call) -> bool:
+    """Whether an open() call passes a mode that writes (or one not spelt out)."""
+    modes = [a for a in call.args if isinstance(a, ast.Constant)
+             and isinstance(a.value, str) and re.fullmatch(r"[rwxabt+]+", a.value)]
+    modes += [k.value for k in call.keywords if k.arg in ("mode", "flags")]
+    for mode in modes:
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+            return True
+        if set(mode.value) & set("wax+"):
+            return True
+    return False
+
+
 def test_text_io_names_an_encoding():
-    """Every read_text/write_text call in the package passes an encoding,
-    so no artifact depends on the locale."""
+    """Every read_text call in the package passes an encoding, and only
+    container.py writes files or checksums them, so no artifact depends on
+    the locale and every artifact is written atomically."""
     package = Path(protoeeg.__file__).resolve().parent
-    unnamed = []
+    unnamed, writers = [], []
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text("utf-8"))):
-            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if path.name != "container.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                           else [node.module])
+                if "zlib" in modules:
+                    writers.append(f"{where} imports zlib")
+            if not isinstance(node, ast.Call):
                 continue
-            # the encoding is the first argument of read_text, the second of write_text
-            position = {"read_text": 1, "write_text": 2}.get(node.func.attr)
-            if position is None:
-                continue
-            if len(node.args) < position and not any(
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "read_text" and not node.args and not any(
                     k.arg == "encoding" for k in node.keywords):
-                unnamed.append(f"{path.name}:{node.lineno}")
+                unnamed.append(where)
+            if path.name == "container.py":
+                continue
+            if name in ("write_text", "write_bytes") or (name == "open" and _write_mode(node)):
+                writers.append(f"{where} calls {name}")
     assert not unnamed, f"text I/O without an encoding at {unnamed}"
+    assert not writers, f"artifact I/O outside container.py: {writers}"

@@ -1,10 +1,10 @@
-import struct
-import zlib
+import dataclasses
 
 import numpy as np
 import pytest
 
 from protoeeg import dataset as ds
+from protoeeg.container import read_framed, write_framed
 from protoeeg.errors import ConfigurationError, DataFormatError
 
 
@@ -157,6 +157,12 @@ class TestSplit:
         with pytest.raises(ConfigurationError):
             ds.split(samples, fractions=(0.5, 0.5, 0.5))
 
+    def test_manifest_records_the_sample_shape(self):
+        samples = [ds.EEGSample(np.zeros((4, 5), np.float32), votes=v, sample_id=v)
+                   for v in range(3)]
+        manifest = ds.split(samples)
+        assert (manifest.time_steps, manifest.channel_count) == (4, 5)
+
 
 class TestStorage:
     def test_roundtrip_bit_exact(self, small_set, tmp_path):
@@ -209,6 +215,16 @@ class TestStorage:
         with pytest.raises(DataFormatError, match="manifest"):
             ds.load(path)
 
+    @pytest.mark.parametrize("key, value", [("sample_count", 59), ("time_steps", 64),
+                                            ("channel_count", 5)])
+    def test_manifest_disagreeing_with_container(self, small_set, tmp_path, key,
+                                                 value):
+        samples, manifest = small_set
+        path = tmp_path / "d.peeg"
+        ds.save(samples, dataclasses.replace(manifest, **{key: value}), path)
+        with pytest.raises(DataFormatError, match=key):
+            ds.load(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError):
             ds.load(tmp_path / "nope.peeg")
@@ -229,14 +245,13 @@ class TestStorage:
         samples, manifest = small_set
         path = tmp_path / "d.peeg"
         ds.save(samples, manifest, path)
-        blob = bytearray(path.read_bytes())
+        fields, view = read_framed(path, ds.MAGIC, ds.FORMAT_VERSION, 3, "dataset")
+        payload = bytearray(view)
         head = {"sample_id": samples[1].sample_id, "votes": samples[1].votes}
         head[field] = samples[0].sample_id if field == "sample_id" else 12
-        second = ds._HEADER.size + ds._RECORD_HEAD.size + samples[0].values.nbytes
-        ds._RECORD_HEAD.pack_into(blob, second, head["sample_id"], head["votes"])
-        crc = zlib.crc32(blob[ds._HEADER.size:-4]) & 0xFFFFFFFF
-        blob[-4:] = struct.pack("<I", crc)
-        path.write_bytes(bytes(blob))
+        second = ds._RECORD_HEAD.size + samples[0].values.nbytes
+        ds._RECORD_HEAD.pack_into(payload, second, head["sample_id"], head["votes"])
+        write_framed(path, ds.MAGIC, ds.FORMAT_VERSION, fields, payload)
         with pytest.raises(DataFormatError, match=match):
             ds.load(path)
 

@@ -317,6 +317,7 @@ class TestCheckpoint:
         {"set": ("parameters", _shapes_with("conv0", [16, 1, 25, 1]))},
         {"set": ("provenance", [None])},
         {"set": ("backbone", NONREDUCING_BACKBONE)},
+        {"set": ("parameters", _shapes_with("conv0", [-1, 1, 5, 5]))},
     ])
     def test_malformed_header_is_format_error(self, net, tmp_path, edit):
         path = tmp_path / "model.pegm"
