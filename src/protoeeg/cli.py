@@ -11,7 +11,8 @@ and output artifact land in ``<out>/resolved_config.json``, which is enough
 to reproduce a run bit for bit.
 
 Exit codes: 0 success; 1 usage or configuration error; 2 data or file
-format error; 3 numeric failure during computation.
+format error, or a file that cannot be read or written; 3 numeric failure
+during computation.
 """
 
 from __future__ import annotations
@@ -38,10 +39,12 @@ from .explain import explain, global_prototype_report, render_report
 from .model import load_model, save_model
 from .training import TrainConfig, TrainData, push_prototypes, train
 
-_DATA_ERRORS = (DataFormatError, MissingSampleError, ProvenanceError,
-                UndefinedMetricError)
-_NUMERIC_ERRORS = (NumericError, DegenerateInputError, DimensionError,
-                   ContractError)
+# exit code by error class; an OSError is a file the run could not read or write
+_EXIT_CODES = {UsageError: 1, ConfigurationError: 1,
+               DataFormatError: 2, MissingSampleError: 2, ProvenanceError: 2,
+               UndefinedMetricError: 2, OSError: 2,
+               NumericError: 3, DegenerateInputError: 3, DimensionError: 3,
+               ContractError: 3}
 
 
 # --------------------------------------------------------------------------
@@ -275,7 +278,7 @@ def _cmd_train(ns) -> None:
     data_file = _dataset_file(ns.data)
     samples, manifest = load(data_file)
     out = Path(ns.out)
-    model, history = train(cfg, (samples, manifest), out_dir=out)
+    model, history = train(cfg, TrainData.from_dataset(samples, manifest), out_dir=out)
     final = out / "model.pegm"
     save_model(model, final)
     for warning in history.warnings:
@@ -322,19 +325,18 @@ def _cmd_eval(ns) -> None:
 
 
 def _cmd_push(ns) -> None:
-    defaults = TrainConfig().to_dict()
+    defaults = {"seed": 0}
     merged = resolve_config(defaults, ns.config, {"seed": ns.seed})
-    cfg = _build(TrainConfig.from_dict, merged)
     model_file = _model_file(ns.model)
     model = load_model(model_file)
     data_file = _dataset_file(ns.data)
     samples, manifest = load(data_file)
     data = TrainData.from_dataset(samples, manifest)
-    records, _ = push_prototypes(model, data, cfg, epoch=0)
+    records, _ = push_prototypes(model, data, epoch=0)
     out = Path(ns.out)
     save_model(model, out / "model.pegm")
     write_json(out / "push_records.json", [r.to_dict() for r in records])
-    _write_resolved(out, "push", cfg.to_dict(),
+    _write_resolved(out, "push", merged,
                     inputs={"model": model_file, "dataset": data_file})
     print(f"pushed {len(records)} prototypes; model at {out / 'model.pegm'}")
 
@@ -367,7 +369,7 @@ def _cmd_report(ns) -> None:
     model = load_model(model_file)
     data_file = _dataset_file(ns.data)
     samples, manifest = load(data_file)
-    doc = global_prototype_report(model, (samples, manifest))
+    doc = global_prototype_report(model, TrainData.from_dataset(samples, manifest))
     out = Path(ns.out)
     write_json(out / "prototype_report.json", doc)
     _write_resolved(out, "report", merged,
@@ -469,18 +471,9 @@ def main(argv=None) -> int:
         return 1
     try:
         ns.handler(ns)
-    except UsageError as exc:
+    except (ProtoeegError, OSError) as exc:
         print(f"{parser.prog} {ns.command}: error: {exc}", file=sys.stderr)
-        return 1
-    except ConfigurationError as exc:
-        print(f"{parser.prog} {ns.command}: error: {exc}", file=sys.stderr)
-        return 1
-    except _DATA_ERRORS as exc:
-        print(f"{parser.prog} {ns.command}: error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERIC_ERRORS as exc:
-        print(f"{parser.prog} {ns.command}: error: {exc}", file=sys.stderr)
-        return 3
+        return next(_EXIT_CODES[k] for k in type(exc).__mro__ if k in _EXIT_CODES)
     return 0
 
 

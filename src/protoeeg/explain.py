@@ -18,7 +18,7 @@ from .errors import (ConfigurationError, MissingSampleError, NumericError,
                      ProvenanceError)
 from .evaluation import BinaryScore, binarize
 from .model import ProtoEEGNet, points_contributed
-from .training import TrainData
+from .training import TrainData, require_class_coverage
 
 
 def _fmt(x: float) -> str:
@@ -257,25 +257,16 @@ def render_report(explanation: Explanation, dataset, out_dir) -> dict:
 # prototype-quality audit
 
 
-def global_prototype_report(model: ProtoEEGNet, dataset) -> dict:
+def global_prototype_report(model: ProtoEEGNet, data: TrainData) -> dict:
     """Per-prototype similarity audit over the training split.
 
     Flags prototypes that resemble some off-class sample more than any
     sample of their own class.
     """
     _require_provenance(model)
-    if isinstance(dataset, TrainData):
-        data = dataset
-    else:
-        samples, manifest = dataset
-        data = TrainData.from_dataset(samples, manifest)
     labels = data.train_labels
     bank = model.bank
-    counts = np.bincount(labels, minlength=bank.num_classes)
-    missing = np.nonzero(counts[:bank.num_classes] == 0)[0]
-    if missing.size:
-        raise ConfigurationError(
-            f"class {int(missing[0])} has no training samples to audit against")
+    require_class_coverage(data, bank.num_classes, "to audit against")
 
     sims = model.forward_probs(data.train_values)["similarities"]  # (n, count)
     rows, flagged = [], []

@@ -36,8 +36,9 @@ PROTOS_PER_CLASS = 12
 NUM_PROTOTYPES = NUM_CLASSES * PROTOS_PER_CLASS
 FINAL_TIME_EXTENT = 10
 
-# windows per off-tape chunk: small chunks are faster per window and keep
-# the peak low, and a window's latent does not depend on its chunk
+# windows per off-tape chunk and rows per similarity GEMM: small chunks are
+# faster per window and keep the peak low, and a window's latent does not
+# depend on its chunk
 OFF_TAPE_CHUNK = 32
 
 MODEL_MAGIC = b"PEGM"
@@ -199,13 +200,24 @@ def init_head(num_classes: int = NUM_CLASSES,
 
 
 def similarities(z: np.ndarray, bank: PrototypeBank) -> np.ndarray:
-    """Cosine similarities of unit latent(s) against the whole bank.
+    """Cosine similarities of (N, latent_dim) unit latents against the bank.
 
     Rows of ``z`` and all prototypes are assumed unit-norm, so the
-    similarity is a dot product.  The training losses build their own
-    product on the autodiff tape.
+    similarity is a dot product.  This is the one off-tape latent x
+    prototype product; the training losses build theirs on the autodiff
+    tape.  It runs one GEMM per block of exactly ``OFF_TAPE_CHUNK`` rows,
+    the last block zero-padded, because BLAS rounds a GEMM with a few rows
+    differently from one with many: with every GEMM the same shape, a
+    window's similarities do not depend on its batch.
     """
-    return np.asarray(z) @ bank.vectors.data.T
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2:
+        raise DimensionError(f"similarities expects (N, latent_dim) latents, got {z.shape}")
+    n, dim = z.shape
+    padded = np.zeros((-(-n // OFF_TAPE_CHUNK) * OFF_TAPE_CHUNK, dim))
+    padded[:n] = z
+    blocks = padded.reshape(-1, OFF_TAPE_CHUNK, dim)
+    return np.matmul(blocks, bank.vectors.data.T).reshape(-1, bank.count)[:n]
 
 
 def class_logits(sims: np.ndarray, head: np.ndarray) -> np.ndarray:
@@ -346,8 +358,10 @@ class ProtoEEGNet:
     def forward_probs(self, values: np.ndarray) -> dict:
         """Inference pass: latents, similarities, logits, probabilities.
 
-        Runs off-tape in chunks of ``OFF_TAPE_CHUNK`` windows; logits come
-        from :func:`class_logits` so they match explanation row sums exactly.
+        Runs off-tape in chunks of ``OFF_TAPE_CHUNK`` windows, and every
+        output row is the same bits wherever its window sits in the batch;
+        logits come from :func:`class_logits` so they match explanation row
+        sums exactly.
         """
         vals = np.asarray(values, dtype=np.float64)
         squeeze = vals.ndim == 2

@@ -21,12 +21,13 @@ from .container import write_atomic
 from .dataset import split_arrays
 from .errors import ConfigurationError
 from .losses import LossCoefficients, total_loss
-from .model import ProtoEEGNet, PushRecord, save_model
+from .model import ProtoEEGNet, PushRecord, save_model, similarities
 
 __all__ = [
     "TrainConfig", "TrainData", "TrainHistory", "stage_spans",
     "joint_lr_factor", "run_warm_stage", "run_secondary_warm_stage",
-    "run_joint_stage", "push_prototypes", "optimize_last_layer", "train",
+    "run_joint_stage", "require_class_coverage", "push_prototypes",
+    "optimize_last_layer", "train",
 ]
 
 
@@ -56,7 +57,6 @@ class TrainConfig:
     joint_feature_lr: float = 1e-3
     joint_last_layer_lr: float = 1e-5
     batch_size: int = 32
-    train_push_batch_size: int = 75
     last_layer_max_iters: int = 500
     last_layer_tol: float = 1e-9
     coefficients: LossCoefficients = field(default_factory=LossCoefficients)
@@ -69,7 +69,7 @@ class TrainConfig:
         for name in ("num_train_epochs", "num_warm_epochs",
                      "num_secondary_warm_epochs", "push_start",
                      "joint_lr_step_size", "batch_size",
-                     "train_push_batch_size", "last_layer_max_iters", "seed"):
+                     "last_layer_max_iters", "seed"):
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
                 raise ConfigurationError(f"{name} must be an integer, got {v!r}")
@@ -108,8 +108,8 @@ class TrainConfig:
             v = float(getattr(self, name))
             if not np.isfinite(v) or v < 0:
                 raise ConfigurationError(f"{name} must be finite and >= 0")
-        if self.batch_size < 1 or self.train_push_batch_size < 1:
-            raise ConfigurationError("batch sizes must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigurationError("batch_size must be >= 1")
         if self.last_layer_max_iters < 1:
             raise ConfigurationError("last_layer_max_iters must be >= 1")
         if not (self.last_layer_tol > 0):
@@ -187,23 +187,20 @@ class TrainData:
         vv, vl, vi = split_arrays(samples, manifest, "val")
         return cls(tv, tl, ti, vv, vl, vi)
 
-    @classmethod
-    def of(cls, values, labels, ids=None) -> "TrainData":
-        """Wrap raw train arrays (no validation split); handy for small runs."""
-        values = np.asarray(values, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
-        if ids is None:
-            ids = np.arange(len(labels), dtype=np.int64)
-        else:
-            ids = np.asarray(ids, dtype=np.int64)
-        empty_v = np.empty((0,) + values.shape[1:], dtype=np.float64)
-        empty_i = np.empty(0, dtype=np.int64)
-        return cls(values, labels, ids, empty_v, empty_i.copy(), empty_i.copy())
-
 
 def _require_nonempty(data: TrainData) -> None:
     if data.train_values.shape[0] == 0:
         raise ConfigurationError("training split is empty")
+
+
+def require_class_coverage(data: TrainData, num_classes: int, purpose: str) -> None:
+    """Raise unless every class 0..num_classes-1 has a training sample;
+    `purpose` ends the message ("to push onto", "to audit against")."""
+    counts = np.bincount(data.train_labels, minlength=num_classes)
+    missing = np.nonzero(counts[:num_classes] == 0)[0]
+    if missing.size:
+        raise ConfigurationError(
+            f"class {int(missing[0])} has no training samples {purpose}")
 
 
 # ---------------------------------------------------------------------------
@@ -359,66 +356,38 @@ def run_joint_stage(model, data, config, epochs=None, *, rng=None,
 # prototype projection
 
 
-def push_prototypes(model, data, config, *, epoch: int = 0) -> tuple:
+def push_prototypes(model, data, *, epoch: int = 0) -> tuple:
     """Snap each prototype onto its most similar same-class training latent.
 
-    The training split is embedded once (a latent does not depend on its
-    batch) and scanned in ascending sample_id order in batches of
-    `train_push_batch_size`; a strict improvement is required to replace
-    the incumbent, so ties resolve to the smallest sample_id.  Prototype
-    rows are overwritten with the winning latents byte for byte.
+    One `forward_probs` pass over the training split gives the latents and
+    the similarities the classifier scores with.  Each class's rows are
+    scanned in ascending sample_id order and the first maximum wins, so
+    ties resolve to the smallest sample_id.  Prototype rows are overwritten
+    with the winning latents byte for byte.
 
     Returns (records, latents): the training split's latents in `data`
     order, which the frozen-backbone head refit reuses.
     """
     _require_nonempty(data)
     bank = model.bank
-    labels = data.train_labels
-    counts = np.bincount(labels, minlength=bank.num_classes)
-    missing = np.nonzero(counts[:bank.num_classes] == 0)[0]
-    if missing.size:
-        raise ConfigurationError(
-            f"class {int(missing[0])} has no training samples to push onto")
-
-    protos = bank.vectors.data
-    best_sim = np.full(bank.count, -np.inf)
-    best_id = np.full(bank.count, -1, dtype=np.int64)
-    best_latent = np.zeros_like(protos)
+    require_class_coverage(data, bank.num_classes, "to push onto")
+    out = model.forward_probs(data.train_values)
+    latents, sims = out["latents"], out["similarities"]
     order = np.argsort(data.train_ids, kind="stable")
-    step = config.train_push_batch_size
-    latents = model.forward_probs(data.train_values)["latents"]
+    winner = np.empty(bank.count, dtype=np.int64)
+    for c in range(bank.num_classes):
+        rows = order[data.train_labels[order] == c]
+        cols = bank.class_slice(c)
+        winner[cols] = rows[np.argmax(sims[rows, cols], axis=0)]
 
-    for lo in range(0, order.size, step):
-        sel = order[lo:lo + step]
-        z = latents[sel]
-        sims = z @ protos.T
-        batch_labels = labels[sel]
-        batch_ids = data.train_ids[sel]
-        for c in np.unique(batch_labels):
-            rows = np.nonzero(batch_labels == c)[0]
-            lo_j = int(c) * bank.per_class
-            block = sims[rows][:, lo_j:lo_j + bank.per_class]
-            arg = np.argmax(block, axis=0)  # first max <=> smallest id
-            top = block[arg, np.arange(block.shape[1])]
-            for slot in range(bank.per_class):
-                j = lo_j + slot
-                if top[slot] > best_sim[j]:
-                    r = rows[arg[slot]]
-                    best_sim[j] = top[slot]
-                    best_id[j] = batch_ids[r]
-                    best_latent[j] = z[r]
-
-    records = []
-    for j in range(bank.count):
-        c, slot = divmod(j, bank.per_class)
-        rec = PushRecord(
-            prototype_class=c, prototype_index=slot,
-            source_sample_id=int(best_id[j]),
-            similarity=float(np.clip(best_sim[j], -1.0, 1.0)),
-            epoch=int(epoch))
-        bank.provenance[j] = rec
-        records.append(rec)
-    protos[:] = best_latent
+    top = np.clip(sims[winner, np.arange(bank.count)], -1.0, 1.0)
+    records = [PushRecord(prototype_class=bank.class_of(j),
+                          prototype_index=j % bank.per_class,
+                          source_sample_id=int(data.train_ids[winner[j]]),
+                          similarity=float(top[j]), epoch=int(epoch))
+               for j in range(bank.count)]
+    bank.provenance[:] = records
+    bank.vectors.data[:] = latents[winner]
     return records, latents
 
 
@@ -510,7 +479,7 @@ def optimize_last_layer(model, latents, labels, *, l1_coef: float = 0.01,
     """
     if len(labels) == 0:
         raise ConfigurationError("training split is empty")
-    sims = latents @ model.bank.vectors.data.T
+    sims = similarities(latents, model.bank)
     weights, info = _prox_head_fit(sims, labels, model.head.data,
                                    model.bank.per_class, l1_coef, max_iters,
                                    tol)
@@ -543,20 +512,14 @@ _STAGE_OPS = {
 }
 
 
-def train(config: TrainConfig, dataset, model: ProtoEEGNet = None,
+def train(config: TrainConfig, data: TrainData, model: ProtoEEGNet = None,
           out_dir=None) -> tuple:
     """Full schedule: warm, secondary warm, joint, with push + convex fit
     after every epoch named in `push_epochs`.
 
-    `dataset` is a TrainData bundle or a (samples, manifest) pair.  Returns
-    (model, TrainHistory).  With `out_dir` set, writes `history.jsonl` and a
-    checkpoint at every push epoch.
+    Returns (model, TrainHistory).  With `out_dir` set, writes
+    `history.jsonl` and a checkpoint at every push epoch.
     """
-    if isinstance(dataset, TrainData):
-        data = dataset
-    else:
-        samples, manifest = dataset
-        data = TrainData.from_dataset(samples, manifest)
     _require_nonempty(data)
     if model is None:
         model = ProtoEEGNet.initialize(seed=config.seed)
@@ -577,7 +540,7 @@ def train(config: TrainConfig, dataset, model: ProtoEEGNet = None,
             last = seg[-1]
             if last not in push_set:
                 continue
-            pushes, latents = push_prototypes(model, data, config, epoch=last)
+            pushes, latents = push_prototypes(model, data, epoch=last)
             model, info = optimize_last_layer(
                 model, latents, data.train_labels, l1_coef=config.coefficients.l1,
                 max_iters=config.last_layer_max_iters,

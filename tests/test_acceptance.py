@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from conftest import assert_grad_matches, gradcheck
+from conftest import assert_grad_matches, gradcheck, train_data
 from protoeeg import cli
 from protoeeg import diffcore as dc
 from protoeeg import model as m
@@ -326,12 +326,12 @@ def test_criterion_03_push_postconditions():
     values = np.stack([s.values for s in samples]).astype(np.float64)
     labels = np.array([s.votes for s in samples], dtype=np.int64)
     assert np.bincount(labels, minlength=9).min() > 0
-    data = tr.TrainData.of(values, labels)
+    data = train_data(values, labels)
 
     net = m.ProtoEEGNet.initialize(seed=1)
     old_protos = net.bank.vectors.data.copy()
     z = net.forward_probs(values)["latents"]
-    records, _ = tr.push_prototypes(net, data, tr.TrainConfig(), epoch=7)
+    records, _ = tr.push_prototypes(net, data, epoch=7)
 
     protos = net.bank.vectors.data
     assert np.all(np.abs(np.linalg.norm(protos, axis=1) - 1.0) <= 1e-9)
@@ -523,7 +523,7 @@ def trained_run():
                             push_epochs=(20, 30), joint_lr_step_size=30,
                             batch_size=32, seed=0)
     t0 = time.monotonic()
-    net, _ = tr.train(config, (samples, manifest))
+    net, _ = tr.train(config, tr.TrainData.from_dataset(samples, manifest))
     elapsed = time.monotonic() - t0
     test_samples = [samples[i] for i in manifest.ids_for("test")]
     train_labels = {int(i): samples[i].votes for i in manifest.ids_for("train")}

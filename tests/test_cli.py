@@ -162,6 +162,16 @@ class TestSynth:
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "spoke_rate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["afile", "afile/sub"])
+    def test_unwritable_out_is_file_error(self, tmp_path, capsys, target):
+        # --out names a file (FileExistsError) or a path under one (NotADirectoryError)
+        (tmp_path / "afile").touch()
+        assert main(["synth", "--n", "3", "--out", str(tmp_path / target)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+        assert (tmp_path / "afile").read_bytes() == b""
+
     def test_writes_stay_inside_out(self, tmp_path, monkeypatch):
         scratch = tmp_path / "cwd"
         scratch.mkdir()
@@ -471,3 +481,41 @@ def test_text_io_names_an_encoding():
                 writers.append(f"{where} calls {name}")
     assert not unnamed, f"text I/O without an encoding at {unnamed}"
     assert not writers, f"artifact I/O outside container.py: {writers}"
+
+
+def _reads_prototypes(node, aliases) -> bool:
+    """Whether an expression reads ``<x>.vectors.data`` or a name bound to it."""
+    return any((isinstance(n, ast.Attribute) and n.attr == "data"
+                and isinstance(n.value, ast.Attribute) and n.value.attr == "vectors")
+               or (isinstance(n, ast.Name) and n.id in aliases)
+               for n in ast.walk(node))
+
+
+def test_one_similarity_product():
+    """Off the autodiff tape only model.similarities multiplies latents by the
+    prototype matrix, so the push, the refit and every report see the bits the
+    classifier scores with."""
+    package = Path(protoeeg.__file__).resolve().parent
+    products = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "model.py":
+            continue
+        tree = ast.parse(path.read_text("utf-8"))
+        aliases = set()
+        for node in ast.walk(tree):  # names bound to a view such as bank.vectors.data.T
+            if (isinstance(node, ast.Assign)
+                    and isinstance(node.value, (ast.Attribute, ast.Subscript))
+                    and _reads_prototypes(node.value, aliases)):
+                aliases |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+                operands = [node.left, node.right]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("matmul", "dot")
+                  and getattr(node.func.value, "id", None) in ("np", "numpy")):
+                operands = node.args
+            else:
+                continue
+            if any(_reads_prototypes(op, aliases) for op in operands):
+                products.append(f"{path.name}:{node.lineno}")
+    assert not products, f"latent x prototype products outside model.py: {products}"

@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from conftest import train_data
 from protoeeg import explain as ex
 from protoeeg import model as m
 from protoeeg import training as tr
@@ -38,15 +39,14 @@ def toy_windows(n_per_class=6, num_classes=9, seed=0):
 @pytest.fixture(scope="module")
 def pushed():
     values, labels = toy_windows()
-    data = tr.TrainData.of(values, labels)
+    data = train_data(values, labels)
     net = m.ProtoEEGNet.initialize(config=TOY_ARCH, seed=31, num_classes=9,
                                    per_class=2)
     cfg = tr.TrainConfig(num_train_epochs=4, num_warm_epochs=4,
                          num_secondary_warm_epochs=0, push_start=0,
-                         push_epochs=(4,), batch_size=8,
-                         train_push_batch_size=10, seed=2)
+                         push_epochs=(4,), batch_size=8, seed=2)
     tr.run_warm_stage(net, data, cfg)
-    records, _ = tr.push_prototypes(net, data, cfg, epoch=4)
+    records, _ = tr.push_prototypes(net, data, epoch=4)
     samples = [EEGSample(values=values[i].astype(np.float32),
                          votes=int(labels[i]), sample_id=int(data.train_ids[i]))
                for i in range(len(labels))]
@@ -140,14 +140,10 @@ class TestExplain:
 
     def test_binary_score_needs_nine_classes(self):
         values, labels = toy_windows(n_per_class=4, num_classes=4)
-        data = tr.TrainData.of(values, labels)
+        data = train_data(values, labels)
         net = m.ProtoEEGNet.initialize(config=TOY_ARCH, seed=2, num_classes=4,
                                        per_class=2)
-        cfg = tr.TrainConfig(num_train_epochs=1, num_warm_epochs=1,
-                             num_secondary_warm_epochs=0, push_start=0,
-                             push_epochs=(1,), batch_size=8,
-                             train_push_batch_size=8, seed=0)
-        tr.push_prototypes(net, data, cfg, epoch=1)
+        tr.push_prototypes(net, data, epoch=1)
         sample = EEGSample(values=values[0].astype(np.float32), votes=0,
                            sample_id=0)
         result = ex.explain(net, sample)

@@ -6,6 +6,7 @@ from conftest import rewrite_header
 
 from protoeeg import diffcore as dc
 from protoeeg import model as m
+from protoeeg.dataset import EEGSample
 from protoeeg.diffcore import Tensor
 from protoeeg.errors import (
     ConfigurationError,
@@ -14,6 +15,8 @@ from protoeeg.errors import (
     DimensionError,
     NumericError,
 )
+from protoeeg.evaluation import score_samples
+from protoeeg.explain import explain
 
 
 @pytest.fixture(scope="module")
@@ -98,28 +101,29 @@ class TestHeadInit:
 class TestSimilarities:
     def test_identical_vector_scores_one(self):
         bank = m.init_prototypes(seed=0)
-        z = bank.vectors.data[17].copy()
+        z = bank.vectors.data[17:18].copy()
         sims = m.similarities(z, bank)
-        assert sims[17] == pytest.approx(1.0, abs=1e-12)
+        assert sims.shape == (1, 108)
+        assert sims[0, 17] == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_scores_zero(self):
         vecs = np.eye(4)
         bank = m.PrototypeBank(vectors=Tensor(vecs), num_classes=2, per_class=2)
-        z = np.array([0.0, 0.0, 0.0, 0.0])
+        z = np.array([[0.0, 0.0, 0.0, 0.0]])
         # use a vector orthogonal to the first three prototypes
-        z[3] = 1.0
+        z[0, 3] = 1.0
         sims = m.similarities(z, bank)
-        assert_allclose(sims[:3], 0.0, atol=1e-15)
+        assert_allclose(sims[0, :3], 0.0, atol=1e-15)
 
     def test_matches_pairwise_cosine(self):
         rng = np.random.default_rng(4)
         bank = m.init_prototypes(seed=4)
-        z = rng.standard_normal(128)
+        z = rng.standard_normal((1, 128))
         z /= np.linalg.norm(z)
         sims = m.similarities(z, bank)
         for j in range(0, 108, 7):
-            ref = dc.cosine_similarity(Tensor(z), Tensor(bank.vectors.data[j])).item()
-            assert sims[j] == pytest.approx(ref, abs=1e-12)
+            ref = dc.cosine_similarity(Tensor(z[0]), Tensor(bank.vectors.data[j])).item()
+            assert sims[0, j] == pytest.approx(ref, abs=1e-12)
 
     def test_bounded(self):
         rng = np.random.default_rng(5)
@@ -128,6 +132,23 @@ class TestSimilarities:
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         sims = m.similarities(z, bank)
         assert np.all(np.abs(sims) <= 1.0 + 1e-12)
+
+    def test_padded_last_block(self):
+        # 33 rows: one full block of OFF_TAPE_CHUNK and one padded with 31 zero rows
+        rng = np.random.default_rng(6)
+        bank = m.init_prototypes(seed=6)
+        z = rng.standard_normal((m.OFF_TAPE_CHUNK + 1, 128))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        sims = m.similarities(z, bank)
+        assert sims.shape == (33, 108)
+        assert_allclose(sims, z @ bank.vectors.data.T, rtol=0, atol=1e-15)
+        assert np.array_equal(sims[-1:], m.similarities(z[-1:], bank))
+        assert np.array_equal(sims[:1], m.similarities(z[:1], bank))
+
+    def test_rejects_single_vector(self):
+        bank = m.init_prototypes(seed=0)
+        with pytest.raises(DimensionError):
+            m.similarities(bank.vectors.data[0], bank)
 
 
 class TestHeadMath:
@@ -211,6 +232,29 @@ class TestEmbed:
         dead.conv_kernels[-1].data[:] = 0.0
         with pytest.raises(DegenerateInputError):
             dead.embed(np.zeros((128, 37)))
+
+
+def test_inference_is_batch_invariant():
+    # explain scores one window alone and eval scores it inside a batch; both
+    # must report the same similarities, logits and probabilities bit for bit
+    net = m.ProtoEEGNet.initialize(seed=3)
+    net.bank.provenance = [m.PushRecord(j // 12, j % 12, j, 1.0, 0) for j in range(108)]
+    rng = np.random.default_rng(8)
+    window = rng.standard_normal((128, 37)).astype(np.float32)
+    sample = EEGSample(values=window, votes=4, sample_id=0)
+    alone = net.forward_probs(window)
+    p_pos = explain(net, sample).binary.p_pos
+    for size in (7, 75):
+        batch = rng.standard_normal((size, 128, 37)).astype(np.float32)
+        positions = sorted({0, 1, size // 2, size - 2, size - 1})
+        batch[positions] = window
+        out = net.forward_probs(batch)
+        scores = score_samples(net, [EEGSample(values=v, votes=4, sample_id=i)
+                                     for i, v in enumerate(batch)])
+        for pos in positions:
+            for key in ("similarities", "logits", "probabilities"):
+                assert np.array_equal(out[key][pos], alone[key]), (size, pos, key)
+            assert scores[pos].p_pos == p_pos, (size, pos)
 
 
 def _reference_embed(net, window):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from conftest import train_data
 from protoeeg import model as m
 from protoeeg import training as tr
 from protoeeg.errors import ConfigurationError
@@ -41,8 +42,8 @@ def toy_windows(n_per_class=10, num_classes=4, seed=0, noise=0.05):
 def toy_config(**overrides):
     base = dict(num_train_epochs=12, num_warm_epochs=2,
                 num_secondary_warm_epochs=2, push_start=4, push_epochs=(12,),
-                joint_lr_step_size=4, batch_size=8, train_push_batch_size=10,
-                last_layer_max_iters=200, seed=1)
+                joint_lr_step_size=4, batch_size=8, last_layer_max_iters=200,
+                seed=1)
     base.update(overrides)
     return tr.TrainConfig(**base)
 
@@ -54,7 +55,7 @@ def param_bytes(tensors):
 @pytest.fixture(scope="module")
 def toy_data():
     values, labels = toy_windows()
-    return tr.TrainData.of(values, labels)
+    return train_data(values, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +169,7 @@ class TestWarmStage:
         assert all(b > a for a, b in zip(trace, trace[1:]))
 
     def test_empty_split_rejected(self):
-        empty = tr.TrainData.of(np.empty((0, 128, 37)), np.empty(0, dtype=int))
+        empty = train_data(np.empty((0, 128, 37)), np.empty(0, dtype=int))
         with pytest.raises(ConfigurationError):
             tr.run_warm_stage(toy_model(), empty, toy_config())
 
@@ -272,20 +273,18 @@ def push_toy_data():
     values.extend(more)
     labels.extend(more_labels + 1)
     ids = rng.permutation(50) * 3 + 7
-    return tr.TrainData.of(np.asarray(values), labels, ids=ids)
+    return train_data(np.asarray(values), labels, ids=ids)
 
 
 class TestPush:
-    @pytest.mark.parametrize("push_batch", [7, 75])
-    def test_matches_exhaustive_oracle(self, push_batch):
+    def test_matches_exhaustive_oracle(self):
         data = push_toy_data()
         net = toy_model(seed=13)
-        cfg = toy_config(train_push_batch_size=push_batch)
         protos_before = net.bank.vectors.data.copy()
         order = np.argsort(data.train_ids)
         latents = net.forward_probs(data.train_values[order])["latents"]
 
-        records, pushed_latents = tr.push_prototypes(net, data, cfg, epoch=12)
+        records, pushed_latents = tr.push_prototypes(net, data, epoch=12)
 
         # the push hands back every training latent, in data order, unchanged
         assert np.array_equal(pushed_latents[order], latents)
@@ -304,7 +303,7 @@ class TestPush:
     def test_tie_breaks_to_smallest_id(self):
         data = push_toy_data()
         net = toy_model(seed=13)
-        records, _ = tr.push_prototypes(net, data, toy_config())
+        records, _ = tr.push_prototypes(net, data)
         class0_ids = sorted(data.train_ids[data.train_labels == 0])
         for rec in records:
             if rec.prototype_class == 0:
@@ -312,7 +311,7 @@ class TestPush:
 
     def test_max_same_class_similarity_is_one(self, toy_data):
         net = toy_model(seed=4)
-        tr.push_prototypes(net, toy_data, toy_config())
+        tr.push_prototypes(net, toy_data)
         latents = net.forward_probs(toy_data.train_values)["latents"]
         sims = latents @ net.bank.vectors.data.T
         per = net.bank.per_class
@@ -323,7 +322,7 @@ class TestPush:
 
     def test_prototype_equals_source_latent(self, toy_data):
         net = toy_model(seed=4)
-        records, _ = tr.push_prototypes(net, toy_data, toy_config())
+        records, _ = tr.push_prototypes(net, toy_data)
         for rec in records:
             j = rec.prototype_class * net.bank.per_class + rec.prototype_index
             row = np.nonzero(toy_data.train_ids == rec.source_sample_id)[0][0]
@@ -333,9 +332,9 @@ class TestPush:
 
     def test_missing_class_rejected(self):
         values, labels = toy_windows(n_per_class=5, num_classes=3)
-        data = tr.TrainData.of(values, labels)  # classes 0..2; model wants 4
+        data = train_data(values, labels)  # classes 0..2; model wants 4
         with pytest.raises(ConfigurationError, match="class 3"):
-            tr.push_prototypes(toy_model(), data, toy_config())
+            tr.push_prototypes(toy_model(), data)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +448,7 @@ class TestConvexHeadFit:
         net = toy_model(seed=8)
         cfg = toy_config()
         tr.run_warm_stage(net, toy_data, cfg)
-        _, latents = tr.push_prototypes(net, toy_data, cfg)
+        _, latents = tr.push_prototypes(net, toy_data)
         off = tr._offclass_mask(net.bank.num_classes, net.bank.per_class)
         before = np.mean(np.abs(net.head.data[off]))
         tr.optimize_last_layer(net, latents, toy_data.train_labels,
@@ -467,8 +466,7 @@ class TestTrain:
         base = dict(num_train_epochs=6, num_warm_epochs=2,
                     num_secondary_warm_epochs=2, push_start=2,
                     push_epochs=(5, 6), joint_lr_step_size=2, batch_size=8,
-                    train_push_batch_size=10, last_layer_max_iters=80,
-                    seed=3)
+                    last_layer_max_iters=80, seed=3)
         base.update(overrides)
         return tr.TrainConfig(**base)
 
@@ -548,7 +546,7 @@ class TestTrain:
         assert acc >= 0.95
 
     def test_empty_train_split_rejected(self):
-        empty = tr.TrainData.of(np.empty((0, 128, 37)), np.empty(0, dtype=int))
+        empty = train_data(np.empty((0, 128, 37)), np.empty(0, dtype=int))
         with pytest.raises(ConfigurationError):
             tr.train(self.small_cfg(), empty)
 
