@@ -4,11 +4,12 @@ Subcommands: synth, preprocess, split, train, eval, push, explain, report.
 Every one of them accepts ``--seed``, ``--config`` (a UTF-8 JSON file) and
 ``--out`` (the run directory; no subcommand writes anywhere else).  Config
 resolution is defaults <- file <- command-line flags, key by key; an unknown
-key or a value of the wrong type fails fast naming the key.
+key or a value of the wrong type, at any depth, fails fast naming its path.
 
 The resolved configuration, the seed, and SHA-256 checksums of every input
-and output artifact land in ``<out>/resolved_config.json``, which is enough
-to reproduce a run bit for bit.
+and output artifact land in ``<out>/resolved_config.json``.  With the same
+numpy/BLAS build and the same BLAS thread count, which it does not record,
+that is enough to reproduce a run bit for bit.
 
 Exit codes: 0 success; 1 usage or configuration error; 2 data or file
 format error, or a file that cannot be read or written; 3 numeric failure
@@ -21,6 +22,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import MISSING, asdict, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,61 +68,79 @@ def _load_config_file(path) -> dict:
     return raw
 
 
-def _check_type(key: str, value, template) -> None:
-    """Reject file values whose JSON type disagrees with the default's."""
-    if template is None:
-        return
-    if isinstance(template, bool):
-        ok = isinstance(value, bool)
-        want = "a boolean"
-    elif isinstance(template, int):
-        ok = isinstance(value, int) and not isinstance(value, bool)
-        want = "an integer"
-    elif isinstance(template, float):
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-        want = "a number"
-    elif isinstance(template, str):
-        ok = isinstance(value, str)
-        want = "a string"
+def _check(key: str, value, template) -> None:
+    """Reject a value whose JSON type disagrees with its default's, leaf by
+    leaf: object keys must exist in the default, and each list element must
+    match the default list's elements.  An int may stand for a float; a bool
+    stands for no number."""
+    if isinstance(template, dict):
+        want, ok = "an object", isinstance(value, dict)
     elif isinstance(template, (list, tuple)):
-        ok = isinstance(value, (list, tuple))
-        want = "a list"
-    elif isinstance(template, dict):
-        ok = isinstance(value, dict)
-        want = "an object"
+        want, ok = "a list", isinstance(value, (list, tuple))
+    elif isinstance(template, bool):
+        want, ok = "a boolean", isinstance(value, bool)
+    elif isinstance(template, int):
+        want, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
+    elif isinstance(template, float):
+        want = "a number"
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     else:
-        return
+        want, ok = "a string", isinstance(value, str)
     if not ok:
         raise ConfigurationError(
             f"config key {key!r} expects {want}, got {type(value).__name__}")
+    if isinstance(template, dict):
+        for sub, item in value.items():
+            if sub not in template:
+                raise ConfigurationError(f"unknown config key {f'{key}.{sub}'!r}")
+            _check(f"{key}.{sub}", item, template[sub])
+    elif isinstance(template, (list, tuple)) and template:
+        for i, item in enumerate(value):
+            _check(f"{key}[{i}]", item, template[0])
 
 
-def resolve_config(defaults: dict, config_path, overrides: dict) -> dict:
+def resolve_config(defaults: dict, config_path, overrides: dict,
+                   required=()) -> dict:
     """defaults <- JSON file <- CLI flags; later sources win key by key.
 
-    Unknown keys in the file and override values that are not None but
-    target no known key both fail with the key named.
+    Every file value and every override that is not None is checked against
+    its default with `_check`; a key in `required` must come from one of
+    them, and a seed must be non-negative.
     """
     merged = dict(defaults)
-    for key, value in _load_config_file(config_path).items():
+    given = {**_load_config_file(config_path),
+             **{k: v for k, v in overrides.items() if v is not None}}
+    for key, value in given.items():
         if key not in merged:
             raise ConfigurationError(f"unknown config key {key!r}")
-        _check_type(key, value, merged[key])
+        _check(key, value, defaults[key])
         merged[key] = value
-    for key, value in overrides.items():
-        if value is None:
-            continue
-        if key not in merged:
-            raise ConfigurationError(f"unknown config key {key!r}")
-        merged[key] = value
+    for key in required:
+        if key not in given:
+            raise UsageError(f"config key {key!r} must come from a flag or the config file")
+    if merged.get("seed", 0) < 0:
+        raise ConfigurationError(
+            f"config key 'seed' must be a non-negative integer, got {merged['seed']}")
     return merged
 
 
-def _build(factory, merged: dict):
+def _build(cls, merged: dict):
+    """Build config dataclass `cls` from a checked dict.  Nested dataclasses
+    are built the same way, keys a dict leaves out keep their field defaults,
+    and a list becomes a tuple where the default is one."""
+    kwargs = {}
+    for f in fields(cls):
+        if f.name not in merged:
+            continue
+        value = merged[f.name]
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        if is_dataclass(default):
+            value = _build(type(default), value)
+        elif isinstance(default, tuple):
+            value = tuple(value)
+        kwargs[f.name] = value
     try:
-        return factory(merged)
-    except ProtoeegError:
-        raise
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad config value: {exc}") from exc
 
@@ -171,19 +191,78 @@ def _model_file(arg) -> Path:
 
 
 def _cmd_synth(ns) -> None:
-    defaults = SynthConfig(n_samples=1).to_dict()
-    defaults["n_samples"] = None  # must come from --n or the config file
+    defaults = asdict(SynthConfig(n_samples=1))  # n_samples: its type only
     merged = resolve_config(defaults, ns.config,
-                            {"n_samples": ns.n, "seed": ns.seed})
-    if merged["n_samples"] is None:
-        raise UsageError("synth needs --n or an 'n_samples' config key")
-    cfg = _build(SynthConfig.from_dict, merged)
+                            {"n_samples": ns.n, "seed": ns.seed},
+                            required=("n_samples",))
+    cfg = _build(SynthConfig, merged)
     samples, manifest = generate_synthetic(cfg)
     out = Path(ns.out)
     data_path = out / "dataset.peeg"
     save(samples, manifest, data_path)
-    _write_resolved(out, "synth", cfg.to_dict(), inputs={})
+    _write_resolved(out, "synth", asdict(cfg), inputs={})
     print(f"wrote {len(samples)} windows to {data_path}")
+
+
+def _archive_array(archive, name: str) -> np.ndarray:
+    """One array of the input archive; it must hold real numbers."""
+    try:
+        arr = archive[name]
+    except (OSError, ValueError) as exc:  # e.g. an object array
+        raise DataFormatError(f"cannot read {name!r} from the input archive: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise DataFormatError(f"{name!r} must hold real numbers, got dtype {arr.dtype}")
+    return arr
+
+
+def _whole_numbers(arr: np.ndarray, name: str, stop: int) -> np.ndarray:
+    """`arr` as int64, if every entry is a whole number in [0, stop)."""
+    if arr.dtype.kind == "f" and not np.all(np.isfinite(arr) & (arr == np.round(arr))):
+        raise DataFormatError(f"{name!r} must hold whole numbers")
+    if arr.size and (arr.min() < 0 or arr.max() >= stop):
+        raise DataFormatError(f"{name!r} must lie in 0..{stop - 1}")
+    return arr.astype(np.int64)
+
+
+def _read_archive(src: Path) -> tuple:
+    """(values f64 (n, time, channel), sample rate, votes, ids) of an .npz
+    archive, each checked for dtype, shape, integrality, range and
+    finiteness, so that a malformed archive is a data error."""
+    if not src.exists():
+        raise DataFormatError(f"input archive {src} does not exist")
+    try:
+        archive = np.load(src, allow_pickle=False)
+    except (OSError, ValueError) as exc:
+        raise DataFormatError(f"cannot read {src} as an .npz archive: {exc}") from exc
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise DataFormatError(f"{src} is a single array, not an .npz archive")
+    with archive:
+        names = set(archive.files)
+        if "values" not in names or "sample_rate_hz" not in names:
+            raise DataFormatError(
+                "input archive needs 'values' (n, time, channel) and 'sample_rate_hz'")
+        values = _archive_array(archive, "values").astype(np.float64)
+        if values.ndim != 3:
+            raise DataFormatError(
+                f"'values' must be (n, time, channel), got shape {values.shape}")
+        n = values.shape[0]
+        if n == 0:
+            raise DataFormatError(f"{src} holds no windows")
+        if values.shape[1] < sigproc.MIN_FILTER_SAMPLES:
+            raise DataFormatError(
+                f"'values' holds windows of {values.shape[1]} samples; filtering "
+                f"needs at least {sigproc.MIN_FILTER_SAMPLES}")
+        rate = _archive_array(archive, "sample_rate_hz").reshape(-1)
+        if rate.size == 0 or not (np.isfinite(rate[0]) and rate[0] > 0):
+            raise DataFormatError("'sample_rate_hz' must hold a positive finite number")
+        votes = (_archive_array(archive, "votes") if "votes" in names
+                 else np.zeros(n, dtype=np.int64))
+        ids = (_archive_array(archive, "ids") if "ids" in names
+               else np.arange(n, dtype=np.int64))
+    if votes.shape != (n,) or ids.shape != (n,):
+        raise DataFormatError("'votes' and 'ids' must be 1-d with one entry per window")
+    return (values, float(rate[0]), _whole_numbers(votes, "votes", ds.NUM_ANNOTATORS + 1),
+            _whole_numbers(ids, "ids", 2 ** 63))
 
 
 def _cmd_preprocess(ns) -> None:
@@ -195,41 +274,15 @@ def _cmd_preprocess(ns) -> None:
                 "seed": 0}
     merged = resolve_config(defaults, ns.config, {"seed": ns.seed})
     src = Path(ns.input)
-    if not src.exists():
-        raise DataFormatError(f"input archive {src} does not exist")
-    try:
-        archive = np.load(src, allow_pickle=False)
-    except (OSError, ValueError) as exc:
-        raise DataFormatError(f"cannot read {src} as an .npz archive: {exc}") from exc
-    names = set(archive.files)
-    if "values" not in names or "sample_rate_hz" not in names:
-        raise DataFormatError(
-            "input archive needs 'values' (n, time, channel) and 'sample_rate_hz'")
-    values = np.asarray(archive["values"], dtype=np.float64)
-    if values.ndim != 3:
-        raise DataFormatError(
-            f"'values' must be (n, time, channel), got shape {values.shape}")
-    try:
-        fs_in = float(np.asarray(archive["sample_rate_hz"]).reshape(-1)[0])
-    except (IndexError, TypeError, ValueError) as exc:
-        raise DataFormatError(f"'sample_rate_hz' must hold a number: {exc}") from exc
+    values, fs_in, votes, ids = _read_archive(src)
     n = values.shape[0]
-    votes = (np.asarray(archive["votes"], dtype=np.int64) if "votes" in names
-             else np.zeros(n, dtype=np.int64))
-    ids = (np.asarray(archive["ids"], dtype=np.int64) if "ids" in names
-           else np.arange(n, dtype=np.int64))
-    if votes.shape != (n,) or ids.shape != (n,):
-        raise DataFormatError("'votes' and 'ids' must be 1-d with one entry per window")
-    if n == 0:
-        raise DataFormatError(f"{src} holds no windows")
-
     samples = []
     for i in range(n):
         window = sigproc.preprocess_window(
             values[i], fs_in,
             notch_hz=merged["notch_hz"], notch_q=merged["notch_q"],
             highpass_hz=merged["highpass_hz"],
-            highpass_order=int(merged["highpass_order"]),
+            highpass_order=merged["highpass_order"],
             fs_out=merged["target_fs"])
         samples.append(EEGSample(values=window.astype(np.float32),
                                  votes=int(votes[i]), sample_id=int(ids[i])))
@@ -239,7 +292,7 @@ def _cmd_preprocess(ns) -> None:
     manifest = DatasetManifest(
         version=ds.FORMAT_VERSION, sample_count=n, channel_count=channels,
         time_steps=time_steps, sample_rate_hz=float(merged["target_fs"]),
-        splits={}, seed=int(merged["seed"]), config_digest=digest)
+        splits={}, seed=merged["seed"], config_digest=digest)
     out = Path(ns.out)
     data_path = out / "dataset.peeg"
     save(samples, manifest, data_path)
@@ -255,8 +308,7 @@ def _cmd_split(ns) -> None:
     merged = resolve_config(defaults, ns.config, overrides)
     data_file = _dataset_file(ns.data)
     samples, old = load(data_file)
-    manifest = ds.split(samples, fractions=tuple(merged["fractions"]),
-                        seed=int(merged["seed"]))
+    manifest = ds.split(samples, fractions=merged["fractions"], seed=merged["seed"])
     # split() only sees samples; acquisition facts carry over from the source
     manifest.sample_rate_hz = old.sample_rate_hz
     manifest.config_digest = old.config_digest
@@ -269,12 +321,11 @@ def _cmd_split(ns) -> None:
 
 
 def _cmd_train(ns) -> None:
-    defaults = TrainConfig().to_dict()
-    merged = resolve_config(defaults, ns.config,
+    merged = resolve_config(asdict(TrainConfig()), ns.config,
                             {"seed": ns.seed,
                              "num_train_epochs": ns.epochs,
                              "batch_size": ns.batch_size})
-    cfg = _build(TrainConfig.from_dict, merged)
+    cfg = _build(TrainConfig, merged)
     data_file = _dataset_file(ns.data)
     samples, manifest = load(data_file)
     out = Path(ns.out)
@@ -283,7 +334,7 @@ def _cmd_train(ns) -> None:
     save_model(model, final)
     for warning in history.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    _write_resolved(out, "train", cfg.to_dict(), inputs={"dataset": data_file})
+    _write_resolved(out, "train", asdict(cfg), inputs={"dataset": data_file})
     last = history.records[-1]
     tail = ""
     if last.get("val"):
@@ -301,14 +352,14 @@ def _cmd_eval(ns) -> None:
     model = load_model(model_file)
     data_file = _dataset_file(ns.data)
     samples, manifest = load(data_file)
-    wanted = set(manifest.ids_for(str(merged["split"])))
+    wanted = set(manifest.ids_for(merged["split"]))
     subset = [s for s in samples if s.sample_id in wanted]
     if not subset:
         raise ConfigurationError(f"split {merged['split']!r} is empty in {data_file}")
     scores = score_samples(model, subset)
     votes = [s.votes for s in subset]
-    metrics = metrics_from_scores(scores, votes, rounds=int(merged["rounds"]),
-                                  seed=int(merged["seed"]))
+    metrics = metrics_from_scores(scores, votes, rounds=merged["rounds"],
+                                  seed=merged["seed"])
     out = Path(ns.out)
     write_json(out / "metrics.json", metrics)
     score_rows = [{"sample_id": b.sample_id, "p_pos": b.p_pos, "p_neg": b.p_neg,
@@ -335,7 +386,7 @@ def _cmd_push(ns) -> None:
     records, _ = push_prototypes(model, data, epoch=0)
     out = Path(ns.out)
     save_model(model, out / "model.pegm")
-    write_json(out / "push_records.json", [r.to_dict() for r in records])
+    write_json(out / "push_records.json", [asdict(r) for r in records])
     _write_resolved(out, "push", merged,
                     inputs={"model": model_file, "dataset": data_file})
     print(f"pushed {len(records)} prototypes; model at {out / 'model.pegm'}")
@@ -353,7 +404,7 @@ def _cmd_explain(ns) -> None:
     if sample is None:
         raise MissingSampleError(
             f"sample id {ns.sample_id} is not present in {data_file}")
-    explanation = explain(model, sample, top_k=int(merged["top_k"]))
+    explanation = explain(model, sample, top_k=merged["top_k"])
     out = Path(ns.out)
     paths = render_report(explanation, samples, out)
     _write_resolved(out, "explain", merged,

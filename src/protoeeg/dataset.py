@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -84,53 +84,9 @@ class SynthConfig:
     def time_steps(self) -> int:
         return int(round(self.sample_rate_hz))
 
-    def to_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "spike_rate": self.spike_rate,
-            "noise_exponent": self.noise_exponent,
-            "background_rms_uv": self.background_rms_uv,
-            "alpha_amplitude_uv": self.alpha_amplitude_uv,
-            "sharp_width_ms": list(self.sharp_width_ms),
-            "slow_width_ms": list(self.slow_width_ms),
-            "amplitude_uv": list(self.amplitude_uv),
-            "annotators": {
-                "sensitivities": list(self.annotators.sensitivities),
-                "biases": list(self.annotators.biases),
-                "vote_noise": self.annotators.vote_noise,
-            },
-            "sample_rate_hz": self.sample_rate_hz,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SynthConfig":
-        known = {"n_samples", "seed", "spike_rate", "noise_exponent", "background_rms_uv",
-                 "alpha_amplitude_uv", "sharp_width_ms", "slow_width_ms", "amplitude_uv",
-                 "annotators", "sample_rate_hz"}
-        for key in raw:
-            if key not in known:
-                raise ConfigurationError(f"unknown generator config key {key!r}")
-        kwargs = dict(raw)
-        for name in ("sharp_width_ms", "slow_width_ms", "amplitude_uv"):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
-        if "annotators" in kwargs:
-            ann = kwargs["annotators"]
-            extra = set(ann) - {"sensitivities", "biases", "vote_noise"}
-            if extra:
-                raise ConfigurationError(f"unknown annotator config key {sorted(extra)[0]!r}")
-            kwargs["annotators"] = AnnotatorModel(
-                sensitivities=tuple(ann.get("sensitivities",
-                                            AnnotatorModel().sensitivities)),
-                biases=tuple(ann.get("biases", AnnotatorModel().biases)),
-                vote_noise=float(ann.get("vote_noise", AnnotatorModel().vote_noise)),
-            )
-        return cls(**kwargs)
-
     def digest(self) -> str:
         return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode()
+            json.dumps(asdict(self), sort_keys=True).encode()
         ).hexdigest()
 
 

@@ -8,7 +8,7 @@ query window next to the training windows its prototypes came from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,14 +35,6 @@ class PrototypeRow:
     points: float
     source_sample_id: int
 
-    def to_dict(self) -> dict:
-        return {"prototype_class": self.prototype_class,
-                "prototype_index": self.prototype_index,
-                "similarity": self.similarity,
-                "class_connection": self.class_connection,
-                "points": self.points,
-                "source_sample_id": self.source_sample_id}
-
 
 @dataclass(frozen=True)
 class ClassSection:
@@ -51,11 +43,6 @@ class ClassSection:
     logit: float
     residual: float
     rows: tuple
-
-    def to_dict(self) -> dict:
-        return {"class_id": self.class_id, "probability": self.probability,
-                "logit": self.logit, "residual": self.residual,
-                "rows": [r.to_dict() for r in self.rows]}
 
 
 @dataclass(frozen=True)
@@ -76,7 +63,7 @@ class Explanation:
             "predicted_class": self.predicted_class,
             "probabilities": list(self.probabilities),
             "binary": binary,
-            "sections": [s.to_dict() for s in self.sections],
+            "sections": [asdict(s) for s in self.sections],
         }
 
 

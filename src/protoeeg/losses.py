@@ -36,17 +36,6 @@ class LossCoefficients:
         if self.crs_ent <= 0:
             raise ConfigurationError(f"crs_ent must be positive, got {self.crs_ent}")
 
-    def to_dict(self) -> dict:
-        return {"crs_ent": self.crs_ent, "clst": self.clst, "sep": self.sep,
-                "ortho": self.ortho, "l1": self.l1}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "LossCoefficients":
-        extra = set(raw) - {"crs_ent", "clst", "sep", "ortho", "l1"}
-        if extra:
-            raise ConfigurationError(f"unknown loss coefficient {sorted(extra)[0]!r}")
-        return cls(**{k: float(v) for k, v in raw.items()})
-
 
 @dataclass
 class BatchLossReport:
@@ -56,14 +45,7 @@ class BatchLossReport:
     separation: float
     orthogonality: float
     l1: float
-    batch_size: int
     tensor: Tensor | None = field(default=None, repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        return {"total": self.total, "cross_entropy": self.cross_entropy,
-                "cluster": self.cluster, "separation": self.separation,
-                "orthogonality": self.orthogonality, "l1": self.l1,
-                "batch_size": self.batch_size}
 
 
 def _as_latent_tensor(latents) -> Tensor:
@@ -160,5 +142,5 @@ def total_loss(latents, labels, bank: PrototypeBank, head: Tensor,
     return BatchLossReport(
         total=total.item(), cross_entropy=ce.item(), cluster=clst.item(),
         separation=sep.item(), orthogonality=orth.item(), l1=l1.item(),
-        batch_size=lat.data.shape[0], tensor=total,
+        tensor=total,
     )

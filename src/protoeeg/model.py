@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -120,12 +120,6 @@ class PushRecord:
     source_sample_id: int
     similarity: float
     epoch: int
-
-    def to_dict(self) -> dict:
-        return {"prototype_class": self.prototype_class,
-                "prototype_index": self.prototype_index,
-                "source_sample_id": self.source_sample_id,
-                "similarity": self.similarity, "epoch": self.epoch}
 
     @classmethod
     def from_dict(cls, raw) -> "PushRecord":
@@ -237,10 +231,14 @@ def class_logits(sims: np.ndarray, head: np.ndarray) -> np.ndarray:
 def class_probabilities(sims: np.ndarray, head: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(sims)):
         raise NumericError("class_probabilities received non-finite similarities")
-    q = class_logits(sims, head)
-    z = q - q.max(axis=-1, keepdims=True)
+    return softmax_rows(class_logits(sims, head))
+
+
+def softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of (N, K) logits, shifted by each row's maximum."""
+    z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def points_contributed(sims: np.ndarray, head: np.ndarray) -> np.ndarray:
@@ -405,7 +403,7 @@ def save_model(model: ProtoEEGNet, path) -> None:
         "num_classes": model.bank.num_classes,
         "per_class": model.bank.per_class,
         "parameters": [{"name": n, "shape": list(t.data.shape)} for n, t in named],
-        "provenance": [p.to_dict() if p is not None else None
+        "provenance": [asdict(p) if p is not None else None
                        for p in model.bank.provenance],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()

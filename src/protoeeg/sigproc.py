@@ -22,6 +22,7 @@ DEFAULT_HIGHPASS_ORDER = 4
 TARGET_FS = 128.0
 
 _SINC_TAPS_PER_SIDE = 16  # zero crossings per side of the resampling kernel
+MIN_FILTER_SAMPLES = 3  # shortest signal the filters accept
 
 
 @dataclass(frozen=True)
@@ -61,7 +62,7 @@ def highpass_spec(sample_rate_hz: float, cutoff_hz: float = DEFAULT_HIGHPASS_HZ,
 
 def _apply_sos(sos, signal_arr: np.ndarray) -> np.ndarray:
     x = np.asarray(signal_arr, dtype=np.float64)
-    if x.shape[0] < 3:
+    if x.shape[0] < MIN_FILTER_SAMPLES:
         raise ConfigurationError(f"signal too short to filter (length {x.shape[0]})")
     return sps.sosfilt(sos, x, axis=0)
 

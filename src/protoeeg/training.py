@@ -11,7 +11,7 @@ drives off-class weights toward exact zeros.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,8 @@ from .container import write_atomic
 from .dataset import split_arrays
 from .errors import ConfigurationError
 from .losses import LossCoefficients, total_loss
-from .model import ProtoEEGNet, PushRecord, save_model, similarities
+from .model import (ProtoEEGNet, PushRecord, save_model, similarities,
+                    softmax_rows)
 
 __all__ = [
     "TrainConfig", "TrainData", "TrainHistory", "stage_spans",
@@ -116,30 +117,6 @@ class TrainConfig:
             raise ConfigurationError("last_layer_tol must be > 0")
         if not isinstance(self.coefficients, LossCoefficients):
             raise ConfigurationError("coefficients must be LossCoefficients")
-
-    def to_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name == "push_epochs":
-                v = [int(e) for e in v]
-            elif f.name == "coefficients":
-                v = v.to_dict()
-            out[f.name] = v
-        return out
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        for key in raw:
-            if key not in known:
-                raise ConfigurationError(f"unknown training config key {key!r}")
-        kw = dict(raw)
-        if "push_epochs" in kw:
-            kw["push_epochs"] = tuple(int(e) for e in kw["push_epochs"])
-        if "coefficients" in kw and isinstance(kw["coefficients"], dict):
-            kw["coefficients"] = LossCoefficients.from_dict(kw["coefficients"])
-        return cls(**kw)
 
 
 def stage_spans(config: TrainConfig) -> dict:
@@ -400,12 +377,6 @@ def _offclass_mask(num_classes: int, per_class: int) -> np.ndarray:
     return cols[None, :] != np.arange(num_classes)[:, None]
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _head_objective(weights, sims, labels, off_mask, l1_coef) -> float:
     logits = sims @ weights.T
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -438,7 +409,7 @@ def _prox_head_fit(sims, labels, weights0, per_class, l1_coef, max_iters,
     iterations = 0
     for _ in range(max_iters):
         iterations += 1
-        probs = _softmax_rows(sims @ w.T)
+        probs = softmax_rows(sims @ w.T)
         probs[np.arange(n), labels] -= 1.0
         grad = probs.T @ sims / n
 
@@ -550,7 +521,7 @@ def train(config: TrainConfig, data: TrainData, model: ProtoEEGNet = None,
                     f"last-layer fit hit max_iters={config.last_layer_max_iters} "
                     f"at epoch {last} (objective {info['objective']:.6g})")
             rec = history.records[-1]
-            rec["push"] = [p.to_dict() for p in pushes]
+            rec["push"] = [asdict(p) for p in pushes]
             rec["convex"] = {"converged": info["converged"],
                              "iterations": info["iterations"],
                              "objective_initial": info["objective_initial"],

@@ -6,29 +6,40 @@ layout, and run-to-run determinism.
 """
 
 import ast
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 import stat
 import subprocess
 import sys
+import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import rewrite_header
 import protoeeg
-from protoeeg.cli import main, resolve_config
-from protoeeg.dataset import load
+from protoeeg.cli import _build, main, resolve_config
+from protoeeg.dataset import SynthConfig, load
 from protoeeg.errors import ConfigurationError, DataFormatError
+from protoeeg.losses import LossCoefficients
 from protoeeg.model import load_model
+from protoeeg.training import TrainConfig
 
 # small but complete schedule: two pushes, convex refits, lr decay
 CFG = {"num_train_epochs": 6, "num_warm_epochs": 2, "num_secondary_warm_epochs": 2,
        "push_start": 2, "push_epochs": [4, 6], "joint_lr_step_size": 2,
        "batch_size": 16, "last_layer_max_iters": 120, "seed": 5}
+# two epochs, a push after each: quick to train where a bad value slips through
+TINY = {"num_train_epochs": 2, "num_warm_epochs": 0, "num_secondary_warm_epochs": 0,
+        "push_start": 0, "push_epochs": [1, 2], "batch_size": 16,
+        "last_layer_max_iters": 10}
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +140,143 @@ class TestResolveConfig:
     def test_missing_file_is_a_format_error(self, tmp_path):
         with pytest.raises(DataFormatError):
             resolve_config(self.DEFAULTS, tmp_path / "absent.json", {})
+
+
+class TestTypedConfig:
+    """Every leaf of a config file is checked against its default's JSON type;
+    an ill-typed value or a negative seed exits 1 with one line naming it."""
+
+    # subcommand, config file (or None), extra flags, the key the error names
+    CASES = {
+        "push_epochs_float": ("train", {**TINY, "push_epochs": [1.7, 2]}, [],
+                              "push_epochs[0]"),
+        "coefficient_string": ("train", {**TINY, "coefficients": {"clst": "0.2"}}, [],
+                               "coefficients.clst"),
+        "coefficient_bool": ("train", {**TINY, "coefficients": {"ortho": True}}, [],
+                             "coefficients.ortho"),
+        "vote_noise_string": ("synth", {"n_samples": 5,
+                                        "annotators": {"vote_noise": "0.1"}}, [],
+                              "annotators.vote_noise"),
+        "width_bool": ("synth", {"n_samples": 5, "sharp_width_ms": [True, 70]}, [],
+                       "sharp_width_ms[0]"),
+        "n_samples_bool": ("synth", {"n_samples": True}, [], "n_samples"),
+        "n_samples_float": ("synth", {"n_samples": 5.5}, [], "n_samples"),
+        "fraction_string": ("split", {"fractions": [0.7, "a", 0.3]}, [], "fractions[1]"),
+        "split_seed_flag": ("split", None, ["--seed", "-1"], "seed"),
+        "eval_seed_flag": ("eval", None, ["--seed", "-1", "--rounds", "10"], "seed"),
+        "synth_seed_file": ("synth", {"n_samples": 5, "seed": -1}, [], "seed"),
+        "train_seed_file": ("train", {**TINY, "seed": -1}, [], "seed"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bad_value_exits_one_naming_the_key(self, case, run_dir, data_dir,
+                                                tmp_path, capsys):
+        command, doc, flags, key = self.CASES[case]
+        args = [command, *flags, "--out", str(tmp_path / "o")]
+        if doc is not None:
+            (tmp_path / "c.json").write_text(json.dumps(doc))
+            args += ["--config", str(tmp_path / "c.json")]
+        if command != "synth":
+            args += ["--data", str(data_dir)]
+        if command == "eval":
+            args += ["--model", str(run_dir)]
+        capsys.readouterr()
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert f"'{key}'" in err
+
+
+def _nodes(doc, steps=()):
+    """(steps, value) of every value in a JSON document, containers too; a
+    step is an object key or a list index."""
+    yield steps, doc
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for step, value in items:
+        yield from _nodes(value, (*steps, step))
+
+
+def _key_path(steps) -> str:
+    """The path a config error names: ``coefficients.clst``, ``push_epochs[0]``."""
+    return "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in steps)[1:]
+
+
+def _same_json_type(value, default) -> bool:
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):  # an int may stand for a float
+        return isinstance(value, (int, float))
+    return type(value) is type(default)
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10, 10), st.floats(allow_nan=False),
+    st.text(max_size=4), st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2))
+CONFIG_FUZZ = settings(max_examples=80, deadline=None)
+DEFAULT_CONFIGS = {"train": TrainConfig(), "synth": SynthConfig(n_samples=3)}
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config_fuzz")
+
+
+@CONFIG_FUZZ
+@given(data=st.data(), which=st.sampled_from(sorted(DEFAULT_CONFIGS)))
+def test_ill_typed_leaf_names_its_key_path(config_dir, data, which):
+    default = DEFAULT_CONFIGS[which]
+    doc = json.loads(json.dumps(asdict(default)))
+    steps, old = data.draw(st.sampled_from([n for n in _nodes(doc) if n[0]]))
+    node = doc
+    for step in steps[:-1]:
+        node = node[step]
+    node[steps[-1]] = data.draw(JSON_VALUES.filter(lambda v: not _same_json_type(v, old)))
+    f = config_dir / "c.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(ConfigurationError) as info:
+        _build(type(default), resolve_config(asdict(default), f, {}))
+    assert f"'{_key_path(steps)}'" in str(info.value)
+
+
+SEEDS = st.integers(0, 2 ** 32)
+POSITIVE = st.floats(0.001, 10.0)
+
+
+@st.composite
+def train_configs(draw):
+    epochs = draw(st.integers(3, 40))
+    warm = draw(st.integers(0, epochs // 2))
+    secondary = draw(st.integers(0, epochs - warm))
+    start = draw(st.integers(0, epochs - 1))
+    pushes = {e for e in draw(st.sets(st.integers(1, epochs), max_size=3)) if e > start}
+    coefficients = LossCoefficients(crs_ent=draw(POSITIVE), clst=draw(POSITIVE),
+                                    sep=draw(POSITIVE), ortho=draw(POSITIVE),
+                                    l1=draw(POSITIVE))
+    return TrainConfig(num_train_epochs=epochs, num_warm_epochs=warm,
+                       num_secondary_warm_epochs=secondary, push_start=start,
+                       push_epochs=tuple(sorted(pushes | {epochs})),
+                       joint_prototype_lr=draw(POSITIVE),
+                       batch_size=draw(st.integers(1, 64)),
+                       coefficients=coefficients, seed=draw(SEEDS))
+
+
+@st.composite
+def synth_configs(draw):
+    lo, hi = sorted(draw(st.lists(POSITIVE, min_size=2, max_size=2)))
+    return SynthConfig(n_samples=draw(st.integers(1, 10 ** 6)), seed=draw(SEEDS),
+                       spike_rate=draw(st.floats(0.0, 1.0)), sharp_width_ms=(lo, hi))
+
+
+@CONFIG_FUZZ
+@given(cfg=st.one_of(train_configs(), synth_configs()))
+def test_valid_config_survives_the_file_round_trip(config_dir, cfg):
+    assert _build(type(cfg), json.loads(json.dumps(asdict(cfg)))) == cfg
+    f = config_dir / "valid.json"
+    f.write_text(json.dumps(asdict(cfg)))
+    default = DEFAULT_CONFIGS["train" if isinstance(cfg, TrainConfig) else "synth"]
+    assert _build(type(cfg), resolve_config(asdict(default), f, {})) == cfg
 
 
 class TestSynth:
@@ -237,6 +385,106 @@ class TestPreprocess:
         assert main(["preprocess", "--input", str(src), "--out", str(out)]) == 2
         assert "duplicate" in capsys.readouterr().err
         assert not (out / "dataset.peeg").exists()
+
+
+    @pytest.mark.parametrize("arrays", [
+        {"values": np.full((2, 256, 37), "a")},
+        {"votes": np.array(["a", "b"])},
+        {"votes": np.array([1.5, 2.0])},
+        {"ids": np.array([-1, 2])},
+        {"ids": np.array([2 ** 63, 2], dtype=np.uint64)},
+        {"sample_rate_hz": np.float64("nan")},
+        {"sample_rate_hz": np.float64(0.0)},
+        {"values": np.zeros((2, 2, 37))},
+    ], ids=["string_values", "string_votes", "fractional_votes", "negative_id",
+            "id_beyond_int64", "nan_sample_rate", "zero_sample_rate", "two_sample_windows"])
+    def test_malformed_archive_is_format_error(self, tmp_path, capsys, arrays):
+        src = tmp_path / "raw.npz"
+        np.savez(src, **{"values": np.zeros((2, 256, 37)),
+                         "sample_rate_hz": np.float64(256.0), **arrays})
+        out = tmp_path / "o"
+        assert main(["preprocess", "--input", str(src), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert next(iter(arrays)) in err
+        assert not (out / "dataset.peeg").exists()
+
+    def test_notch_above_nyquist_stays_a_config_error(self, tmp_path):
+        src = tmp_path / "raw.npz"
+        np.savez(src, values=np.zeros((2, 256, 37)), sample_rate_hz=np.float64(100.0))
+        assert main(["preprocess", "--input", str(src),
+                     "--out", str(tmp_path / "o")]) == 1
+
+
+ENTRIES = {  # element strategy and dtype of each kind of archive array
+    "float": (st.floats(-2.0, 10.0) | st.sampled_from([np.nan, np.inf, 0.5]), np.float64),
+    "int": (st.integers(-2, 10), np.int64),
+    "big": (st.sampled_from([2 ** 63, 2 ** 64 - 1, 7]), np.uint64),
+    "str": (st.text(max_size=2), np.str_),
+    "bool": (st.booleans(), np.bool_),
+}
+
+
+@st.composite
+def archive_arrays(draw, shape):
+    """An array of some element kind; one time in four of a shape other than `shape`."""
+    if draw(st.integers(0, 3)) == 0:
+        shape = tuple(draw(st.lists(st.integers(0, 3), max_size=4)))
+    entries, dtype = ENTRIES[draw(st.sampled_from(sorted(ENTRIES)))]
+    size = int(np.prod(shape))
+    items = draw(st.lists(entries, min_size=size, max_size=size))
+    return np.array(items, dtype=dtype).reshape(shape)
+
+
+@st.composite
+def spoilt(draw, whole_numbers):
+    """A list of whole numbers with one entry swapped for a fraction, a value
+    out of range or a non-finite one."""
+    items = draw(whole_numbers)
+    items[draw(st.integers(0, len(items) - 1))] = draw(st.sampled_from(
+        [0.5, 2.25, 7.9, -1, 9, 2 ** 63, np.nan, np.inf]))
+    return np.array(items)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_archive_preprocesses_or_is_a_format_error(data):
+    def part(valid, malformed):  # well formed three times in four
+        return data.draw(malformed if data.draw(st.integers(0, 3)) == 0 else valid)
+
+    n = data.draw(st.integers(1, 3))
+    shape = (n, data.draw(st.sampled_from([3, 8, 256])), data.draw(st.sampled_from([1, 3])))
+    whole = st.sampled_from([np.int64, np.uint8, np.float64])
+    votes = st.lists(st.integers(0, 8), min_size=n, max_size=n)
+    ids = st.lists(st.integers(0, 2 ** 63 - 1), min_size=n, max_size=n, unique=True)
+    arrays = {
+        "values": part(st.just(np.random.default_rng(n).normal(size=shape)),
+                       archive_arrays(shape)),
+        # rates below twice the notch frequency are a config error, not a data error
+        "sample_rate_hz": part(
+            st.floats(121.0, 4096.0).map(np.float64),
+            st.sampled_from([np.float64(np.nan), np.float64(np.inf), np.float64(0.0),
+                             np.float64(-256.0), np.array([]), np.array(["256"]),
+                             np.array([True])])),
+        "votes": part(st.tuples(votes, whole).map(lambda v: np.array(v[0], dtype=v[1])),
+                      archive_arrays((n,)) | spoilt(votes)),
+        "ids": part(ids.map(np.array), archive_arrays((n,)) | spoilt(ids)),
+    }
+    for name in ("votes", "ids"):  # both are optional
+        if data.draw(st.booleans()):
+            del arrays[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "raw.npz"
+        np.savez(src, **arrays)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["preprocess", "--input", str(src), "--out", f"{tmp}/o"])
+        assert code in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 0:  # then every window keeps its votes and id exactly
+            samples, _ = load(Path(tmp) / "o" / "dataset.peeg")
+            assert [s.votes for s in samples] == list(arrays.get("votes", [0] * n))
+            assert [s.sample_id for s in samples] == list(arrays.get("ids", range(n)))
 
 
 class TestSplit:

@@ -1,9 +1,11 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from protoeeg import dataset as ds
+from protoeeg.cli import _build, resolve_config
 from protoeeg.container import read_framed, write_framed
 from protoeeg.errors import ConfigurationError, DataFormatError
 
@@ -33,13 +35,16 @@ class TestSynthConfig:
 
     def test_roundtrip_dict(self):
         cfg = ds.SynthConfig(n_samples=5, seed=9, spike_rate=0.3)
-        again = ds.SynthConfig.from_dict(cfg.to_dict())
+        again = _build(ds.SynthConfig, json.loads(json.dumps(dataclasses.asdict(cfg))))
         assert again == cfg
         assert again.digest() == cfg.digest()
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigurationError, match="wavelet"):
-            ds.SynthConfig.from_dict({"n_samples": 5, "wavelet": True})
+    def test_unknown_key_rejected(self, tmp_path):
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps({"n_samples": 5, "annotators": {"wavelet": True}}))
+        defaults = dataclasses.asdict(ds.SynthConfig(n_samples=1))
+        with pytest.raises(ConfigurationError, match="annotators.wavelet"):
+            resolve_config(defaults, f, {})
 
 
 class TestGenerator:

@@ -1,10 +1,13 @@
+import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from protoeeg import diffcore as dc
+from protoeeg.cli import _build
 from protoeeg import losses as ls
 from protoeeg import model as m
 from protoeeg.diffcore import Tensor
@@ -245,8 +248,8 @@ class TestErrors:
         with pytest.raises(ConfigurationError):
             ls.LossCoefficients(crs_ent=0.0)
         with pytest.raises(ConfigurationError):
-            ls.LossCoefficients.from_dict({"crs_ent": 1.0, "bogus": 2.0})
+            ls.LossCoefficients(clst=float("nan"))
 
     def test_coef_dict_roundtrip(self):
         c = ls.LossCoefficients(crs_ent=2.0, l1=0.5)
-        assert ls.LossCoefficients.from_dict(c.to_dict()) == c
+        assert _build(ls.LossCoefficients, json.loads(json.dumps(asdict(c)))) == c

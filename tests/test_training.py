@@ -1,6 +1,7 @@
 """Staged-training contracts: freezes, schedules, push projection, convex fit."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.optimize import minimize
 from conftest import train_data
 from protoeeg import model as m
 from protoeeg import training as tr
+from protoeeg.cli import _build, resolve_config
 from protoeeg.errors import ConfigurationError
 from protoeeg.losses import LossCoefficients
 
@@ -100,15 +102,14 @@ class TestTrainConfig:
     def test_dict_roundtrip(self):
         cfg = toy_config(joint_prototype_lr=0.02,
                          coefficients=LossCoefficients(sep=0.1))
-        again = tr.TrainConfig.from_dict(cfg.to_dict())
+        again = _build(tr.TrainConfig, json.loads(json.dumps(asdict(cfg))))
         assert again == cfg
-        assert json.dumps(cfg.to_dict())  # stays JSON-serializable
 
-    def test_unknown_key_rejected(self):
-        raw = tr.TrainConfig().to_dict()
-        raw["warm_lr"] = 0.003
+    def test_unknown_key_rejected(self, tmp_path):
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps({"warm_lr": 0.003}))
         with pytest.raises(ConfigurationError, match="warm_lr"):
-            tr.TrainConfig.from_dict(raw)
+            resolve_config(asdict(tr.TrainConfig()), f, {})
 
     def test_stage_spans_defaults(self):
         spans = tr.stage_spans(tr.TrainConfig())
