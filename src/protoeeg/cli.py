@@ -252,6 +252,8 @@ def _read_archive(src: Path) -> tuple:
             raise DataFormatError(
                 f"'values' holds windows of {values.shape[1]} samples; filtering "
                 f"needs at least {sigproc.MIN_FILTER_SAMPLES}")
+        if values.shape[2] == 0:
+            raise DataFormatError("'values' holds windows of 0 channels")
         rate = _archive_array(archive, "sample_rate_hz").reshape(-1)
         if rate.size == 0 or not (np.isfinite(rate[0]) and rate[0] > 0):
             raise DataFormatError("'sample_rate_hz' must hold a positive finite number")
@@ -289,6 +291,10 @@ def _cmd_preprocess(ns) -> None:
     digest = hashlib.sha256(
         json.dumps(merged, sort_keys=True).encode()).hexdigest()
     time_steps, channels = samples[0].values.shape
+    if time_steps == 0:
+        raise DataFormatError(
+            f"'values' holds windows of {values.shape[1]} samples at {fs_in:g} Hz, "
+            f"which resample to 0 samples at {merged['target_fs']:g} Hz")
     manifest = DatasetManifest(
         version=ds.FORMAT_VERSION, sample_count=n, channel_count=channels,
         time_steps=time_steps, sample_rate_hz=float(merged["target_fs"]),

@@ -374,12 +374,15 @@ def load(path):
 
 
 def split_arrays(samples, manifest: DatasetManifest, split_name: str):
-    """(values f64 (N,T,C), votes, sample_ids) for one split, id-ordered."""
+    """(values f64 (N,T,C), votes, sample_ids) for one split, id-ordered;
+    an empty split gives (0, T, C) values."""
     by_id = {s.sample_id: s for s in samples}
     ids = manifest.ids_for(split_name)
     missing = [i for i in ids if i not in by_id]
     if missing:
         raise DataFormatError(f"manifest references missing sample ids {missing[:5]}")
-    values = np.stack([by_id[i].values for i in ids]).astype(np.float64)
+    values = np.empty((len(ids), manifest.time_steps, manifest.channel_count))
+    for row, i in enumerate(ids):
+        values[row] = by_id[i].values
     votes = np.array([by_id[i].votes for i in ids], dtype=np.int64)
     return values, votes, np.array(ids, dtype=np.int64)

@@ -191,28 +191,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(a.data.reshape(shape), (a,), lambda g: (g.reshape(orig),))
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose expects a 2-d tensor, got ndim={a.data.ndim}")
-    return _make(np.ascontiguousarray(a.data.T), (a,), lambda g: (g.T,))
-
-
-def get_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError(f"get_rows expects a 2-d tensor, got ndim={a.data.ndim}")
-    if not (0 <= start < stop <= a.data.shape[0]):
-        raise DimensionError(
-            f"row slice [{start}:{stop}] out of range for {a.data.shape[0]} rows"
-        )
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[start:stop] = g
-        return (full,)
-
-    return _make(a.data[start:stop].copy(), (a,), bwd)
-
-
 def tsum(a: Tensor) -> Tensor:
     data = np.asarray(a.data.sum())
     return _make(data, (a,), lambda g: (np.full(a.data.shape, float(g)),))
@@ -222,19 +200,6 @@ def tmean(a: Tensor) -> Tensor:
     n = a.data.size
     data = np.asarray(a.data.mean())
     return _make(data, (a,), lambda g: (np.full(a.data.shape, float(g) / n),))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2:
-        raise DimensionError(
-            f"matmul supports 2-d operands only, got {ad.ndim}-d @ {bd.ndim}-d"
-        )
-    try:
-        data = ad @ bd
-    except ValueError as exc:
-        raise DimensionError(f"matmul shape mismatch {ad.shape} @ {bd.shape}") from exc
-    return _make(data, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
 def linear(x: Tensor, weight: Tensor) -> Tensor:
@@ -353,74 +318,40 @@ def l2_normalize(v: Tensor) -> Tensor:
     return _make(y, (v,), bwd)
 
 
-def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
-    ad, bd = a.data, b.data
-    if ad.ndim != 1 or bd.ndim != 1 or ad.shape != bd.shape:
-        raise DimensionError(
-            f"cosine_similarity expects matching 1-d vectors, got {ad.shape} and {bd.shape}"
-        )
-    na = np.linalg.norm(ad)
-    nb = np.linalg.norm(bd)
-    if na <= 1e-8 or nb <= 1e-8:
-        raise DegenerateInputError(
-            f"cosine similarity undefined for norms {na:.3e}, {nb:.3e}"
-        )
-    c = float(np.dot(ad, bd) / (na * nb))
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Batch-mean cross-entropy of integer ``labels`` under (N, K) logits.
 
-    def bwd(g):
-        ga = g * (bd / (na * nb) - c * ad / (na * na))
-        gb = g * (ad / (na * nb) - c * bd / (nb * nb))
-        return ga, gb
-
-    return _make(np.asarray(c), (a, b), bwd)
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over each row of an (N, K) tensor."""
-    xd = x.data
-    if xd.ndim != 2:
-        raise DimensionError(f"softmax expects 2-d input, got ndim={xd.ndim}")
-    if not np.all(np.isfinite(xd)):
-        raise NumericError("softmax received non-finite input")
-    z = xd - xd.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g):
-        dot = np.sum(g * p, axis=-1, keepdims=True)
-        return (p * (g - dot),)
-
-    return _make(p, (x,), bwd)
-
-
-def cross_entropy(probs: Tensor, labels) -> Tensor:
-    """Batch-mean negative log-likelihood of ``labels`` under (N, K) probs.
-
-    Probabilities are clamped at 1e-12 inside the log.
+    The forward is log-sum-exp minus the labelled logit, so no probability
+    is clipped; the backward is (softmax - onehot) / N.
     """
-    pd = probs.data
-    if pd.ndim != 2:
-        raise DimensionError(f"cross_entropy expects 2-d probs, got ndim={pd.ndim}")
+    ld = logits.data
+    if ld.ndim != 2:
+        raise DimensionError(f"cross_entropy expects 2-d logits, got ndim={ld.ndim}")
     lab = np.asarray(labels, dtype=np.int64)
-    if lab.ndim != 1 or lab.shape[0] != pd.shape[0]:
+    if lab.ndim != 1 or lab.shape[0] != ld.shape[0]:
         raise DimensionError(
-            f"labels shape {lab.shape} does not match probs {pd.shape}"
+            f"labels shape {lab.shape} does not match logits {ld.shape}"
         )
-    if lab.size and (lab.min() < 0 or lab.max() >= pd.shape[1]):
-        raise IndexError(
-            f"labels must lie in [0, {pd.shape[1]}), got range "
+    if lab.size and (lab.min() < 0 or lab.max() >= ld.shape[1]):
+        raise ConfigurationError(
+            f"labels must lie in [0, {ld.shape[1]}), got range "
             f"[{lab.min()}, {lab.max()}]"
         )
-    n = pd.shape[0]
-    picked = np.maximum(pd[np.arange(n), lab], 1e-12)
-    data = np.asarray(-np.mean(np.log(picked)))
+    if not np.all(np.isfinite(ld)):
+        raise NumericError("cross_entropy received non-finite logits")
+    n = ld.shape[0]
+    rows = np.arange(n)
+    top = ld.max(axis=1)
+    e = np.exp(ld - top[:, None])
+    s = e.sum(axis=1)
+    data = np.asarray(np.mean(np.log(s) + top - ld[rows, lab]))
 
     def bwd(g):
-        gp = np.zeros_like(pd)
-        gp[np.arange(n), lab] = -float(g) / (n * picked)
-        return (gp,)
+        gl = e / s[:, None]
+        gl[rows, lab] -= 1.0
+        return (gl * (float(g) / n),)
 
-    return _make(data, (probs,), bwd)
+    return _make(data, (logits,), bwd)
 
 
 def masked_rowmax(x: Tensor, mask: np.ndarray) -> Tensor:

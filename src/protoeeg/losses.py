@@ -1,12 +1,14 @@
 """Training losses: cross-entropy plus cluster, separation, orthogonality,
 and off-class L1, combined with fixed coefficients.
 
-Sign convention: ``cluster_loss`` carries a leading minus (it returns
-minus the mean max same-class similarity), and the ``clst`` coefficient
-is stored positive (default 0.1).  The product therefore rewards
-same-class similarity: pulling a latent toward its class prototypes
-lowers the total.  ``separation_loss`` is the mirror term with positive
-sign and ships disabled (coefficient 0).
+Every batch term reads one latent x prototype similarity matrix.  Sign
+convention: the cluster term carries a leading minus (it is minus the mean
+max same-class similarity), and the ``clst`` coefficient is stored positive
+(default 0.1).  The product therefore rewards same-class similarity:
+pulling a latent toward its class prototypes lowers the total.  The
+separation term is the mirror term with positive sign and ships disabled
+(coefficient 0).  Every coefficient is non-negative, so no term can push
+the objective without bound below zero.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import Tensor
 from .errors import ConfigurationError, DimensionError
-from .model import PrototypeBank
+from .model import PrototypeBank, own_class_mask
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,10 @@ class LossCoefficients:
             raise ConfigurationError("loss coefficients must be finite")
         if self.crs_ent <= 0:
             raise ConfigurationError(f"crs_ent must be positive, got {self.crs_ent}")
+        for name in ("clst", "sep", "ortho", "l1"):
+            if getattr(self, name) < 0:
+                raise ConfigurationError(
+                    f"{name} must be non-negative, got {getattr(self, name)}")
 
 
 @dataclass
@@ -48,57 +54,14 @@ class BatchLossReport:
     tensor: Tensor | None = field(default=None, repr=False, compare=False)
 
 
-def _as_latent_tensor(latents) -> Tensor:
-    t = latents if isinstance(latents, Tensor) else Tensor(latents)
-    if t.data.ndim != 2:
-        raise DimensionError(f"latents must be (N, d), got shape {t.data.shape}")
-    return t
-
-
-def _check_labels(labels, bank: PrototypeBank) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.ndim != 1:
-        raise DimensionError(f"labels must be 1-d, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= bank.num_classes):
-        raise ConfigurationError(
-            f"label {int(labels.max())} has no prototypes in a "
-            f"{bank.num_classes}-class bank"
-        )
-    return labels
-
-
-def cluster_loss(latents, labels, bank: PrototypeBank) -> Tensor:
-    """Minus the mean max same-class similarity: lower when latents sit
-    near a prototype of their own class."""
-    lat = _as_latent_tensor(latents)
-    labels = _check_labels(labels, bank)
-    sims = dc.matmul(lat, dc.transpose(bank.vectors))
-    mask = bank.prototype_classes()[None, :] == labels[:, None]
-    return dc.neg(dc.tmean(dc.masked_rowmax(sims, mask)))
-
-
-def separation_loss(latents, labels, bank: PrototypeBank) -> Tensor:
-    """Mean max other-class similarity (positive sign: penalizes overlap)."""
-    if bank.num_classes < 2:
-        raise ConfigurationError("separation loss needs at least two prototype classes")
-    lat = _as_latent_tensor(latents)
-    labels = _check_labels(labels, bank)
-    sims = dc.matmul(lat, dc.transpose(bank.vectors))
-    mask = bank.prototype_classes()[None, :] != labels[:, None]
-    return dc.tmean(dc.masked_rowmax(sims, mask))
-
-
 def orthogonality_loss(bank: PrototypeBank) -> Tensor:
-    """Sum over classes of ||P P^T - I||_F^2 for the class's prototype rows."""
-    eye = Tensor(np.eye(bank.per_class))
-    total = Tensor(np.asarray(0.0))
-    for c in range(bank.num_classes):
-        sl = bank.class_slice(c)
-        rows = dc.get_rows(bank.vectors, sl.start, sl.stop)
-        gram = dc.matmul(rows, dc.transpose(rows))
-        diff = dc.sub(gram, eye)
-        total = dc.add(total, dc.tsum(dc.mul(diff, diff)))
-    return total
+    """Sum over classes of ||P P^T - I||_F^2 for the class's prototype rows:
+    one Gram of the whole bank, masked to its same-class blocks."""
+    classes = bank.prototype_classes()
+    same_class = own_class_mask(bank.num_classes, bank.per_class)[classes]
+    gram = dc.mul(dc.linear(bank.vectors, bank.vectors), Tensor(same_class))
+    diff = dc.sub(gram, Tensor(np.eye(bank.count)))
+    return dc.tsum(dc.mul(diff, diff))
 
 
 def l1_offclass(head: Tensor) -> Tensor:
@@ -110,9 +73,7 @@ def l1_offclass(head: Tensor) -> Tensor:
     k, j = head.data.shape
     if j % k != 0:
         raise DimensionError(f"head shape {head.data.shape} has no per-class block layout")
-    per_class = j // k
-    proto_class = np.repeat(np.arange(k), per_class)
-    off = (proto_class[None, :] != np.arange(k)[:, None]).astype(np.float64)
+    off = ~own_class_mask(k, j // k)
     return dc.tsum(dc.mul(dc.absolute(head), Tensor(off)))
 
 
@@ -123,13 +84,15 @@ def total_loss(latents, labels, bank: PrototypeBank, head: Tensor,
     The returned report carries the scalar graph node in ``.tensor`` for
     backward passes.
     """
-    lat = _as_latent_tensor(latents)
-    labels = _check_labels(labels, bank)
-    sims = dc.matmul(lat, dc.transpose(bank.vectors))
-    probs = dc.softmax(dc.linear(sims, head))
-    ce = dc.cross_entropy(probs, labels)
-    clst = cluster_loss(lat, labels, bank)
-    sep = separation_loss(lat, labels, bank)
+    if bank.num_classes < 2:
+        raise ConfigurationError("separation loss needs at least two prototype classes")
+    lat = latents if isinstance(latents, Tensor) else Tensor(latents)
+    labels = np.asarray(labels, dtype=np.int64)
+    sims = dc.linear(lat, bank.vectors)
+    ce = dc.cross_entropy(dc.linear(sims, head), labels)  # checks the labels
+    own = own_class_mask(bank.num_classes, bank.per_class)[labels]
+    clst = dc.neg(dc.tmean(dc.masked_rowmax(sims, own)))
+    sep = dc.tmean(dc.masked_rowmax(sims, ~own))
     orth = orthogonality_loss(bank)
     l1 = l1_offclass(head)
 

@@ -184,13 +184,20 @@ def init_prototypes(seed, num_classes: int = NUM_CLASSES,
                          num_classes=num_classes, per_class=per_class)
 
 
+def own_class_mask(num_classes: int, per_class: int) -> np.ndarray:
+    """(num_classes, num_classes * per_class) bool, True where prototype j
+    belongs to class k: row k owns the k-th contiguous block of columns.
+    Indexed by labels it marks each sample's own-class prototypes; indexed
+    by prototype classes it marks the same-class prototype pairs."""
+    cols = np.arange(num_classes * per_class) // per_class
+    return cols[None, :] == np.arange(num_classes)[:, None]
+
+
 def init_head(num_classes: int = NUM_CLASSES,
               per_class: int = PROTOS_PER_CLASS) -> Tensor:
     """Class-connection matrix: 1 on own-class prototypes, -0.5 elsewhere."""
-    w = np.full((num_classes, num_classes * per_class), -0.5)
-    for k in range(num_classes):
-        w[k, k * per_class:(k + 1) * per_class] = 1.0
-    return Tensor(w, requires_grad=True)
+    return Tensor(np.where(own_class_mask(num_classes, per_class), 1.0, -0.5),
+                  requires_grad=True)
 
 
 def similarities(z: np.ndarray, bank: PrototypeBank) -> np.ndarray:
@@ -198,11 +205,11 @@ def similarities(z: np.ndarray, bank: PrototypeBank) -> np.ndarray:
 
     Rows of ``z`` and all prototypes are assumed unit-norm, so the
     similarity is a dot product.  This is the one off-tape latent x
-    prototype product; the training losses build theirs on the autodiff
-    tape.  It runs one GEMM per block of exactly ``OFF_TAPE_CHUNK`` rows,
-    the last block zero-padded, because BLAS rounds a GEMM with a few rows
-    differently from one with many: with every GEMM the same shape, a
-    window's similarities do not depend on its batch.
+    prototype product; the training loss builds its one product per batch
+    on the autodiff tape.  It runs one GEMM per block of exactly
+    ``OFF_TAPE_CHUNK`` rows, the last block zero-padded, because BLAS rounds
+    a GEMM with a few rows differently from one with many: with every GEMM
+    the same shape, a window's similarities do not depend on its batch.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:

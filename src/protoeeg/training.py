@@ -21,8 +21,8 @@ from .container import write_atomic
 from .dataset import split_arrays
 from .errors import ConfigurationError
 from .losses import LossCoefficients, total_loss
-from .model import (ProtoEEGNet, PushRecord, save_model, similarities,
-                    softmax_rows)
+from .model import (ProtoEEGNet, PushRecord, own_class_mask, save_model,
+                    similarities, softmax_rows)
 
 __all__ = [
     "TrainConfig", "TrainData", "TrainHistory", "stage_spans",
@@ -199,12 +199,10 @@ def _validation_metrics(model: ProtoEEGNet, data: TrainData):
     if data.val_values.shape[0] == 0:
         return None
     out = model.forward_probs(data.val_values)
-    probs = out["probabilities"]
     labels = data.val_labels
-    picked = np.clip(probs[np.arange(len(labels)), labels], 1e-12, None)
     return {
-        "cross_entropy": float(-np.mean(np.log(picked))),
-        "accuracy": float(np.mean(np.argmax(probs, axis=1) == labels)),
+        "cross_entropy": dc.cross_entropy(dc.Tensor(out["logits"]), labels).item(),
+        "accuracy": float(np.mean(np.argmax(out["probabilities"], axis=1) == labels)),
     }
 
 
@@ -372,16 +370,8 @@ def push_prototypes(model, data, *, epoch: int = 0) -> tuple:
 # convex last-layer fit
 
 
-def _offclass_mask(num_classes: int, per_class: int) -> np.ndarray:
-    cols = np.arange(num_classes * per_class) // per_class
-    return cols[None, :] != np.arange(num_classes)[:, None]
-
-
 def _head_objective(weights, sims, labels, off_mask, l1_coef) -> float:
-    logits = sims @ weights.T
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.sum(np.exp(shifted), axis=1)) + logits.max(axis=1)
-    ce = float(np.mean(lse - logits[np.arange(len(labels)), labels]))
+    ce = dc.cross_entropy(dc.Tensor(sims @ weights.T), labels).item()
     return ce + l1_coef * float(np.abs(weights[off_mask]).sum())
 
 
@@ -396,7 +386,7 @@ def _prox_head_fit(sims, labels, weights0, per_class, l1_coef, max_iters,
     """
     n, _ = sims.shape
     num_classes = weights0.shape[0]
-    off = _offclass_mask(num_classes, per_class)
+    off = ~own_class_mask(num_classes, per_class)
     w = weights0.copy()
 
     sigma = np.linalg.svd(sims, compute_uv=False)[0] if n else 0.0

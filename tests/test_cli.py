@@ -396,8 +396,11 @@ class TestPreprocess:
         {"sample_rate_hz": np.float64("nan")},
         {"sample_rate_hz": np.float64(0.0)},
         {"values": np.zeros((2, 2, 37))},
+        {"values": np.zeros((2, 256, 0))},
+        {"values": np.zeros((2, 8, 37)), "sample_rate_hz": np.float64(4096.0)},
     ], ids=["string_values", "string_votes", "fractional_votes", "negative_id",
-            "id_beyond_int64", "nan_sample_rate", "zero_sample_rate", "two_sample_windows"])
+            "id_beyond_int64", "nan_sample_rate", "zero_sample_rate", "two_sample_windows",
+            "zero_channels", "resamples_to_zero_samples"])
     def test_malformed_archive_is_format_error(self, tmp_path, capsys, arrays):
         src = tmp_path / "raw.npz"
         np.savez(src, **{"values": np.zeros((2, 256, 37)),
@@ -512,6 +515,45 @@ class TestSplit:
         assert main(["split", "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    return err
+
+
+@pytest.fixture(scope="module")
+def empty_splits(tmp_path_factory, data_dir):
+    """The dataset re-split all-train (empty val) and all-test (empty train)."""
+    out = tmp_path_factory.mktemp("cli_empty_splits")
+    for name, fractions in (("no_val", "1 0 0"), ("no_train", "0 0 1")):
+        assert main(["split", "--data", str(data_dir), "--fractions", *fractions.split(),
+                     "--out", str(out / name)]) == 0
+    return out
+
+
+class TestEmptySplits:
+    def test_empty_val_trains_without_validation(self, empty_splits, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(TINY))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--data",
+                     str(empty_splits / "no_val"), "--out", str(out)]) == 0
+        records = [json.loads(line)
+                   for line in (out / "history.jsonl").read_text().splitlines()]
+        assert len(records) == 2 and all(r["val"] is None for r in records)
+
+    @pytest.mark.parametrize("command", ["train", "push", "report"])
+    def test_empty_train_exits_one(self, command, empty_splits, run_dir, tmp_path,
+                                   capsys):
+        args = [command, "--data", str(empty_splits / "no_train"),
+                "--out", str(tmp_path / "o")]
+        if command != "train":
+            args += ["--model", str(run_dir)]
+        capsys.readouterr()
+        assert main(args) == 1
+        assert "train" in _one_line_error(capsys)
+
+
 class TestTrain:
     def test_artifacts(self, run_dir):
         names = {p.name for p in run_dir.iterdir()}
@@ -554,6 +596,16 @@ class TestTrain:
         assert main(["train", "--config", str(cfg), "--data", str(data_dir),
                      "--out", str(tmp_path / "o")]) == 1
         assert "warm_lr" in capsys.readouterr().err
+
+    def test_negative_coefficient_exits_one(self, data_dir, tmp_path, capsys):
+        # a negative l1 makes the refit objective unbounded below
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({**TINY, "coefficients": {"l1": -1}}))
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--data", str(data_dir),
+                     "--out", str(tmp_path / "o")]) == 1
+        assert "l1" in _one_line_error(capsys)
+        assert not (tmp_path / "o" / "model.pegm").exists()
 
     def test_missing_dataset_is_format_error(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nowhere"),

@@ -85,6 +85,13 @@ def oracle_cross_entropy(latents, labels, vectors, head):
     return acc / len(latents)
 
 
+def terms(latents, labels, bank, head=None):
+    """The unweighted loss terms of one batch, from its BatchLossReport."""
+    if head is None:
+        head = m.init_head(bank.num_classes, bank.per_class)
+    return ls.total_loss(latents, labels, bank, head)
+
+
 def random_batch(rng, n, num_classes=9, per_class=12, dim=16):
     lat = rng.standard_normal((n, dim))
     lat /= np.linalg.norm(lat, axis=1, keepdims=True)
@@ -100,30 +107,28 @@ class TestWorkedExamples:
     def test_cluster_on_own_prototypes(self):
         bank = m.init_prototypes(seed=1, num_classes=3, per_class=2, latent_dim=6)
         lat = bank.vectors.data[[0, 2, 4]]  # first prototype of each class
-        loss = ls.cluster_loss(lat, [0, 1, 2], bank)
-        assert loss.item() == pytest.approx(-1.0, abs=1e-12)
+        assert terms(lat, [0, 1, 2], bank).cluster == pytest.approx(-1.0, abs=1e-12)
 
     def test_cluster_orthogonal_is_zero(self):
         vecs = np.eye(8)[:6]
         bank = m.PrototypeBank(vectors=Tensor(vecs, requires_grad=True),
                                num_classes=3, per_class=2)
         lat = np.eye(8)[6:8]
-        loss = ls.cluster_loss(lat, [0, 1], bank)
-        assert loss.item() == pytest.approx(0.0, abs=1e-15)
+        assert terms(lat, [0, 1], bank).cluster == pytest.approx(0.0, abs=1e-15)
 
     def test_separation_orthogonal_is_zero(self):
         vecs = np.eye(8)[:6]
         bank = m.PrototypeBank(vectors=Tensor(vecs, requires_grad=True),
                                num_classes=3, per_class=2)
         lat = np.eye(8)[6:8]
-        assert ls.separation_loss(lat, [0, 1], bank).item() == pytest.approx(0.0, abs=1e-15)
+        assert terms(lat, [0, 1], bank).separation == pytest.approx(0.0, abs=1e-15)
 
     def test_separation_on_other_class_prototype(self):
         vecs = np.eye(8)[:6]
         bank = m.PrototypeBank(vectors=Tensor(vecs, requires_grad=True),
                                num_classes=3, per_class=2)
         lat = vecs[[2]]  # a class-1 prototype, labeled class 0
-        assert ls.separation_loss(lat, [0], bank).item() == pytest.approx(1.0, abs=1e-12)
+        assert terms(lat, [0], bank).separation == pytest.approx(1.0, abs=1e-12)
 
     def test_ortho_orthonormal_is_zero(self):
         vecs = np.eye(8)[:6]
@@ -163,9 +168,10 @@ class TestOracles:
             n = int(rng.integers(2, 17))
             lat, labels, bank, head = random_batch(rng, n)
             vecs = bank.vectors.data
-            assert ls.cluster_loss(lat, labels, bank).item() == pytest.approx(
+            r = terms(lat, labels, bank, head)
+            assert r.cluster == pytest.approx(
                 oracle_cluster(lat, labels, vecs, 12), abs=1e-10)
-            assert ls.separation_loss(lat, labels, bank).item() == pytest.approx(
+            assert r.separation == pytest.approx(
                 oracle_separation(lat, labels, vecs, 12), abs=1e-10)
             assert ls.orthogonality_loss(bank).item() == pytest.approx(
                 oracle_ortho(vecs, 9, 12), abs=1e-10)
@@ -214,8 +220,9 @@ class TestProperties:
         rng = np.random.default_rng(24)
         for _ in range(10):
             lat, labels, bank, head = random_batch(rng, 8)
-            assert -1.0 - 1e-12 <= ls.cluster_loss(lat, labels, bank).item() <= 1.0 + 1e-12
-            assert -1.0 - 1e-12 <= ls.separation_loss(lat, labels, bank).item() <= 1.0 + 1e-12
+            r = terms(lat, labels, bank, head)
+            assert -1.0 - 1e-12 <= r.cluster <= 1.0 + 1e-12
+            assert -1.0 - 1e-12 <= r.separation <= 1.0 + 1e-12
             assert ls.orthogonality_loss(bank).item() >= 0.0
             assert ls.l1_offclass(head).item() >= 0.0
 
@@ -227,8 +234,8 @@ class TestProperties:
         loose /= np.linalg.norm(loose, axis=1, keepdims=True)
         labels = [0, 1, 2]
         coefs = ls.LossCoefficients()
-        c_tight = coefs.clst * ls.cluster_loss(tight, labels, bank).item()
-        c_loose = coefs.clst * ls.cluster_loss(loose, labels, bank).item()
+        c_tight = coefs.clst * terms(tight, labels, bank).cluster
+        c_loose = coefs.clst * terms(loose, labels, bank).cluster
         assert c_loose > c_tight
 
 
@@ -237,19 +244,58 @@ class TestErrors:
         bank = m.init_prototypes(seed=0, num_classes=3, per_class=2, latent_dim=4)
         lat = rng.standard_normal((2, 4))
         with pytest.raises(ConfigurationError):
-            ls.cluster_loss(lat, [0, 3], bank)
+            terms(lat, [0, 3], bank)
+        with pytest.raises(ConfigurationError):
+            terms(lat, [-1, 0], bank)
 
     def test_single_class_separation(self, rng):
         bank = m.init_prototypes(seed=0, num_classes=1, per_class=4, latent_dim=4)
         with pytest.raises(ConfigurationError):
-            ls.separation_loss(rng.standard_normal((2, 4)), [0, 0], bank)
+            terms(rng.standard_normal((2, 4)), [0, 0], bank)
 
     def test_bad_coefficients(self):
         with pytest.raises(ConfigurationError):
             ls.LossCoefficients(crs_ent=0.0)
         with pytest.raises(ConfigurationError):
             ls.LossCoefficients(clst=float("nan"))
+        # every coefficient is non-negative (module sign convention); a
+        # negative l1 would reward off-class weights without bound
+        for name in ("clst", "sep", "ortho", "l1"):
+            with pytest.raises(ConfigurationError, match=name):
+                ls.LossCoefficients(**{name: -1.0})
+        assert ls.LossCoefficients(clst=0.0, sep=0.0, ortho=0.0, l1=0.0).l1 == 0.0
 
     def test_coef_dict_roundtrip(self):
         c = ls.LossCoefficients(crs_ent=2.0, l1=0.5)
         assert _build(ls.LossCoefficients, json.loads(json.dumps(asdict(c)))) == c
+
+
+def _tape(root):
+    """Every grad-tracked node reachable from `root`, root included: the walk
+    perfbench's diffcore.backward.nodes metric counts."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for p in stack.pop()._parents:
+            if p.requires_grad and id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return list(seen.values())
+
+
+class TestGraph:
+    def _batch_tape(self, num_classes, rng):
+        lat, labels, bank, head = random_batch(rng, 32, num_classes=num_classes, dim=128)
+        return _tape(ls.total_loss(lat, labels, bank, head).tensor), bank
+
+    def test_node_count_does_not_grow_with_classes(self, rng):
+        small, _ = self._batch_tape(3, rng)
+        full, _ = self._batch_tape(9, rng)
+        assert len(small) == len(full) <= 30
+
+    def test_one_latent_prototype_product(self, rng):
+        tape, bank = self._batch_tape(9, rng)
+        products = [n for n in tape if n._backward is not None
+                    and n._backward.__qualname__.startswith("linear.")
+                    and n._parents[1] is bank.vectors
+                    and n._parents[0] is not bank.vectors]
+        assert len(products) == 1

@@ -4,7 +4,6 @@ from numpy.testing import assert_allclose
 
 from conftest import rewrite_header
 
-from protoeeg import diffcore as dc
 from protoeeg import model as m
 from protoeeg.dataset import EEGSample
 from protoeeg.diffcore import Tensor
@@ -97,6 +96,10 @@ class TestHeadInit:
             assert np.sum(row == 1.0) == 12
             assert np.sum(row == -0.5) == 96
 
+    def test_own_class_entries_are_the_own_class_mask(self):
+        # one definition serves the head, the losses and the refit
+        assert np.array_equal(m.init_head(4, 3).data == 1.0, m.own_class_mask(4, 3))
+
 
 class TestSimilarities:
     def test_identical_vector_scores_one(self):
@@ -122,7 +125,8 @@ class TestSimilarities:
         z /= np.linalg.norm(z)
         sims = m.similarities(z, bank)
         for j in range(0, 108, 7):
-            ref = dc.cosine_similarity(Tensor(z[0]), Tensor(bank.vectors.data[j])).item()
+            p = bank.vectors.data[j]
+            ref = float(np.dot(z[0], p) / (np.linalg.norm(z[0]) * np.linalg.norm(p)))
             assert sims[0, j] == pytest.approx(ref, abs=1e-12)
 
     def test_bounded(self):

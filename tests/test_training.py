@@ -347,7 +347,7 @@ def lbfgs_head_objective(sims, labels, w0, per_class, lam):
     hand the smooth bound-constrained problem to L-BFGS-B."""
     n, num_p = sims.shape
     k = w0.shape[0]
-    off = tr._offclass_mask(k, per_class)
+    off = ~m.own_class_mask(k, per_class)
 
     def fun(x):
         a = x[:k * num_p].reshape(k, num_p)
@@ -411,14 +411,14 @@ class TestConvexHeadFit:
         oracle = lbfgs_head_objective(sims, labels, w0, per_class=2, lam=0.0)
         assert abs(info["objective"] - oracle) <= 1e-4
         # no thresholding: off-class weights move freely and stay dense
-        off = tr._offclass_mask(4, 2)
+        off = ~m.own_class_mask(4, 2)
         assert np.all(w[off] != 0.0)
 
     def test_huge_penalty_zeroes_offclass_exactly(self):
         sims, labels, w0 = random_head_problem(seed=4)
         w, _ = tr._prox_head_fit(sims, labels, w0, per_class=2,
                                  l1_coef=10.0, max_iters=500, tol=1e-12)
-        off = tr._offclass_mask(4, 2)
+        off = ~m.own_class_mask(4, 2)
         assert np.all(w[off] == 0.0)
         assert np.any(w[~off] != 0.0)
 
@@ -450,7 +450,7 @@ class TestConvexHeadFit:
         cfg = toy_config()
         tr.run_warm_stage(net, toy_data, cfg)
         _, latents = tr.push_prototypes(net, toy_data)
-        off = tr._offclass_mask(net.bank.num_classes, net.bank.per_class)
+        off = ~m.own_class_mask(net.bank.num_classes, net.bank.per_class)
         before = np.mean(np.abs(net.head.data[off]))
         tr.optimize_last_layer(net, latents, toy_data.train_labels,
                                l1_coef=0.01, max_iters=400)
