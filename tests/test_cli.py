@@ -607,6 +607,21 @@ class TestTrain:
         assert "l1" in _one_line_error(capsys)
         assert not (tmp_path / "o" / "model.pegm").exists()
 
+    def test_missing_class_exits_one_before_any_epoch(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # seed 0's 60 windows hold no class-4 window; the default schedule
+        # would train 110 epochs before its first push
+        assert main(["synth", "--n", "60", "--seed", "0", "--out", str(tmp_path / "d")]) == 0
+        assert main(["split", "--data", str(tmp_path / "d"), "--fractions", "1", "0", "0",
+                     "--out", str(tmp_path / "s")]) == 0
+        monkeypatch.setattr("protoeeg.training._epoch_pass",
+                            lambda *a, **k: pytest.fail("an epoch trained"))
+        capsys.readouterr()
+        out = tmp_path / "o"
+        assert main(["train", "--data", str(tmp_path / "s"), "--out", str(out)]) == 1
+        assert "class 4 has no training samples" in _one_line_error(capsys)
+        assert not list(out.glob("*.pegm")) and not (out / "history.jsonl").exists()
+
     def test_missing_dataset_is_format_error(self, tmp_path):
         assert main(["train", "--data", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "o")]) == 2

@@ -157,7 +157,7 @@ class TestSimilarities:
 
 class TestHeadMath:
     def test_zero_sims_uniform(self):
-        p = m.class_probabilities(np.zeros((1, 108)), m.init_head().data)
+        p = m.softmax_rows(m.class_logits(np.zeros((1, 108)), m.init_head().data))
         assert_allclose(p, np.full((1, 9), 1 / 9), atol=1e-15)
 
     def test_one_hot_sim_predicts_that_class(self):
@@ -165,7 +165,7 @@ class TestHeadMath:
         for c in (0, 4, 8):
             sims = np.zeros((1, 108))
             sims[0, c * 12 + 3] = 1.0
-            p = m.class_probabilities(sims, head)
+            p = m.softmax_rows(m.class_logits(sims, head))
             assert int(np.argmax(p[0])) == c
 
     def test_logits_match_dense_product(self):
@@ -177,8 +177,8 @@ class TestHeadMath:
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(8)
-        p = m.class_probabilities(rng.uniform(-1, 1, (20, 108)),
-                                  rng.standard_normal((9, 108)))
+        p = m.softmax_rows(m.class_logits(rng.uniform(-1, 1, (20, 108)),
+                                          rng.standard_normal((9, 108))))
         assert_allclose(p.sum(axis=1), 1.0, atol=1e-12)
 
     def test_points_examples(self):
@@ -197,7 +197,7 @@ class TestHeadMath:
         sims = np.zeros((1, 108))
         sims[0, 0] = np.inf
         with pytest.raises(NumericError):
-            m.class_probabilities(sims, m.init_head().data)
+            m.softmax_rows(m.class_logits(sims, m.init_head().data))
 
 
 class TestEmbed:

@@ -128,6 +128,23 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError):
             tr.joint_lr_factor(tr.TrainConfig(), 20)
 
+    def test_stage_lr_names_each_trained_group(self):
+        cfg = tr.TrainConfig()
+        assert tr.stage_lr(cfg, "warm", 1) == {"prototypes": 3e-3}
+        assert tr.stage_lr(cfg, "secondary_warm", 11) == \
+            {"prototypes": 3e-3, "features": 1e-3}
+        assert list(tr.stage_lr(cfg, "joint", 51)) == \
+            ["prototypes", "features", "last_layer"]
+        assert tr.stage_lr(cfg, "joint", 51) == \
+            {"prototypes": 0.025, "features": 5e-4, "last_layer": 5e-6}
+
+
+def test_export_list_resolves():
+    namespace = {}
+    exec("from protoeeg.training import *", namespace)
+    assert set(tr.__all__) <= set(namespace)
+    assert {"run_stage", "stage_lr"} <= set(tr.__all__)
+
 
 # ---------------------------------------------------------------------------
 # warm stage
@@ -239,6 +256,50 @@ class TestJointStage:
         tr.run_joint_stage(net, toy_data, cfg, epochs=range(5, 7))
         after = param_bytes(net.all_parameters())
         assert all(a != b for a, b in zip(after, before))
+
+
+# ---------------------------------------------------------------------------
+# one runner
+
+
+@pytest.fixture
+def adams(monkeypatch):
+    """Every Adam built while the test runs."""
+    built = []
+
+    class RecordingAdam(tr.dc.Adam):
+        def __init__(self, groups):
+            super().__init__(groups)
+            built.append(self)
+
+    monkeypatch.setattr(tr.dc, "Adam", RecordingAdam)
+    return built
+
+
+class TestRunStage:
+    def test_stage_bindings_are_the_runner(self):
+        for stage, op in tr._STAGE_OPS.items():
+            assert op.func is tr.run_stage and op.args == (stage,)
+        assert tr.run_warm_stage is tr._STAGE_OPS["warm"]
+        assert tr.run_secondary_warm_stage is tr._STAGE_OPS["secondary_warm"]
+        assert tr.run_joint_stage is tr._STAGE_OPS["joint"]
+
+    @pytest.mark.parametrize("stage", ["warm", "secondary_warm", "joint"])
+    def test_empty_epochs_build_no_optimizer_or_cache(self, stage, toy_data, adams,
+                                                      monkeypatch):
+        net = toy_model()
+        before = param_bytes(net.all_parameters())
+        monkeypatch.setattr(m.ProtoEEGNet, "forward_probs",
+                            lambda *a: pytest.fail("latents were computed"))
+        records = []
+        tr.run_stage(stage, net, toy_data, toy_config(), range(5, 5),
+                     history=records)
+        assert adams == [] and records == []
+        assert param_bytes(net.all_parameters()) == before
+
+    def test_unknown_stage_rejected(self, toy_data):
+        with pytest.raises(ConfigurationError, match="stage"):
+            tr.run_stage("final", toy_model(), toy_data, toy_config())
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +611,34 @@ class TestTrain:
         empty = train_data(np.empty((0, 128, 37)), np.empty(0, dtype=int))
         with pytest.raises(ConfigurationError):
             tr.train(self.small_cfg(), empty)
+
+    def test_missing_class_rejected_before_any_epoch(self, monkeypatch):
+        values, labels = toy_windows(n_per_class=5, num_classes=3)
+        data = train_data(values, labels)  # classes 0..2; model wants 4
+        passes = []
+        monkeypatch.setattr(tr, "_epoch_pass", lambda *a, **k: passes.append(1))
+        with pytest.raises(ConfigurationError, match="class 3"):
+            tr.train(self.small_cfg(), data, model=toy_model(seed=9))
+        assert passes == []
+
+    def test_fresh_adam_per_push_segment(self, toy_data, adams, tmp_path):
+        # pushes inside every stage: warm [1] [2 3], secondary [4] [5], joint [6 7]
+        cfg = self.small_cfg(num_train_epochs=7, num_warm_epochs=3,
+                             num_secondary_warm_epochs=2, push_start=0,
+                             push_epochs=(1, 4, 7), joint_lr_step_size=1)
+        _, history = tr.train(cfg, toy_data, model=toy_model(seed=9),
+                              out_dir=tmp_path)
+        batches = -(-len(toy_data.train_labels) // cfg.batch_size)
+        assert [a.step_count for a in adams] == [batches * k for k in (1, 2, 1, 1, 2)]
+        groups = [[g["name"] for g in a.groups] for a in adams]
+        assert groups == [["prototypes"]] * 2 + [["prototypes", "features"]] * 2 \
+            + [["prototypes", "features", "last_layer"]]
+        assert [r["stage"] for r in history.records] == \
+            ["warm"] * 3 + ["secondary_warm"] * 2 + ["joint"] * 2
+        assert [r["epoch"] for r in history.records if "push" in r] == [1, 4, 7]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "checkpoint_epoch001.pegm", "checkpoint_epoch004.pegm",
+            "checkpoint_epoch007.pegm", "history.jsonl"]
 
     def test_nonconvergence_recorded_as_warning(self, toy_data):
         cfg = self.small_cfg(last_layer_max_iters=1, last_layer_tol=1e-15)
