@@ -22,7 +22,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import MISSING, asdict, fields, is_dataclass
+from dataclasses import MISSING, asdict, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +30,8 @@ import numpy as np
 from . import dataset as ds
 from . import sigproc
 from .container import write_json
-from .dataset import (DatasetManifest, EEGSample, SynthConfig,
-                      generate_synthetic, load, save)
+from .dataset import (DatasetManifest, SynthConfig, generate_synthetic, load,
+                      make_windows, rows_of, save)
 from .errors import (ConfigurationError, ContractError, DataFormatError,
                      DegenerateInputError, DimensionError, MissingSampleError,
                      NumericError, ProtoeegError, ProvenanceError,
@@ -196,12 +196,12 @@ def _cmd_synth(ns) -> None:
                             {"n_samples": ns.n, "seed": ns.seed},
                             required=("n_samples",))
     cfg = _build(SynthConfig, merged)
-    samples, manifest = generate_synthetic(cfg)
+    windows, manifest = generate_synthetic(cfg)
     out = Path(ns.out)
     data_path = out / "dataset.peeg"
-    save(samples, manifest, data_path)
+    save(windows, manifest, data_path)
     _write_resolved(out, "synth", asdict(cfg), inputs={})
-    print(f"wrote {len(samples)} windows to {data_path}")
+    print(f"wrote {len(windows)} windows to {data_path}")
 
 
 def _archive_array(archive, name: str) -> np.ndarray:
@@ -278,19 +278,17 @@ def _cmd_preprocess(ns) -> None:
     src = Path(ns.input)
     values, fs_in, votes, ids = _read_archive(src)
     n = values.shape[0]
-    samples = []
-    for i in range(n):
-        window = sigproc.preprocess_window(
-            values[i], fs_in,
+    processed = np.stack([
+        sigproc.preprocess_window(
+            window, fs_in,
             notch_hz=merged["notch_hz"], notch_q=merged["notch_q"],
             highpass_hz=merged["highpass_hz"],
             highpass_order=merged["highpass_order"],
-            fs_out=merged["target_fs"])
-        samples.append(EEGSample(values=window.astype(np.float32),
-                                 votes=int(votes[i]), sample_id=int(ids[i])))
+            fs_out=merged["target_fs"]).astype(np.float32)
+        for window in values])
     digest = hashlib.sha256(
         json.dumps(merged, sort_keys=True).encode()).hexdigest()
-    time_steps, channels = samples[0].values.shape
+    _, time_steps, channels = processed.shape
     if time_steps == 0:
         raise DataFormatError(
             f"'values' holds windows of {values.shape[1]} samples at {fs_in:g} Hz, "
@@ -301,7 +299,7 @@ def _cmd_preprocess(ns) -> None:
         splits={}, seed=merged["seed"], config_digest=digest)
     out = Path(ns.out)
     data_path = out / "dataset.peeg"
-    save(samples, manifest, data_path)
+    save(make_windows(ids, votes, processed), manifest, data_path)
     _write_resolved(out, "preprocess", merged, inputs={"input": src})
     print(f"preprocessed {n} windows ({fs_in:g} Hz -> {merged['target_fs']:g} Hz) "
           f"to {data_path}")
@@ -313,17 +311,17 @@ def _cmd_split(ns) -> None:
                  "seed": ns.seed}
     merged = resolve_config(defaults, ns.config, overrides)
     data_file = _dataset_file(ns.data)
-    samples, old = load(data_file)
-    manifest = ds.split(samples, fractions=merged["fractions"], seed=merged["seed"])
-    # split() only sees samples; acquisition facts carry over from the source
-    manifest.sample_rate_hz = old.sample_rate_hz
-    manifest.config_digest = old.config_digest
+    windows, old = load(data_file)
+    # acquisition facts carry over from the source manifest
+    manifest = replace(old, version=ds.FORMAT_VERSION, seed=merged["seed"],
+                       splits=ds.split(windows, fractions=merged["fractions"],
+                                       seed=merged["seed"]))
     out = Path(ns.out)
     data_path = out / "dataset.peeg"
-    save(samples, manifest, data_path)
+    save(windows, manifest, data_path)
     _write_resolved(out, "split", merged, inputs={"dataset": data_file})
     sizes = {name: len(manifest.ids_for(name)) for name in ("train", "val", "test")}
-    print(f"split {len(samples)} windows into {sizes} at {data_path}")
+    print(f"split {len(windows)} windows into {sizes} at {data_path}")
 
 
 def _cmd_train(ns) -> None:
@@ -333,9 +331,9 @@ def _cmd_train(ns) -> None:
                              "batch_size": ns.batch_size})
     cfg = _build(TrainConfig, merged)
     data_file = _dataset_file(ns.data)
-    samples, manifest = load(data_file)
+    windows, manifest = load(data_file)
     out = Path(ns.out)
-    model, history = train(cfg, TrainData.from_dataset(samples, manifest), out_dir=out)
+    model, history = train(cfg, TrainData.from_dataset(windows, manifest), out_dir=out)
     final = out / "model.pegm"
     save_model(model, final)
     for warning in history.warnings:
@@ -357,19 +355,19 @@ def _cmd_eval(ns) -> None:
     model_file = _model_file(ns.model)
     model = load_model(model_file)
     data_file = _dataset_file(ns.data)
-    samples, manifest = load(data_file)
-    wanted = set(manifest.ids_for(merged["split"]))
-    subset = [s for s in samples if s.sample_id in wanted]
-    if not subset:
+    windows, manifest = load(data_file)
+    # container order, which scores.json and the bootstrap draws follow
+    subset = windows[np.sort(rows_of(windows, manifest.ids_for(merged["split"])))]
+    if len(subset) == 0:
         raise ConfigurationError(f"split {merged['split']!r} is empty in {data_file}")
     scores = score_samples(model, subset)
-    votes = [s.votes for s in subset]
+    votes = subset.votes.tolist()
     metrics = metrics_from_scores(scores, votes, rounds=merged["rounds"],
                                   seed=merged["seed"])
     out = Path(ns.out)
     write_json(out / "metrics.json", metrics)
     score_rows = [{"sample_id": b.sample_id, "p_pos": b.p_pos, "p_neg": b.p_neg,
-                   "label": b.label, "votes": int(v)}
+                   "label": b.label, "votes": v}
                   for b, v in zip(scores, votes)]
     write_json(out / "scores.json", score_rows)
     _write_resolved(out, "eval", merged,
@@ -387,8 +385,8 @@ def _cmd_push(ns) -> None:
     model_file = _model_file(ns.model)
     model = load_model(model_file)
     data_file = _dataset_file(ns.data)
-    samples, manifest = load(data_file)
-    data = TrainData.from_dataset(samples, manifest)
+    windows, manifest = load(data_file)
+    data = TrainData.from_dataset(windows, manifest)
     records, _ = push_prototypes(model, data, epoch=0)
     out = Path(ns.out)
     save_model(model, out / "model.pegm")
@@ -405,14 +403,11 @@ def _cmd_explain(ns) -> None:
     model_file = _model_file(ns.model)
     model = load_model(model_file)
     data_file = _dataset_file(ns.data)
-    samples, _ = load(data_file)
-    sample = next((s for s in samples if s.sample_id == ns.sample_id), None)
-    if sample is None:
-        raise MissingSampleError(
-            f"sample id {ns.sample_id} is not present in {data_file}")
-    explanation = explain(model, sample, top_k=merged["top_k"])
+    windows, _ = load(data_file)
+    (row,) = rows_of(windows, [ns.sample_id])
+    explanation = explain(model, windows[row], top_k=merged["top_k"])
     out = Path(ns.out)
-    paths = render_report(explanation, samples, out)
+    paths = render_report(explanation, windows, out)
     _write_resolved(out, "explain", merged,
                     inputs={"model": model_file, "dataset": data_file})
     for kind, path in sorted(paths.items()):
@@ -425,8 +420,8 @@ def _cmd_report(ns) -> None:
     model_file = _model_file(ns.model)
     model = load_model(model_file)
     data_file = _dataset_file(ns.data)
-    samples, manifest = load(data_file)
-    doc = global_prototype_report(model, TrainData.from_dataset(samples, manifest))
+    windows, manifest = load(data_file)
+    doc = global_prototype_report(model, TrainData.from_dataset(windows, manifest))
     out = Path(ns.out)
     write_json(out / "prototype_report.json", doc)
     _write_resolved(out, "report", merged,

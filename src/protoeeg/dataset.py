@@ -7,24 +7,26 @@ alpha rhythm; with probability ``spike_rate`` a spike-and-wave event
 with latent salience s in (0, 1] is added, and annotators vote positive
 with probability sigmoid(a_j * (s + noise - b_j)).
 
-Storage is a framed container (magic ``PEEG``, framed by :mod:`.container`
-like a checkpoint) with a JSON manifest sidecar carrying split assignments.
+A dataset in memory is a record array of :func:`record_dtype`, one row per
+window with fields ``sample_id``, ``votes`` and ``values``.  That record is
+also the stored one: the container (magic ``PEEG``, framed by
+:mod:`.container` like a checkpoint) holds the rows' bytes as they are, so
+:func:`load` is one read-only view over the file and :func:`save` one
+``tobytes``.  A JSON manifest sidecar carries the split assignments.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .container import read_framed, write_atomic, write_framed
-from .errors import ConfigurationError, DataFormatError
+from .errors import ConfigurationError, DataFormatError, MissingSampleError
 
-TIME_STEPS = 128
 CHANNELS = 37
 SAMPLE_RATE_HZ = 128.0
 NUM_ANNOTATORS = 8
@@ -33,7 +35,6 @@ SPLIT_NAMES = ("train", "val", "test")
 
 MAGIC = b"PEEG"
 FORMAT_VERSION = 1
-_RECORD_HEAD = struct.Struct("<QB")
 
 
 @dataclass(frozen=True)
@@ -90,24 +91,41 @@ class SynthConfig:
         ).hexdigest()
 
 
-@dataclass
-class EEGSample:
-    values: np.ndarray  # (time, channel) float32, microvolts
-    votes: int
-    sample_id: int
+def record_dtype(time_steps: int, channels: int) -> np.dtype:
+    """One window as stored and held: its id, its vote count, and its
+    (time, channel) float32 values in microvolts, packed."""
+    try:
+        return np.dtype([("sample_id", "<u8"), ("votes", "u1"),
+                         ("values", "<f4", (time_steps, channels))])
+    except ValueError as exc:  # numpy caps one record at 2 GiB
+        raise DataFormatError(
+            f"windows of {time_steps} x {channels} values do not fit one record") from exc
 
-    def validate(self, time_steps: int = TIME_STEPS, channels: int = CHANNELS) -> None:
-        if self.values.shape != (time_steps, channels):
-            raise DataFormatError(
-                f"sample {self.sample_id}: shape {self.values.shape} != "
-                f"({time_steps}, {channels})"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise DataFormatError(f"sample {self.sample_id}: non-finite values")
-        if not 0 <= self.votes <= NUM_ANNOTATORS:
-            raise DataFormatError(
-                f"sample {self.sample_id}: votes {self.votes} outside 0..{NUM_ANNOTATORS}"
-            )
+
+def make_windows(ids, votes, values) -> np.recarray:
+    """A dataset's windows from an id and a vote count per window and
+    `values` (n, time, channel), cast to the stored record."""
+    values = np.asarray(values)
+    if values.ndim != 3 or not len(ids) == len(votes) == len(values):
+        raise DataFormatError(
+            f"values of shape {values.shape} do not hold one (time, channel) window "
+            f"for each of {len(ids)} ids and {len(votes)} vote counts")
+    windows = np.recarray(len(values), dtype=record_dtype(*values.shape[1:]))
+    windows.sample_id = ids
+    windows.votes = votes
+    windows.values = values
+    return windows
+
+
+def rows_of(windows, ids) -> np.ndarray:
+    """Row of each id in `windows`, in the order of `ids`; raises
+    MissingSampleError naming the first id that no window carries."""
+    ids = [int(i) for i in ids]
+    row_of = dict(zip(windows.sample_id.tolist(), range(len(windows))))
+    missing = next((i for i in ids if i not in row_of), None)
+    if missing is not None:
+        raise MissingSampleError(f"sample id {missing} is not in the dataset")
+    return np.array([row_of[i] for i in ids], dtype=np.intp)
 
 
 @dataclass
@@ -230,44 +248,44 @@ def _spike_wave_event(rng, cfg: SynthConfig, salience: float, n_t: int) -> np.nd
 
 
 def generate_synthetic(config: SynthConfig):
-    """Generate samples plus a manifest with the default stratified split.
+    """Generate windows plus a manifest with the default stratified split.
 
-    Deterministic under ``config.seed``: every sample draws from its own
+    Deterministic under ``config.seed``: every window draws from its own
     child generator, so the draw order is part of the format.
     """
-    n_t = config.time_steps
-    children = np.random.SeedSequence(config.seed).spawn(config.n_samples)
-    samples = []
-    for i, child in enumerate(children):
+    n, n_t = config.n_samples, config.time_steps
+    values = np.empty((n, n_t, CHANNELS), dtype=np.float32)
+    votes = np.empty(n, dtype=np.int64)
+    for i, child in enumerate(np.random.SeedSequence(config.seed).spawn(n)):
         rng = np.random.default_rng(child)
         has_event = rng.random() < config.spike_rate
         salience = float(rng.uniform(0.1, 1.0)) if has_event else 0.0
-        values = _pink_background(rng, config, n_t)
+        window = _pink_background(rng, config, n_t)
         if has_event:
-            values += _spike_wave_event(rng, config, salience, n_t)
-        votes = simulate_votes(salience, config.annotators, rng)
-        sample = EEGSample(values=values.astype(np.float32), votes=votes, sample_id=i)
-        sample.validate(time_steps=n_t)
-        samples.append(sample)
-
-    manifest = split(samples, fractions=DEFAULT_FRACTIONS, seed=config.seed)
-    manifest.sample_rate_hz = config.sample_rate_hz
-    manifest.time_steps = n_t
-    manifest.config_digest = config.digest()
-    return samples, manifest
+            window += _spike_wave_event(rng, config, salience, n_t)
+        values[i] = window
+        votes[i] = simulate_votes(salience, config.annotators, rng)
+    windows = make_windows(np.arange(n), votes, values)
+    manifest = DatasetManifest(
+        version=FORMAT_VERSION, sample_count=n, channel_count=CHANNELS,
+        time_steps=n_t, sample_rate_hz=config.sample_rate_hz,
+        splits=split(windows, fractions=DEFAULT_FRACTIONS, seed=config.seed),
+        seed=config.seed, config_digest=config.digest())
+    return windows, manifest
 
 
 # ---------------------------------------------------------------------------
 # splitting
 
 
-def split(samples, fractions=DEFAULT_FRACTIONS, seed: int = 0) -> DatasetManifest:
-    """Stratified-by-vote-class split, deterministic under seed.
+def split(windows, fractions=DEFAULT_FRACTIONS, seed: int = 0) -> dict:
+    """Stratified-by-vote-class assignment of each sample id to a split
+    name, deterministic under seed.
 
     Within each class sizes follow largest-remainder rounding, and any
     class with >= 3 members lands in every split.
     """
-    if not samples:
+    if len(windows) == 0:
         raise ConfigurationError("cannot split an empty sample collection")
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) != 3 or any(f < 0 for f in fractions):
@@ -277,12 +295,8 @@ def split(samples, fractions=DEFAULT_FRACTIONS, seed: int = 0) -> DatasetManifes
 
     rng = np.random.default_rng(seed)
     assignments: dict[int, str] = {}
-    by_class: dict[int, list[int]] = {}
-    for s in samples:
-        by_class.setdefault(s.votes, []).append(s.sample_id)
-
-    for votes in sorted(by_class):
-        ids = np.array(sorted(by_class[votes]), dtype=np.int64)
+    for votes in np.unique(windows.votes):
+        ids = np.sort(windows.sample_id[windows.votes == votes]).astype(np.int64)
         rng.shuffle(ids)
         n = len(ids)
         exact = [f * n for f in fractions]
@@ -301,18 +315,7 @@ def split(samples, fractions=DEFAULT_FRACTIONS, seed: int = 0) -> DatasetManifes
             for sid in ids[pos:pos + c]:
                 assignments[int(sid)] = name
             pos += c
-
-    time_steps, channels = samples[0].values.shape
-    return DatasetManifest(
-        version=FORMAT_VERSION,
-        sample_count=len(samples),
-        channel_count=channels,
-        time_steps=time_steps,
-        sample_rate_hz=float(time_steps),
-        splits=assignments,
-        seed=seed,
-        config_digest="",
-    )
+    return assignments
 
 
 # ---------------------------------------------------------------------------
@@ -323,66 +326,55 @@ def manifest_path(path) -> Path:
     return Path(path).with_suffix(".manifest.json")
 
 
-def _check_unique_ids(samples) -> None:
-    ids, counts = np.unique([s.sample_id for s in samples], return_counts=True)
+def _check(windows) -> None:
+    """Reject non-finite values, votes above NUM_ANNOTATORS, repeated ids."""
+    finite = np.isfinite(windows.values).all(axis=(1, 2))
+    if not finite.all():
+        raise DataFormatError(
+            f"sample {windows.sample_id[np.argmin(finite)]}: non-finite values")
+    over = windows.votes > NUM_ANNOTATORS
+    if over.any():
+        row = np.argmax(over)
+        raise DataFormatError(f"sample {windows.sample_id[row]}: votes "
+                              f"{windows.votes[row]} outside 0..{NUM_ANNOTATORS}")
+    ids, counts = np.unique(windows.sample_id, return_counts=True)
     if np.any(counts > 1):
         raise DataFormatError(f"duplicate sample ids {ids[counts > 1][:5].tolist()}")
 
 
-def save(samples, manifest: DatasetManifest, path) -> None:
-    if not samples:
+def save(windows, manifest: DatasetManifest, path) -> None:
+    """Write `windows` (a :func:`make_windows` record array) and `manifest`."""
+    if len(windows) == 0:
         raise ConfigurationError("refusing to save an empty dataset")
-    _check_unique_ids(samples)
-    time_steps, channels = samples[0].values.shape
-    payload = bytearray()
-    for s in samples:
-        s.validate(time_steps=time_steps, channels=channels)
-        payload += _RECORD_HEAD.pack(s.sample_id, s.votes)
-        payload += np.ascontiguousarray(s.values, dtype="<f4").tobytes()
-    write_framed(path, MAGIC, FORMAT_VERSION, (len(samples), time_steps, channels), payload)
+    _check(windows)
+    write_framed(path, MAGIC, FORMAT_VERSION,
+                 (len(windows), *windows.dtype["values"].shape), windows.tobytes())
     write_atomic(manifest_path(path), manifest.to_json())
 
 
 def load(path):
-    """Read a dataset container and its manifest sidecar."""
+    """Read a dataset container and its manifest sidecar.
+
+    The windows are a read-only record array over the bytes read; the
+    manifest must agree with them, down to every id its splits name.
+    """
     (count, time_steps, channels), payload = read_framed(
         path, MAGIC, FORMAT_VERSION, 3, "dataset",
-        lambda n, t, c: n * (_RECORD_HEAD.size + t * c * 4))
-    samples = []
-    offset = 0
-    for _ in range(count):
-        sid, votes = _RECORD_HEAD.unpack_from(payload, offset)
-        offset += _RECORD_HEAD.size
-        values = np.frombuffer(payload, dtype="<f4", count=time_steps * channels,
-                               offset=offset).reshape(time_steps, channels)
-        offset += time_steps * channels * 4
-        sample = EEGSample(values=values.copy(), votes=int(votes), sample_id=int(sid))
-        sample.validate(time_steps=time_steps, channels=channels)
-        samples.append(sample)
-    _check_unique_ids(samples)
+        lambda n, t, c: n * record_dtype(t, c).itemsize)
+    windows = np.frombuffer(payload, record_dtype(time_steps, channels)).view(np.recarray)
+    _check(windows)
 
     mpath = manifest_path(path)
     try:
         manifest = DatasetManifest.from_json(mpath.read_text("utf-8"))
     except (OSError, UnicodeDecodeError) as exc:  # absent, or not UTF-8
         raise DataFormatError(f"cannot read manifest sidecar {mpath}: {exc}") from exc
-    for key, value in (("sample_count", count), ("time_steps", time_steps),
-                       ("channel_count", channels)):
+    for key, value in (("version", FORMAT_VERSION), ("sample_count", count),
+                       ("time_steps", time_steps), ("channel_count", channels)):
         if getattr(manifest, key) != value:
             raise DataFormatError(f"manifest {key} {getattr(manifest, key)} != container {value}")
-    return samples, manifest
-
-
-def split_arrays(samples, manifest: DatasetManifest, split_name: str):
-    """(values f64 (N,T,C), votes, sample_ids) for one split, id-ordered;
-    an empty split gives (0, T, C) values."""
-    by_id = {s.sample_id: s for s in samples}
-    ids = manifest.ids_for(split_name)
-    missing = [i for i in ids if i not in by_id]
-    if missing:
-        raise DataFormatError(f"manifest references missing sample ids {missing[:5]}")
-    values = np.empty((len(ids), manifest.time_steps, manifest.channel_count))
-    for row, i in enumerate(ids):
-        values[row] = by_id[i].values
-    votes = np.array([by_id[i].votes for i in ids], dtype=np.int64)
-    return values, votes, np.array(ids, dtype=np.int64)
+    try:
+        rows_of(windows, manifest.splits)
+    except MissingSampleError as exc:
+        raise DataFormatError(f"manifest splits name an absent window: {exc}") from exc
+    return windows, manifest

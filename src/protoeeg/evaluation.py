@@ -159,14 +159,14 @@ def bootstrap_ci(scores, labels, rounds: int = 10000, seed: int = 0) -> Bootstra
                        seed=seed)
 
 
-def score_samples(model, samples) -> list:
-    """BinaryScore per test sample, in the given order."""
-    if not samples:
+def score_samples(model, windows) -> list:
+    """BinaryScore per window of a dataset record array, in its order."""
+    if len(windows) == 0:
         raise ConfigurationError("test split is empty")
-    values = np.stack([np.asarray(s.values, dtype=np.float64) for s in samples])
-    probs = model.forward_probs(values)["probabilities"]
-    return [binarize(probs[i], votes=s.votes, sample_id=s.sample_id)
-            for i, s in enumerate(samples)]
+    probs = model.forward_probs(np.asarray(windows.values, dtype=np.float64))
+    return [binarize(p, votes=v, sample_id=i)
+            for p, v, i in zip(probs["probabilities"], windows.votes.tolist(),
+                               windows.sample_id.tolist())]
 
 
 def metrics_from_scores(binary_scores, votes, rounds: int = 10000,

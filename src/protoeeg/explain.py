@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .container import write_atomic, write_json
-from .errors import (ConfigurationError, MissingSampleError, NumericError,
-                     ProvenanceError)
+from .dataset import rows_of
+from .errors import ConfigurationError, NumericError, ProvenanceError
 from .evaluation import BinaryScore, binarize
 from .model import ProtoEEGNet, points_contributed
 from .training import TrainData, require_class_coverage
@@ -75,7 +75,8 @@ def _require_provenance(model: ProtoEEGNet) -> None:
 
 
 def explain(model: ProtoEEGNet, sample, top_k: int = 3) -> Explanation:
-    """Full per-prototype accounting for one sample.
+    """Full per-prototype accounting for one sample: a row of a dataset
+    record array, with its ``sample_id``, ``votes`` and ``values``.
 
     Sections cover every class — the predicted one first, the rest by
     descending probability — each keeping its top_k rows by absolute
@@ -118,9 +119,8 @@ def explain(model: ProtoEEGNet, sample, top_k: int = 3) -> Explanation:
 
     binary = None
     if probs.shape == (9,):  # the vote-scale reduction needs all nine classes
-        binary = binarize(probs, votes=getattr(sample, "votes", 0),
-                          sample_id=getattr(sample, "sample_id", -1))
-    return Explanation(sample_id=int(getattr(sample, "sample_id", -1)),
+        binary = binarize(probs, votes=int(sample.votes), sample_id=sample.sample_id)
+    return Explanation(sample_id=int(sample.sample_id),
                        predicted_class=predicted,
                        probabilities=tuple(float(p) for p in probs),
                        binary=binary, sections=tuple(sections))
@@ -215,21 +215,14 @@ def _text_report(explanation: Explanation) -> str:
 def render_report(explanation: Explanation, dataset, out_dir) -> dict:
     """Write explain_<id>.{json,svg,txt} into out_dir; returns the paths.
 
-    `dataset` is any iterable of samples carrying `.sample_id` and
-    `.values`; it must contain the query sample and every source sample
-    referenced by the predicted class's rows.
+    `dataset` is a dataset record array; it must hold the query window and
+    every source window of the predicted class's rows, or MissingSampleError
+    names the first absent id, the query's before the sources'.
     """
-    needed = {row.source_sample_id for row in explanation.sections[0].rows}
-    wanted = needed | {explanation.sample_id}
-    index = {s.sample_id: np.asarray(s.values, dtype=np.float64)
-             for s in dataset if s.sample_id in wanted}
-    if explanation.sample_id not in index:
-        raise MissingSampleError(
-            f"query sample {explanation.sample_id} not in dataset")
-    missing = sorted(needed - set(index))
-    if missing:
-        raise MissingSampleError(
-            f"source sample {missing[0]} not in dataset")
+    ids = [explanation.sample_id,
+           *sorted({row.source_sample_id for row in explanation.sections[0].rows})]
+    index = dict(zip(ids, np.asarray(dataset[rows_of(dataset, ids)].values,
+                                     dtype=np.float64)))
 
     stem = f"explain_{explanation.sample_id}"
     paths = {kind: Path(out_dir) / f"{stem}.{kind}" for kind in ("json", "svg", "txt")}

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .container import write_atomic
-from .dataset import split_arrays
+from .dataset import rows_of
 from .errors import ConfigurationError
 from .losses import LossCoefficients, total_loss
 from .model import (ProtoEEGNet, PushRecord, own_class_mask, save_model,
@@ -164,10 +164,15 @@ class TrainData:
     val_ids: np.ndarray
 
     @classmethod
-    def from_dataset(cls, samples, manifest) -> "TrainData":
-        tv, tl, ti = split_arrays(samples, manifest, "train")
-        vv, vl, vi = split_arrays(samples, manifest, "val")
-        return cls(tv, tl, ti, vv, vl, vi)
+    def from_dataset(cls, windows, manifest) -> "TrainData":
+        """The train and val windows of a dataset record array, each in
+        ascending sample_id order; an empty split gives (0, T, C) values."""
+        columns = []
+        for name in ("train", "val"):
+            part = windows[rows_of(windows, manifest.ids_for(name))]
+            columns += [np.asarray(part.values, dtype=np.float64),
+                        part.votes.astype(np.int64), part.sample_id.astype(np.int64)]
+        return cls(*columns)
 
 
 def _require_nonempty(data: TrainData) -> None:
@@ -274,13 +279,15 @@ def stage_lr(config: TrainConfig, stage: str, epoch: int) -> dict:
 
 
 def run_stage(stage: str, model, data, config, epochs=None, *, rng=None,
-              history=None, defer_val=()) -> ProtoEEGNet:
+              history=None, defer_val=(), latents=None) -> ProtoEEGNet:
     """Train the parameter groups of `stage` over `epochs` with one fresh Adam.
 
     `epochs` defaults to the stage's whole span and `rng` to a generator
     seeded by ``config.seed``.  Groups outside the stage stay frozen: the
-    warm stage moves prototypes only, so its latents are cached once per
-    call; secondary warm adds the backbone; joint adds the head.
+    warm stage moves prototypes only, so it trains on the training split's
+    latents, embedded once per call unless `latents` hands it those of the
+    current backbone (a push returns them); secondary warm adds the
+    backbone; joint adds the head.
 
     train() calls this once per push segment, so every segment starts from
     zero moments.  That reset is load-bearing: carrying the joint Adam
@@ -301,8 +308,10 @@ def run_stage(stage: str, model, data, config, epochs=None, *, rng=None,
               "last_layer": [model.head]}
     opt = dc.Adam([{"name": group, "params": params[group], "lr": lr}
                    for group, lr in stage_lr(config, stage, epochs[0]).items()])
-    cache = (model.forward_probs(data.train_values)["latents"]
-             if stage == "warm" else None)
+    cache = None
+    if stage == "warm":
+        cache = (model.forward_probs(data.train_values)["latents"]
+                 if latents is None else latents)
     for epoch in epochs:
         lr = stage_lr(config, stage, epoch)
         for group, value in lr.items():
@@ -492,9 +501,10 @@ def train(config: TrainConfig, data: TrainData, model: ProtoEEGNet = None,
         if not span:
             continue
         op = _STAGE_OPS[stage]
+        latents = None  # the last push's, while the backbone has not moved since
         for seg in _segments(span, push_set):
             op(model, data, config, seg, rng=rng, history=history.records,
-               defer_val=push_set)
+               defer_val=push_set, latents=latents)
             last = seg[-1]
             if last not in push_set:
                 continue

@@ -507,7 +507,7 @@ def trained_run():
     t0 = time.monotonic()
     net, _ = tr.train(config, tr.TrainData.from_dataset(samples, manifest))
     elapsed = time.monotonic() - t0
-    test_samples = [samples[i] for i in manifest.ids_for("test")]
+    test_samples = samples[manifest.ids_for("test")]
     train_labels = {int(i): samples[i].votes for i in manifest.ids_for("train")}
     metrics = metrics_from_scores(score_samples(net, test_samples),
                                   [s.votes for s in test_samples],

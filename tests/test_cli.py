@@ -692,6 +692,18 @@ class TestEval:
         err = capsys.readouterr().err
         assert "manifest" in err and len(err.splitlines()) == 1
 
+    def test_manifest_naming_an_absent_sample_is_format_error(self, run_dir, data_dir,
+                                                              tmp_path, capsys):
+        _, manifest = load(data_dir / "dataset.peeg")
+        renamed = str(manifest.ids_for("test")[0])
+        bad = _copy_with_manifest(
+            data_dir, tmp_path / "bad",
+            lambda raw: raw["splits"].update({"999999": raw["splits"].pop(renamed)}))
+        capsys.readouterr()
+        assert main(["eval", "--model", str(run_dir), "--data", str(bad),
+                     "--rounds", "200", "--out", str(tmp_path / "ev")]) == 2
+        assert "999999" in _one_line_error(capsys)
+
     def test_missing_model_is_format_error(self, data_dir, tmp_path):
         assert main(["eval", "--model", str(tmp_path / "nope.pegm"),
                      "--data", str(data_dir), "--out", str(tmp_path / "o")]) == 2
@@ -743,6 +755,14 @@ class TestExplain:
         assert main(["explain", "--model", str(run_dir), "--data", str(data_dir),
                      "--sample-id", "424242", "--out", str(tmp_path / "o")]) == 2
         assert "424242" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sid", ["-1", str(2 ** 64)])
+    def test_id_outside_the_record_is_data_error(self, sid, run_dir, data_dir, tmp_path,
+                                                 capsys):
+        capsys.readouterr()
+        assert main(["explain", "--model", str(run_dir), "--data", str(data_dir),
+                     "--sample-id", sid, "--out", str(tmp_path / "o")]) == 2
+        assert f"sample id {sid} " in _one_line_error(capsys)
 
 
 class TestReport:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ import pytest
 from protoeeg import dataset as ds
 from protoeeg.cli import _build, resolve_config
 from protoeeg.container import read_framed, write_framed
-from protoeeg.errors import ConfigurationError, DataFormatError
+from protoeeg.errors import ConfigurationError, DataFormatError, MissingSampleError
+from protoeeg.training import TrainData
 
 
 @pytest.fixture(scope="module")
@@ -104,8 +106,8 @@ class TestHistogram:
 
 
 def _fake_samples(votes_list):
-    return [ds.EEGSample(np.zeros((4, 37), np.float32), votes=v, sample_id=i)
-            for i, v in enumerate(votes_list)]
+    n = len(votes_list)
+    return ds.make_windows(np.arange(n), votes_list, np.zeros((n, 4, 37), np.float32))
 
 
 class TestSplit:
@@ -113,21 +115,20 @@ class TestSplit:
         rng = np.random.default_rng(0)
         samples = _fake_samples(rng.integers(0, 9, size=10_000))
         man = ds.split(samples, seed=0)
-        sizes = [len(man.ids_for(s)) for s in ("train", "val", "test")]
+        sizes = [list(man.values()).count(s) for s in ("train", "val", "test")]
         for got, want in zip(sizes, (7300, 1200, 1500)):
             assert abs(got - want) <= 9  # +-1 per class
 
     def test_all_train(self):
         samples = _fake_samples([0, 1, 4, 8] * 5)
         man = ds.split(samples, fractions=(1.0, 0.0, 0.0), seed=1)
-        assert len(man.ids_for("train")) == 20
-        assert not man.ids_for("val") and not man.ids_for("test")
+        assert list(man.values()) == ["train"] * 20
 
     def test_deterministic(self):
         samples = _fake_samples(list(range(9)) * 30)
         a = ds.split(samples, seed=5)
         b = ds.split(samples, seed=5)
-        assert a.splits == b.splits
+        assert a == b
 
     def test_stratified_within_one(self):
         rng = np.random.default_rng(2)
@@ -138,20 +139,20 @@ class TestSplit:
             ids = [s.sample_id for s in samples if s.votes == c]
             n = len(ids)
             for frac, name in zip((0.73, 0.12, 0.15), ("train", "val", "test")):
-                got = sum(1 for i in ids if man.splits[i] == name)
+                got = sum(1 for i in ids if man[i] == name)
                 assert abs(got - frac * n) <= 1
 
     def test_each_class_in_every_split(self):
         samples = _fake_samples([0] * 3 + [5] * 4 + [8] * 100)
         man = ds.split(samples, seed=7)
         for c, members in ((0, 3), (5, 4), (8, 100)):
-            names = {man.splits[s.sample_id] for s in samples if s.votes == c}
+            names = {man[s.sample_id] for s in samples if s.votes == c}
             assert names == {"train", "val", "test"}
 
     def test_every_id_assigned_once(self):
         samples = _fake_samples(list(range(9)) * 10)
         man = ds.split(samples, seed=0)
-        assert sorted(man.splits) == [s.sample_id for s in samples]
+        assert sorted(man) == [s.sample_id for s in samples]
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -163,10 +164,13 @@ class TestSplit:
             ds.split(samples, fractions=(0.5, 0.5, 0.5))
 
     def test_manifest_records_the_sample_shape(self):
-        samples = [ds.EEGSample(np.zeros((4, 5), np.float32), votes=v, sample_id=v)
-                   for v in range(3)]
-        manifest = ds.split(samples)
-        assert (manifest.time_steps, manifest.channel_count) == (4, 5)
+        # the generator builds its manifest around the split, once
+        windows, manifest = ds.generate_synthetic(
+            ds.SynthConfig(n_samples=3, sample_rate_hz=64.0))
+        assert windows.values.shape[1:] == (64, 37)
+        assert (manifest.time_steps, manifest.channel_count) == (64, 37)
+        assert manifest.sample_rate_hz == 64.0
+        assert manifest.splits == ds.split(windows, seed=0)
 
 
 class TestStorage:
@@ -182,6 +186,26 @@ class TestStorage:
             assert a.values.tobytes() == b.values.tobytes()
         assert man2.splits == manifest.splits
         assert man2.config_digest == manifest.config_digest
+        assert loaded.tobytes() == samples.tobytes()
+
+    def test_payload_is_the_packed_records(self, small_set, tmp_path):
+        # per window: u64 id, u8 votes, then float32 (time, channel) values
+        samples, manifest = small_set
+        path = tmp_path / "d.peeg"
+        ds.save(samples, manifest, path)
+        _, payload = read_framed(path, ds.MAGIC, ds.FORMAT_VERSION, 3, "dataset")
+        expected = b"".join(struct.pack("<QB", int(s.sample_id), int(s.votes))
+                            + np.asarray(s.values, "<f4").tobytes() for s in samples)
+        assert bytes(payload) == expected
+
+    def test_load_is_a_read_only_view(self, small_set, tmp_path):
+        samples, manifest = small_set
+        path = tmp_path / "d.peeg"
+        ds.save(samples, manifest, path)
+        loaded, _ = ds.load(path)
+        assert isinstance(loaded, np.recarray) and not loaded.flags.writeable
+        with pytest.raises(ValueError):
+            loaded.votes[0] = 1
 
     def test_wrong_magic(self, small_set, tmp_path):
         samples, manifest = small_set
@@ -221,7 +245,7 @@ class TestStorage:
             ds.load(path)
 
     @pytest.mark.parametrize("key, value", [("sample_count", 59), ("time_steps", 64),
-                                            ("channel_count", 5)])
+                                            ("channel_count", 5), ("version", 2)])
     def test_manifest_disagreeing_with_container(self, small_set, tmp_path, key,
                                                  value):
         samples, manifest = small_set
@@ -230,60 +254,102 @@ class TestStorage:
         with pytest.raises(DataFormatError, match=key):
             ds.load(path)
 
+    def test_manifest_naming_an_absent_id(self, small_set, tmp_path):
+        samples, manifest = small_set
+        splits = dict(manifest.splits)
+        splits[999999] = splits.pop(manifest.ids_for("test")[0])
+        path = tmp_path / "d.peeg"
+        ds.save(samples, dataclasses.replace(manifest, splits=splits), path)
+        with pytest.raises(DataFormatError, match="999999"):
+            ds.load(path)
+
+    def test_window_too_large_for_a_record(self, tmp_path):
+        # an empty payload passes the size check whatever the window shape
+        path = tmp_path / "d.peeg"
+        write_framed(path, ds.MAGIC, ds.FORMAT_VERSION, (0, 2 ** 20, 2 ** 20), b"")
+        with pytest.raises(DataFormatError, match="record"):
+            ds.load(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError):
             ds.load(tmp_path / "nope.peeg")
 
     def test_duplicate_ids_rejected_on_save(self, small_set, tmp_path):
         samples, manifest = small_set
-        twin = ds.EEGSample(samples[1].values, votes=samples[1].votes,
-                            sample_id=samples[0].sample_id)
+        twin = samples.copy()
+        twin.sample_id[1] = twin.sample_id[0]
         path = tmp_path / "d.peeg"
         with pytest.raises(DataFormatError, match="duplicate"):
-            ds.save([samples[0], twin, *samples[2:]], manifest, path)
+            ds.save(twin, manifest, path)
         assert not path.exists()
 
     @pytest.mark.parametrize("field, match", [("sample_id", "duplicate"),
-                                              ("votes", "votes")])
+                                              ("votes", "votes"),
+                                              ("values", "non-finite")])
     def test_bad_record_under_valid_checksum(self, small_set, tmp_path, field,
                                              match):
         samples, manifest = small_set
         path = tmp_path / "d.peeg"
         ds.save(samples, manifest, path)
         fields, view = read_framed(path, ds.MAGIC, ds.FORMAT_VERSION, 3, "dataset")
-        payload = bytearray(view)
-        head = {"sample_id": samples[1].sample_id, "votes": samples[1].votes}
-        head[field] = samples[0].sample_id if field == "sample_id" else 12
-        second = ds._RECORD_HEAD.size + samples[0].values.nbytes
-        ds._RECORD_HEAD.pack_into(payload, second, head["sample_id"], head["votes"])
-        write_framed(path, ds.MAGIC, ds.FORMAT_VERSION, fields, payload)
+        records = np.frombuffer(view, ds.record_dtype(*fields[1:])).copy()
+        bad = {"sample_id": samples[0].sample_id, "votes": 12, "values": np.inf}
+        records[field][1] = bad[field]
+        write_framed(path, ds.MAGIC, ds.FORMAT_VERSION, fields, records.tobytes())
         with pytest.raises(DataFormatError, match=match):
             ds.load(path)
 
 
+def _one_window(tmp_path, values, votes=0):
+    """Save one window with the given values and votes under a stub manifest."""
+    manifest = ds.DatasetManifest(version=ds.FORMAT_VERSION, sample_count=1,
+                                  channel_count=values.shape[1],
+                                  time_steps=values.shape[0], sample_rate_hz=128.0,
+                                  splits={}, seed=0, config_digest="")
+    ds.save(ds.make_windows([1], [votes], values[None]), manifest, tmp_path / "d.peeg")
+
+
 class TestSampleValidation:
     def test_wrong_shape(self):
-        s = ds.EEGSample(np.zeros((64, 37), np.float32), votes=0, sample_id=1)
-        with pytest.raises(DataFormatError):
-            s.validate()
+        with pytest.raises(DataFormatError, match="window"):
+            ds.make_windows([1], [0], np.zeros((64, 37), np.float32))
+        with pytest.raises(DataFormatError, match="2 ids"):
+            ds.make_windows([1, 2], [0, 0], np.zeros((1, 64, 37), np.float32))
 
-    def test_nonfinite(self):
+    def test_nonfinite(self, tmp_path):
         vals = np.zeros((128, 37), np.float32)
         vals[0, 0] = np.nan
-        with pytest.raises(DataFormatError):
-            ds.EEGSample(vals, votes=0, sample_id=1).validate()
+        with pytest.raises(DataFormatError, match="non-finite"):
+            _one_window(tmp_path, vals)
+        assert not (tmp_path / "d.peeg").exists()
 
-    def test_votes_range(self):
-        s = ds.EEGSample(np.zeros((128, 37), np.float32), votes=9, sample_id=1)
-        with pytest.raises(DataFormatError):
-            s.validate()
+    def test_votes_range(self, tmp_path):
+        with pytest.raises(DataFormatError, match="votes 9"):
+            _one_window(tmp_path, np.zeros((128, 37), np.float32), votes=9)
+        assert not (tmp_path / "d.peeg").exists()
 
 
-def test_split_arrays_ordering(small_set):
+class TestRowsOf:
+    def test_rows_follow_the_given_ids(self):
+        windows = ds.make_windows([30, 10, 20], [1, 2, 3], np.zeros((3, 4, 5)))
+        assert ds.rows_of(windows, [20, 30, 20]).tolist() == [2, 0, 2]
+        assert ds.rows_of(windows, []).tolist() == []
+
+    @pytest.mark.parametrize("ids, first", [([10, 7, 8], 7), ([-1, 7], -1),
+                                            ([2 ** 64, 10], 2 ** 64)])
+    def test_names_the_first_absent_id(self, ids, first):
+        windows = ds.make_windows([30, 10, 20], [1, 2, 3], np.zeros((3, 4, 5)))
+        with pytest.raises(MissingSampleError, match=f"sample id {first} "):
+            ds.rows_of(windows, ids)
+
+
+def test_train_data_is_id_ordered(small_set):
     samples, manifest = small_set
-    values, votes, ids = ds.split_arrays(samples, manifest, "train")
-    assert values.dtype == np.float64
-    assert list(ids) == manifest.ids_for("train")
-    by_id = {s.sample_id: s for s in samples}
-    for i, sid in enumerate(ids):
-        assert votes[i] == by_id[sid].votes
+    data = TrainData.from_dataset(samples[::-1], manifest)
+    assert data.train_values.dtype == np.float64
+    assert list(data.train_ids) == manifest.ids_for("train")
+    assert list(data.val_ids) == manifest.ids_for("val")
+    by_id = {int(s.sample_id): s for s in samples}
+    for i, sid in enumerate(data.train_ids):
+        assert data.train_labels[i] == by_id[sid].votes
+        assert np.array_equal(data.train_values[i], by_id[sid].values)

@@ -9,7 +9,7 @@ from scipy.stats import rankdata
 
 from protoeeg import evaluation as ev
 from protoeeg import model as m
-from protoeeg.dataset import EEGSample
+from protoeeg.dataset import make_windows
 from protoeeg.errors import (ConfigurationError, ContractError, DimensionError,
                              NumericError, UndefinedMetricError)
 
@@ -227,9 +227,9 @@ TOY_ARCH = m.BackboneConfig(
 
 def make_samples(votes_list, seed=0):
     rng = np.random.default_rng(seed)
-    return [EEGSample(values=rng.standard_normal((128, 37)).astype(np.float32),
-                      votes=int(v), sample_id=100 + i)
-            for i, v in enumerate(votes_list)]
+    n = len(votes_list)
+    return make_windows(100 + np.arange(n), votes_list,
+                        rng.standard_normal((n, 128, 37)).astype(np.float32))
 
 
 @pytest.fixture(scope="module")

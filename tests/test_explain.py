@@ -10,7 +10,7 @@ from conftest import train_data
 from protoeeg import explain as ex
 from protoeeg import model as m
 from protoeeg import training as tr
-from protoeeg.dataset import EEGSample
+from protoeeg.dataset import make_windows
 from protoeeg.errors import (ConfigurationError, MissingSampleError,
                              ProvenanceError)
 
@@ -47,9 +47,7 @@ def pushed():
                          push_epochs=(4,), batch_size=8, seed=2)
     tr.run_warm_stage(net, data, cfg)
     records, _ = tr.push_prototypes(net, data, epoch=4)
-    samples = [EEGSample(values=values[i].astype(np.float32),
-                         votes=int(labels[i]), sample_id=int(data.train_ids[i]))
-               for i in range(len(labels))]
+    samples = make_windows(data.train_ids, labels, values)
     return net, data, samples, records
 
 
@@ -57,8 +55,7 @@ class TestExplain:
     def test_requires_push_provenance(self):
         net = m.ProtoEEGNet.initialize(config=TOY_ARCH, seed=1, num_classes=4,
                                        per_class=2)
-        sample = EEGSample(values=np.zeros((128, 37), dtype=np.float32) + 0.5,
-                           votes=1, sample_id=0)
+        sample = make_windows([0], [1], np.zeros((1, 128, 37)) + 0.5)[0]
         with pytest.raises(ProvenanceError, match="push"):
             ex.explain(net, sample)
 
@@ -144,8 +141,7 @@ class TestExplain:
         net = m.ProtoEEGNet.initialize(config=TOY_ARCH, seed=2, num_classes=4,
                                        per_class=2)
         tr.push_prototypes(net, data, epoch=1)
-        sample = EEGSample(values=values[0].astype(np.float32), votes=0,
-                           sample_id=0)
+        sample = make_windows([0], [0], values[:1])[0]
         result = ex.explain(net, sample)
         assert result.binary is None
         assert result.to_dict()["binary"] is None
@@ -194,14 +190,14 @@ class TestRenderReport:
         net, _, samples, _ = pushed
         result = ex.explain(net, samples[4])
         needed = {r.source_sample_id for r in result.sections[0].rows}
-        pruned = [s for s in samples if s.sample_id not in needed]
+        pruned = samples[~np.isin(samples.sample_id, list(needed))]
         with pytest.raises(MissingSampleError):
             ex.render_report(result, pruned, tmp_path)
 
     def test_missing_query_rejected(self, pushed, tmp_path):
         net, _, samples, _ = pushed
         result = ex.explain(net, samples[4])
-        pruned = [s for s in samples if s.sample_id != samples[4].sample_id]
+        pruned = samples[samples.sample_id != samples[4].sample_id]
         with pytest.raises(MissingSampleError,
                            match=str(samples[4].sample_id)):
             ex.render_report(result, pruned, tmp_path)

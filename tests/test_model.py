@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from conftest import rewrite_header
 
 from protoeeg import model as m
-from protoeeg.dataset import EEGSample
+from protoeeg.dataset import make_windows
 from protoeeg.diffcore import Tensor
 from protoeeg.errors import (
     ConfigurationError,
@@ -245,7 +245,7 @@ def test_inference_is_batch_invariant():
     net.bank.provenance = [m.PushRecord(j // 12, j % 12, j, 1.0, 0) for j in range(108)]
     rng = np.random.default_rng(8)
     window = rng.standard_normal((128, 37)).astype(np.float32)
-    sample = EEGSample(values=window, votes=4, sample_id=0)
+    sample = make_windows([0], [4], window[None])[0]
     alone = net.forward_probs(window)
     p_pos = explain(net, sample).binary.p_pos
     for size in (7, 75):
@@ -253,8 +253,7 @@ def test_inference_is_batch_invariant():
         positions = sorted({0, 1, size // 2, size - 2, size - 1})
         batch[positions] = window
         out = net.forward_probs(batch)
-        scores = score_samples(net, [EEGSample(values=v, votes=4, sample_id=i)
-                                     for i, v in enumerate(batch)])
+        scores = score_samples(net, make_windows(np.arange(size), np.full(size, 4), batch))
         for pos in positions:
             for key in ("similarities", "logits", "probabilities"):
                 assert np.array_equal(out[key][pos], alone[key]), (size, pos, key)

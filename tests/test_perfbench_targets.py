@@ -13,6 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from protoeeg.cli import main
+from protoeeg.dataset import (DatasetManifest, SynthConfig, generate_synthetic,
+                              manifest_path)
 from protoeeg.evaluation import bootstrap_ci
 from protoeeg.model import ProtoEEGNet
 from protoeeg.training import optimize_last_layer
@@ -20,13 +23,22 @@ from protoeeg.training import optimize_last_layer
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.fixture(scope="module")
-def spans():
+def _perfbench_module(name):
     sys.path.insert(0, str(PERFBENCH))
     try:
-        return importlib.import_module("spans")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+@pytest.fixture(scope="module")
+def spans():
+    return _perfbench_module("spans")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _perfbench_module("workloads")
 
 
 @pytest.fixture(scope="module")
@@ -65,3 +77,20 @@ def test_refit_hook_records_iterations(spans):
     result = optimize_last_layer(net, latents, labels, max_iters=7)
     assert hook_attrs(spans, "training.optimize_last_layer", result) == \
         {"iterations": result[1]["iterations"]}
+
+
+def test_workloads_read_the_dataset(workloads, tmp_path):
+    # the benchmark's checks read `load`'s result row by row
+    assert main(["synth", "--n", "40", "--seed", "2", "--out", str(tmp_path)]) == 0
+    data_file = tmp_path / "dataset.peeg"
+    manifest = DatasetManifest.from_json(manifest_path(data_file).read_text("utf-8"))
+    expected, _ = generate_synthetic(SynthConfig(n_samples=40, seed=2))
+    windows, votes, loaded = workloads._load_dataset(data_file)
+    assert loaded.splits == manifest.splits
+    assert sorted(windows) == sorted(votes) == sorted(manifest.splits) == list(range(40))
+    for sid in manifest.splits:
+        assert windows[sid].dtype == np.float64
+        assert np.array_equal(windows[sid], expected.values[sid])
+        assert votes[sid] == int(expected.votes[sid])
+    assert workloads._split_sizes(data_file) == {
+        name: len(manifest.ids_for(name)) for name in ("train", "val", "test")}

@@ -640,6 +640,36 @@ class TestTrain:
             "checkpoint_epoch001.pegm", "checkpoint_epoch004.pegm",
             "checkpoint_epoch007.pegm", "history.jsonl"]
 
+    def test_warm_segment_after_a_push_reuses_its_latents(self, toy_data, monkeypatch,
+                                                          tmp_path):
+        # warm [1] [2 3], secondary [4] [5], joint [6 7]; toy_data has no val split
+        cfg = self.small_cfg(num_train_epochs=7, num_warm_epochs=3,
+                             num_secondary_warm_epochs=2, push_start=0,
+                             push_epochs=(1, 4, 7), joint_lr_step_size=1)
+        forward = m.ProtoEEGNet.forward_probs
+        passes = []
+
+        def counting_forward(self, values):
+            passes.append(len(values))
+            return forward(self, values)
+
+        def artifacts(out):
+            net, history = tr.train(cfg, toy_data, model=toy_model(seed=9), out_dir=out)
+            m.save_model(net, out / "model.pegm")
+            return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        monkeypatch.setattr(m.ProtoEEGNet, "forward_probs", counting_forward)
+        reused = artifacts(tmp_path / "reused")
+        # the warm cache once, then one scan per push
+        assert passes == [len(toy_data.train_labels)] * 4
+
+        ops = dict(tr._STAGE_OPS)
+        monkeypatch.setitem(tr._STAGE_OPS, "warm",
+                            lambda *a, latents=None, **k: ops["warm"](*a, **k))
+        passes.clear()
+        assert artifacts(tmp_path / "embedded") == reused
+        assert len(passes) == 5
+
     def test_nonconvergence_recorded_as_warning(self, toy_data):
         cfg = self.small_cfg(last_layer_max_iters=1, last_layer_tol=1e-15)
         _, history = tr.train(cfg, toy_data, model=toy_model(seed=9))
