@@ -2,9 +2,11 @@
 
 A :class:`Tensor` wraps an ndarray plus an optional gradient buffer.  Ops
 build a closure-based tape; :func:`backward` walks it in reverse
-topological order.  Gradients accumulate additively into ``.grad`` until
+topological order.  Gradients accumulate on leaves only (tensors that no op
+produced, such as parameters): they add into the leaf's ``.grad`` until
 explicitly reset, so repeated backward passes sum their contributions
-(the semantics optimizers rely on for gradient accumulation).
+(the semantics optimizers rely on for gradient accumulation).  An op's
+result keeps ``.grad`` at None; its gradient lives only during the walk.
 
 Only the operations the network needs are provided, each for the batched
 layout the network sends it.  Everything runs in float64; inputs of other
@@ -44,9 +46,9 @@ def no_grad():
 class Tensor:
     """float64 array with reverse-mode gradient tracking.
 
-    ``grad`` is lazily allocated and zero until a backward pass reaches
-    this tensor.  ``requires_grad=True`` marks a leaf parameter; results
-    of ops derive it from their inputs.
+    ``grad`` is None until a backward pass reaches this tensor as a leaf.
+    ``requires_grad=True`` marks a leaf parameter; results of ops derive it
+    from their inputs.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -112,10 +114,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def backward(loss: Tensor) -> None:
-    """Backpropagate from a scalar loss, accumulating into ``.grad``.
+    """Backpropagate from a scalar loss, accumulating into the ``.grad`` of
+    the leaves it reaches.
 
     Raises ContractError when ``loss`` is not scalar.  Each call adds its
-    contribution on top of whatever gradients are already stored.
+    contribution on top of whatever gradients the leaves already hold.
+    Intermediate results get no ``.grad``: their gradients are freed as the
+    walk moves past them.
     """
     if loss.data.ndim != 0:
         raise ContractError(
@@ -144,9 +149,9 @@ def backward(loss: Tensor) -> None:
         g = local.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            node.grad = g.copy() if node.grad is None else node.grad + g
         if node._backward is None:
+            if node.requires_grad:
+                node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:
@@ -221,28 +226,39 @@ def linear(x: Tensor, weight: Tensor) -> Tensor:
 
 
 def elu(x: Tensor) -> Tensor:
+    """ELU as ``max(x, expm1(min(x, 0)))`` in one buffer; the backward takes
+    its slope from the output, ``min(out + 1, 1)``."""
     xd = x.data
-    ex = np.exp(np.minimum(xd, 0.0))
-    data = np.where(xd > 0, xd, ex - 1.0)
-    slope = np.where(xd > 0, 1.0, ex)
-    return _make(data, (x,), lambda g: (g * slope,))
+    out = np.minimum(xd, 0.0)
+    np.expm1(out, out=out)
+    np.maximum(xd, out, out=out)
+
+    def bwd(g):
+        slope = out + 1.0
+        np.minimum(slope, 1.0, out=slope)
+        slope *= g
+        return (slope,)
+
+    return _make(out, (x,), bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize each sample of an (N, C, H, W) batch over (C, H, W), then
-    apply a broadcast affine."""
+    """Normalize each sample of an (N, C, H, W) batch over (C, H, W) with
+    batch-invariant numpy row reductions, then apply a broadcast affine."""
     xd = x.data
     if xd.ndim != 4:
         raise DimensionError(f"layer_norm expects 4-d input, got ndim={xd.ndim}")
-    axes = (1, 2, 3)
+    # the row length comes from shape[1:]: -1 cannot be inferred for N = 0
+    rows = xd.reshape(xd.shape[0], int(np.prod(xd.shape[1:])))
 
-    mu = xd.mean(axis=axes, keepdims=True)
-    xc = xd - mu
-    var = np.mean(xc * xc, axis=axes, keepdims=True)
-    sigma = np.sqrt(var + eps)
-    xhat = xc / sigma
+    xhat = rows - rows.mean(axis=1, keepdims=True)
+    sq = np.square(xhat)
+    inv = 1.0 / np.sqrt(sq.mean(axis=1, keepdims=True) + eps)
+    xhat *= inv
+    xhat4 = xhat.reshape(xd.shape)
     try:
-        data = gain.data * xhat + bias.data
+        data = np.multiply(gain.data, xhat4, out=sq.reshape(xd.shape))
+        data += bias.data
     except ValueError as exc:
         raise DimensionError(
             f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} "
@@ -250,13 +266,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         ) from exc
 
     def bwd(g):
-        dgain = _unbroadcast(g * xhat, gain.data.shape)
+        dgain = _unbroadcast(g * xhat4, gain.data.shape)
         dbias = _unbroadcast(g, bias.data.shape)
-        dxhat = g * gain.data
-        m1 = dxhat.mean(axis=axes, keepdims=True)
-        m2 = np.mean(dxhat * xhat, axis=axes, keepdims=True)
-        dx = (dxhat - m1 - xhat * m2) / sigma
-        return dx, dgain, dbias
+        dx = np.multiply(g, gain.data).reshape(xhat.shape)
+        tmp = dx * xhat
+        m2 = tmp.mean(axis=1, keepdims=True)
+        dx -= dx.mean(axis=1, keepdims=True)
+        dx -= np.multiply(xhat, m2, out=tmp)
+        dx *= inv
+        return dx.reshape(xd.shape), dgain, dbias
 
     return _make(data, (x, gain, bias), bwd)
 

@@ -137,10 +137,11 @@ def _trace_polylines(values, x0, y0, width, height, color) -> list:
     step = height / n_c
     amp = np.max(np.abs(values)) or 1.0
     xs = x0 + np.arange(n_t) * (width / (n_t - 1))
+    points = " ".join(["%.1f,%.1f"] * n_t)
     parts = []
     for c in range(n_c):
         ys = y0 + (c + 0.5) * step - values[:, c] / amp * (step * 1.3)
-        pts = " ".join(f"{x:.1f},{y:.1f}" for x, y in zip(xs, ys))
+        pts = points % tuple(np.column_stack((xs, ys)).ravel().tolist())
         parts.append(f'<polyline fill="none" stroke="{color}" '
                      f'stroke-width="0.6" points="{pts}"/>')
     return parts

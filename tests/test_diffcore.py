@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from protoeeg import diffcore as dc
 from protoeeg.diffcore import Tensor
+from protoeeg.model import ProtoEEGNet
 from protoeeg.errors import (
     ConfigurationError,
     ContractError,
@@ -112,6 +113,33 @@ class TestElementwiseGradients:
         y = dc.elu(Tensor(np.array([-1.0, 0.0, 2.0])))
         assert_allclose(y.data, [np.expm1(-1.0), 0.0, 2.0])
 
+    def test_elu_is_exact_near_zero(self):
+        x = Tensor(np.array([-1e-10, 0.0]), requires_grad=True)
+        y = dc.elu(x)
+        assert y.data[0] == np.expm1(-1e-10)
+        assert y.data[1] == 0.0
+        dc.backward(dc.tsum(y))
+        assert x.grad[1] == 1.0
+
+
+class TestLeafGradients:
+    def test_no_grad_ops_record_no_backward(self, rng):
+        x = leaf(rng, 2, 3, 4, 5)
+        gain, bias = leaf(rng, 3, 1, 1), leaf(rng, 3, 1, 1)
+        with dc.no_grad():
+            outs = [dc.elu(x), dc.layer_norm(x, gain, bias)]
+        for out in outs:
+            assert out._backward is None
+            assert not out.requires_grad
+
+    def test_only_leaves_hold_gradients(self, rng):
+        net = ProtoEEGNet.initialize(seed=0)
+        z = net.embed(rng.standard_normal((3, 128, 37)))
+        dc.backward(dc.tsum(dc.mul(z, z)))
+        for p in net.backbone_parameters():
+            assert p.grad is not None and p.grad.shape == p.data.shape
+        assert z.grad is None
+
 
 class TestLinearAlgebraGradients:
     def test_linear_vector_and_batch(self):
@@ -147,6 +175,22 @@ class TestNormalizationGradients:
         v = y.data.var(axis=(1, 2, 3))
         assert_allclose(m, 0, atol=1e-12)
         assert_allclose(v, 1, atol=1e-3)  # eps shrinks variance slightly
+
+    def test_layer_norm_is_batch_invariant(self, rng):
+        # block 1's activation shape; a non-invariant row reduction (einsum,
+        # a BLAS dot) shows here before it reaches the embedding
+        shape = (16, 62, 17)
+        gain = Tensor(rng.standard_normal((16, 1, 1)) + 1.0)
+        bias = Tensor(rng.standard_normal((16, 1, 1)))
+        window = rng.standard_normal(shape) * 2.0 + 0.5
+        alone = dc.layer_norm(Tensor(window[None]), gain, bias).data[0]
+        for size in (1, 7, 75):
+            batch = rng.standard_normal((size, *shape))
+            positions = sorted({0, size // 2, size - 1})
+            batch[positions] = window
+            out = dc.layer_norm(Tensor(batch), gain, bias).data
+            for pos in positions:
+                assert np.array_equal(out[pos], alone), (size, pos)
 
     def test_l2_normalize_gradients(self):
         rng = np.random.default_rng(9)

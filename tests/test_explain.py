@@ -186,6 +186,33 @@ class TestRenderReport:
         for kind in ("json", "svg", "txt"):
             assert first[kind].read_bytes() == second[kind].read_bytes()
 
+    def test_trace_points_match_per_point_format(self, rng):
+        def per_point(values, x0, y0, width, height, color):
+            n_t, n_c = values.shape
+            step = height / n_c
+            amp = np.max(np.abs(values)) or 1.0
+            xs = x0 + np.arange(n_t) * (width / (n_t - 1))
+            parts = []
+            for c in range(n_c):
+                ys = y0 + (c + 0.5) * step - values[:, c] / amp * (step * 1.3)
+                pts = " ".join(f"{x:.1f},{y:.1f}" for x, y in zip(xs, ys))
+                parts.append(f'<polyline fill="none" stroke="{color}" '
+                             f'stroke-width="0.6" points="{pts}"/>')
+            return parts
+
+        windows = [rng.standard_normal((128, 37)) * 10.0 ** rng.uniform(-3, 3)
+                   for _ in range(20)]
+        windows.append(np.zeros((128, 37)))
+        for values in windows:
+            args = (values, 20, 88, 420, 230, "#1f77b4")
+            assert ex._trace_polylines(*args) == per_point(*args)
+        # x0 = -0.04 and the first channel's centre line at y = -0.03 print
+        # as "-0.0" both ways
+        args = (np.zeros((4, 2)), -0.04, -0.055, 0.09, 0.1, "#d62728")
+        lines = ex._trace_polylines(*args)
+        assert lines == per_point(*args)
+        assert "-0.0,-0.0" in lines[0]
+
     def test_missing_source_rejected(self, pushed, tmp_path):
         net, _, samples, _ = pushed
         result = ex.explain(net, samples[4])

@@ -221,6 +221,14 @@ class TestEmbed:
         ref = _reference_embed(net, windows[2])
         assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
 
+    def test_empty_batch(self, net):
+        empty = np.empty((0, 128, 37))
+        assert net.embed(empty).shape == (0, 128)
+        out = net.forward_probs(empty)
+        assert out["latents"].shape == (0, 128)
+        assert out["similarities"].shape == (0, 108)
+        assert out["logits"].shape == out["probabilities"].shape == (0, 9)
+
     def test_bad_shape(self, net):
         with pytest.raises(DimensionError):
             net.embed(np.zeros((64, 37)))
