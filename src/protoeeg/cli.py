@@ -225,9 +225,9 @@ def _whole_numbers(arr: np.ndarray, name: str, stop: int) -> np.ndarray:
 
 
 def _read_archive(src: Path) -> tuple:
-    """(values f64 (n, time, channel), sample rate, votes, ids) of an .npz
-    archive, each checked for dtype, shape, integrality, range and
-    finiteness, so that a malformed archive is a data error."""
+    """(values (n, time, channel) in their stored dtype, sample rate, votes,
+    ids) of an .npz archive, each checked for dtype, shape, integrality,
+    range and finiteness, so that a malformed archive is a data error."""
     if not src.exists():
         raise DataFormatError(f"input archive {src} does not exist")
     try:
@@ -241,7 +241,7 @@ def _read_archive(src: Path) -> tuple:
         if "values" not in names or "sample_rate_hz" not in names:
             raise DataFormatError(
                 "input archive needs 'values' (n, time, channel) and 'sample_rate_hz'")
-        values = _archive_array(archive, "values").astype(np.float64)
+        values = _archive_array(archive, "values")
         if values.ndim != 3:
             raise DataFormatError(
                 f"'values' must be (n, time, channel), got shape {values.shape}")
@@ -254,6 +254,8 @@ def _read_archive(src: Path) -> tuple:
                 f"needs at least {sigproc.MIN_FILTER_SAMPLES}")
         if values.shape[2] == 0:
             raise DataFormatError("'values' holds windows of 0 channels")
+        if not np.isfinite(values).all():
+            raise DataFormatError(f"'values' in {src} holds non-finite numbers")
         rate = _archive_array(archive, "sample_rate_hz").reshape(-1)
         if rate.size == 0 or not (np.isfinite(rate[0]) and rate[0] > 0):
             raise DataFormatError("'sample_rate_hz' must hold a positive finite number")
@@ -277,22 +279,22 @@ def _cmd_preprocess(ns) -> None:
     merged = resolve_config(defaults, ns.config, {"seed": ns.seed})
     src = Path(ns.input)
     values, fs_in, votes, ids = _read_archive(src)
-    n = values.shape[0]
-    processed = np.stack([
-        sigproc.preprocess_window(
-            window, fs_in,
-            notch_hz=merged["notch_hz"], notch_q=merged["notch_q"],
-            highpass_hz=merged["highpass_hz"],
-            highpass_order=merged["highpass_order"],
-            fs_out=merged["target_fs"]).astype(np.float32)
-        for window in values])
-    digest = hashlib.sha256(
-        json.dumps(merged, sort_keys=True).encode()).hexdigest()
-    _, time_steps, channels = processed.shape
+    n, raw_steps, channels = values.shape
+    time_steps = sigproc.resampled_length(raw_steps, fs_in, merged["target_fs"])
     if time_steps == 0:
         raise DataFormatError(
-            f"'values' holds windows of {values.shape[1]} samples at {fs_in:g} Hz, "
+            f"'values' holds windows of {raw_steps} samples at {fs_in:g} Hz, "
             f"which resample to 0 samples at {merged['target_fs']:g} Hz")
+    processed = sigproc.preprocess_window(
+        values, fs_in, notch_hz=merged["notch_hz"], notch_q=merged["notch_q"],
+        highpass_hz=merged["highpass_hz"], highpass_order=merged["highpass_order"],
+        fs_out=merged["target_fs"])
+    del values  # freed before the dataset is built and written
+    limit = float(np.finfo(np.float32).max)
+    if not (processed.min() >= -limit and processed.max() <= limit):
+        raise DataFormatError(f"'values' in {src} preprocess to numbers outside the float32 range")
+    digest = hashlib.sha256(
+        json.dumps(merged, sort_keys=True).encode()).hexdigest()
     manifest = DatasetManifest(
         version=ds.FORMAT_VERSION, sample_count=n, channel_count=channels,
         time_steps=time_steps, sample_rate_hz=float(merged["target_fs"]),

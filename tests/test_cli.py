@@ -16,6 +16,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -412,6 +413,42 @@ class TestPreprocess:
         assert next(iter(arrays)) in err
         assert not (out / "dataset.peeg").exists()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300, -1e300],
+                             ids=["nan", "inf", "above_float32", "below_float32"])
+    def test_bad_values_are_one_line_format_error(self, tmp_path, capsys, bad):
+        values = np.zeros((3, 256, 4))
+        values[1, 17, 2] = bad
+        src = tmp_path / "raw.npz"
+        np.savez(src, values=values, sample_rate_hz=np.float64(256.0))
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["preprocess", "--input", str(src), "--out", str(out)]) == 2
+        assert caught == []
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and "'values'" in err and str(src) in err
+        assert not (out / "dataset.peeg").exists()
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        rng = np.random.default_rng(11)
+        src = tmp_path / "raw.npz"
+        np.savez(src, values=(20 * rng.standard_normal((50, 256, 37))).astype(np.float32),
+                 sample_rate_hz=np.float64(256.0), votes=rng.integers(0, 9, 50))
+        code = "import sys; from protoeeg.cli import main; sys.exit(main(sys.argv[1:]))"
+        pkg = str(Path(protoeeg.__file__).resolve().parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "preprocess", "--input", str(src),
+                 "--out", str(out)],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pkg},
+                capture_output=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+            digests.append([_sha(out / name)
+                            for name in ("dataset.peeg", "dataset.manifest.json")])
+        assert digests[0] == digests[1]
+
     def test_notch_above_nyquist_stays_a_config_error(self, tmp_path):
         src = tmp_path / "raw.npz"
         np.savez(src, values=np.zeros((2, 256, 37)), sample_rate_hz=np.float64(100.0))
@@ -420,7 +457,8 @@ class TestPreprocess:
 
 
 ENTRIES = {  # element strategy and dtype of each kind of archive array
-    "float": (st.floats(-2.0, 10.0) | st.sampled_from([np.nan, np.inf, 0.5]), np.float64),
+    "float": (st.floats(-2.0, 10.0) | st.sampled_from([np.nan, np.inf, 0.5, 1e300, -1e300]),
+              np.float64),
     "int": (st.integers(-2, 10), np.int64),
     "big": (st.sampled_from([2 ** 63, 2 ** 64 - 1, 7]), np.uint64),
     "str": (st.text(max_size=2), np.str_),
@@ -480,10 +518,15 @@ def test_archive_preprocesses_or_is_a_format_error(data):
         src = Path(tmp) / "raw.npz"
         np.savez(src, **arrays)
         err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["preprocess", "--input", str(src), "--out", f"{tmp}/o"])
         assert code in (0, 2), err.getvalue()
         assert "Traceback" not in err.getvalue()
+        assert caught == [], [str(w.message) for w in caught]
+        if code == 2:
+            assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
         if code == 0:  # then every window keeps its votes and id exactly
             samples, _ = load(Path(tmp) / "o" / "dataset.peeg")
             assert [s.votes for s in samples] == list(arrays.get("votes", [0] * n))
