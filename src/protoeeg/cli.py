@@ -7,9 +7,10 @@ resolution is defaults <- file <- command-line flags, key by key; an unknown
 key or a value of the wrong type, at any depth, fails fast naming its path.
 
 The resolved configuration, the seed, and SHA-256 checksums of every input
-and output artifact land in ``<out>/resolved_config.json``.  With the same
-numpy/BLAS build and the same BLAS thread count, which it does not record,
-that is enough to reproduce a run bit for bit.
+(of the bytes the command read) and output artifact land in
+``<out>/resolved_config.json``.  With the same numpy/BLAS build that is
+enough to reproduce a run bit for bit; ``train`` also needs the same BLAS
+thread count, which the record does not store.
 
 Exit codes: 0 success; 1 usage or configuration error; 2 data or file
 format error, or a file that cannot be read or written; 3 numeric failure
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 from dataclasses import MISSING, asdict, fields, is_dataclass, replace
@@ -158,32 +160,38 @@ def _sha256(path: Path) -> str:
 
 
 def _write_resolved(out: Path, command: str, config: dict, inputs: dict) -> None:
-    """Echo the run record: resolved config plus input/output checksums."""
+    """Echo the run record: resolved config plus input/output checksums.
+    ``inputs`` maps a name to (path, sha256 fed the bytes read from it)."""
     outputs = sorted(p for p in out.rglob("*")
                      if p.is_file() and p.name != "resolved_config.json")
     doc = {
         "command": command,
         "seed": config.get("seed"),
         "config": config,
-        "inputs": {name: {"path": str(p), "sha256": _sha256(p)}
-                   for name, p in sorted(inputs.items())},
+        "inputs": {name: {"path": str(p), "sha256": sha.hexdigest()}
+                   for name, (p, sha) in sorted(inputs.items())},
         "outputs": {p.relative_to(out).as_posix(): _sha256(p) for p in outputs},
     }
     write_json(out / "resolved_config.json", doc)
 
 
-def _dataset_file(arg) -> Path:
-    p = Path(arg)
-    return p / "dataset.peeg" if p.is_dir() else p
-
-
-def _model_file(arg) -> Path:
-    p = Path(arg)
+def _read_dataset(arg) -> tuple:
+    """(windows, manifest, (path, sha256)) of a dataset file or directory."""
+    p, sha = Path(arg), hashlib.sha256()
     if p.is_dir():
-        return p / "model.pegm"
-    if not p.exists() and p.with_suffix(".pegm").exists():
-        return p.with_suffix(".pegm")
-    return p
+        p = p / "dataset.peeg"
+    windows, manifest = load(p, sha=sha)
+    return windows, manifest, (p, sha)
+
+
+def _read_model(arg) -> tuple:
+    """(model, (path, sha256)) of a model file or run directory."""
+    p, sha = Path(arg), hashlib.sha256()
+    if p.is_dir():
+        p = p / "model.pegm"
+    elif not p.exists() and p.with_suffix(".pegm").exists():
+        p = p.with_suffix(".pegm")
+    return load_model(p, sha=sha), (p, sha)
 
 
 # --------------------------------------------------------------------------
@@ -224,16 +232,19 @@ def _whole_numbers(arr: np.ndarray, name: str, stop: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _read_archive(src: Path) -> tuple:
+def _read_archive(src: Path, sha) -> tuple:
     """(values (n, time, channel) in their stored dtype, sample rate, votes,
     ids) of an .npz archive, each checked for dtype, shape, integrality,
-    range and finiteness, so that a malformed archive is a data error."""
+    range and finiteness, so that a malformed archive is a data error.
+    ``sha`` is updated with the archive's bytes as read."""
     if not src.exists():
         raise DataFormatError(f"input archive {src} does not exist")
     try:
-        archive = np.load(src, allow_pickle=False)
+        blob = src.read_bytes()
+        archive = np.load(io.BytesIO(blob), allow_pickle=False)
     except (OSError, ValueError) as exc:
         raise DataFormatError(f"cannot read {src} as an .npz archive: {exc}") from exc
+    sha.update(blob)
     if not isinstance(archive, np.lib.npyio.NpzFile):
         raise DataFormatError(f"{src} is a single array, not an .npz archive")
     with archive:
@@ -277,8 +288,8 @@ def _cmd_preprocess(ns) -> None:
                 "target_fs": sigproc.TARGET_FS,
                 "seed": 0}
     merged = resolve_config(defaults, ns.config, {"seed": ns.seed})
-    src = Path(ns.input)
-    values, fs_in, votes, ids = _read_archive(src)
+    src, src_sha = Path(ns.input), hashlib.sha256()
+    values, fs_in, votes, ids = _read_archive(src, src_sha)
     n, raw_steps, channels = values.shape
     time_steps = sigproc.resampled_length(raw_steps, fs_in, merged["target_fs"])
     if time_steps == 0:
@@ -302,7 +313,7 @@ def _cmd_preprocess(ns) -> None:
     out = Path(ns.out)
     data_path = out / "dataset.peeg"
     save(make_windows(ids, votes, processed), manifest, data_path)
-    _write_resolved(out, "preprocess", merged, inputs={"input": src})
+    _write_resolved(out, "preprocess", merged, inputs={"input": (src, src_sha)})
     print(f"preprocessed {n} windows ({fs_in:g} Hz -> {merged['target_fs']:g} Hz) "
           f"to {data_path}")
 
@@ -312,8 +323,7 @@ def _cmd_split(ns) -> None:
     overrides = {"fractions": list(ns.fractions) if ns.fractions else None,
                  "seed": ns.seed}
     merged = resolve_config(defaults, ns.config, overrides)
-    data_file = _dataset_file(ns.data)
-    windows, old = load(data_file)
+    windows, old, data_in = _read_dataset(ns.data)
     # acquisition facts carry over from the source manifest
     manifest = replace(old, version=ds.FORMAT_VERSION, seed=merged["seed"],
                        splits=ds.split(windows, fractions=merged["fractions"],
@@ -321,7 +331,7 @@ def _cmd_split(ns) -> None:
     out = Path(ns.out)
     data_path = out / "dataset.peeg"
     save(windows, manifest, data_path)
-    _write_resolved(out, "split", merged, inputs={"dataset": data_file})
+    _write_resolved(out, "split", merged, inputs={"dataset": data_in})
     sizes = {name: len(manifest.ids_for(name)) for name in ("train", "val", "test")}
     print(f"split {len(windows)} windows into {sizes} at {data_path}")
 
@@ -332,15 +342,14 @@ def _cmd_train(ns) -> None:
                              "num_train_epochs": ns.epochs,
                              "batch_size": ns.batch_size})
     cfg = _build(TrainConfig, merged)
-    data_file = _dataset_file(ns.data)
-    windows, manifest = load(data_file)
+    windows, manifest, data_in = _read_dataset(ns.data)
     out = Path(ns.out)
     model, history = train(cfg, TrainData.from_dataset(windows, manifest), out_dir=out)
     final = out / "model.pegm"
     save_model(model, final)
     for warning in history.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    _write_resolved(out, "train", asdict(cfg), inputs={"dataset": data_file})
+    _write_resolved(out, "train", asdict(cfg), inputs={"dataset": data_in})
     last = history.records[-1]
     tail = ""
     if last.get("val"):
@@ -354,14 +363,12 @@ def _cmd_eval(ns) -> None:
     merged = resolve_config(defaults, ns.config,
                             {"split": ns.split, "rounds": ns.rounds,
                              "seed": ns.seed, "filtered": ns.filtered})
-    model_file = _model_file(ns.model)
-    model = load_model(model_file)
-    data_file = _dataset_file(ns.data)
-    windows, manifest = load(data_file)
+    model, model_in = _read_model(ns.model)
+    windows, manifest, data_in = _read_dataset(ns.data)
     # container order, which scores.json and the bootstrap draws follow
     subset = windows[np.sort(rows_of(windows, manifest.ids_for(merged["split"])))]
     if len(subset) == 0:
-        raise ConfigurationError(f"split {merged['split']!r} is empty in {data_file}")
+        raise ConfigurationError(f"split {merged['split']!r} is empty in {data_in[0]}")
     scores = score_samples(model, subset)
     votes = subset.votes.tolist()
     metrics = metrics_from_scores(scores, votes, rounds=merged["rounds"],
@@ -373,7 +380,7 @@ def _cmd_eval(ns) -> None:
                   for b, v in zip(scores, votes)]
     write_json(out / "scores.json", score_rows)
     _write_resolved(out, "eval", merged,
-                    inputs={"model": model_file, "dataset": data_file})
+                    inputs={"model": model_in, "dataset": data_in})
     view = "filtered" if merged["filtered"] else "unfiltered"
     lo, hi = metrics[f"ci_{view}"]
     n = metrics["n_filtered"] if view == "filtered" else metrics["n_test"]
@@ -384,17 +391,15 @@ def _cmd_eval(ns) -> None:
 def _cmd_push(ns) -> None:
     defaults = {"seed": 0}
     merged = resolve_config(defaults, ns.config, {"seed": ns.seed})
-    model_file = _model_file(ns.model)
-    model = load_model(model_file)
-    data_file = _dataset_file(ns.data)
-    windows, manifest = load(data_file)
+    model, model_in = _read_model(ns.model)
+    windows, manifest, data_in = _read_dataset(ns.data)
     data = TrainData.from_dataset(windows, manifest)
     records, _ = push_prototypes(model, data, epoch=0)
     out = Path(ns.out)
     save_model(model, out / "model.pegm")
     write_json(out / "push_records.json", [asdict(r) for r in records])
     _write_resolved(out, "push", merged,
-                    inputs={"model": model_file, "dataset": data_file})
+                    inputs={"model": model_in, "dataset": data_in})
     print(f"pushed {len(records)} prototypes; model at {out / 'model.pegm'}")
 
 
@@ -402,16 +407,14 @@ def _cmd_explain(ns) -> None:
     defaults = {"top_k": 3, "seed": 0}
     merged = resolve_config(defaults, ns.config,
                             {"top_k": ns.top_k, "seed": ns.seed})
-    model_file = _model_file(ns.model)
-    model = load_model(model_file)
-    data_file = _dataset_file(ns.data)
-    windows, _ = load(data_file)
+    model, model_in = _read_model(ns.model)
+    windows, _, data_in = _read_dataset(ns.data)
     (row,) = rows_of(windows, [ns.sample_id])
     explanation = explain(model, windows[row], top_k=merged["top_k"])
     out = Path(ns.out)
     paths = render_report(explanation, windows, out)
     _write_resolved(out, "explain", merged,
-                    inputs={"model": model_file, "dataset": data_file})
+                    inputs={"model": model_in, "dataset": data_in})
     for kind, path in sorted(paths.items()):
         print(f"{kind}: {path}")
 
@@ -419,15 +422,13 @@ def _cmd_explain(ns) -> None:
 def _cmd_report(ns) -> None:
     defaults = {"seed": 0}
     merged = resolve_config(defaults, ns.config, {"seed": ns.seed})
-    model_file = _model_file(ns.model)
-    model = load_model(model_file)
-    data_file = _dataset_file(ns.data)
-    windows, manifest = load(data_file)
+    model, model_in = _read_model(ns.model)
+    windows, manifest, data_in = _read_dataset(ns.data)
     doc = global_prototype_report(model, TrainData.from_dataset(windows, manifest))
     out = Path(ns.out)
     write_json(out / "prototype_report.json", doc)
     _write_resolved(out, "report", merged,
-                    inputs={"model": model_file, "dataset": data_file})
+                    inputs={"model": model_in, "dataset": data_in})
     print(f"{len(doc['flagged'])} of {len(doc['prototypes'])} prototypes flagged; "
           f"report at {out / 'prototype_report.json'}")
 

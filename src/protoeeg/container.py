@@ -47,13 +47,16 @@ def write_framed(path, magic: bytes, version: int, fields, payload) -> None:
 
 
 def read_framed(path, magic: bytes, version: int, n_fields: int, what: str,
-                payload_size=None) -> tuple[tuple[int, ...], memoryview]:
+                payload_size=None, sha=None) -> tuple[tuple[int, ...], memoryview]:
     """Check one framed file; return its fields and a view of its payload,
-    which must be ``payload_size(*fields)`` bytes long if that is given."""
+    which must be ``payload_size(*fields)`` bytes long if that is given.
+    A ``hashlib`` object ``sha`` is updated with the file's bytes as read."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
         raise DataFormatError(f"cannot read {what} file {path}: {exc.strerror}") from exc
+    if sha is not None:
+        sha.update(blob)
     head = struct.Struct(f"<4sI{n_fields}I")
     if len(blob) < head.size + _CRC.size:
         raise DataFormatError(f"{what} file truncated: header incomplete")

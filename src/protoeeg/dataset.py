@@ -352,15 +352,16 @@ def save(windows, manifest: DatasetManifest, path) -> None:
     write_atomic(manifest_path(path), manifest.to_json())
 
 
-def load(path):
+def load(path, sha=None):
     """Read a dataset container and its manifest sidecar.
 
     The windows are a read-only record array over the bytes read; the
-    manifest must agree with them, down to every id its splits name.
+    manifest must agree with them, down to every id its splits name.  A
+    ``hashlib`` object ``sha`` is updated with the container's bytes.
     """
     (count, time_steps, channels), payload = read_framed(
         path, MAGIC, FORMAT_VERSION, 3, "dataset",
-        lambda n, t, c: n * record_dtype(t, c).itemsize)
+        lambda n, t, c: n * record_dtype(t, c).itemsize, sha)
     windows = np.frombuffer(payload, record_dtype(time_steps, channels)).view(np.recarray)
     _check(windows)
 

@@ -244,20 +244,28 @@ def elu(x: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize each sample of an (N, C, H, W) batch over (C, H, W) with
-    batch-invariant numpy row reductions, then apply a broadcast affine."""
+    batch-invariant numpy row reductions, then apply a broadcast affine.
+
+    The rows are the samples in (H, W, C) memory order, a view of a
+    channels-last input, and the output and the input gradient keep that
+    layout."""
     xd = x.data
     if xd.ndim != 4:
         raise DimensionError(f"layer_norm expects 4-d input, got ndim={xd.ndim}")
-    # the row length comes from shape[1:]: -1 cannot be inferred for N = 0
-    rows = xd.reshape(xd.shape[0], int(np.prod(xd.shape[1:])))
+    n, c, h, w = xd.shape
+    # the row length is explicit: -1 cannot be inferred for N = 0
+    rows = xd.transpose(0, 2, 3, 1).reshape(n, h * w * c)
+
+    def nchw(r):
+        return r.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
     xhat = rows - rows.mean(axis=1, keepdims=True)
     sq = np.square(xhat)
     inv = 1.0 / np.sqrt(sq.mean(axis=1, keepdims=True) + eps)
     xhat *= inv
-    xhat4 = xhat.reshape(xd.shape)
+    xhat4 = nchw(xhat)
     try:
-        data = np.multiply(gain.data, xhat4, out=sq.reshape(xd.shape))
+        data = np.multiply(gain.data, xhat4, out=nchw(sq))
         data += bias.data
     except ValueError as exc:
         raise DimensionError(
@@ -268,13 +276,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     def bwd(g):
         dgain = _unbroadcast(g * xhat4, gain.data.shape)
         dbias = _unbroadcast(g, bias.data.shape)
-        dx = np.multiply(g, gain.data).reshape(xhat.shape)
+        dx = np.multiply(g, gain.data).transpose(0, 2, 3, 1).reshape(xhat.shape)
         tmp = dx * xhat
         m2 = tmp.mean(axis=1, keepdims=True)
         dx -= dx.mean(axis=1, keepdims=True)
         dx -= np.multiply(xhat, m2, out=tmp)
         dx *= inv
-        return dx.reshape(xd.shape), dgain, dbias
+        return nchw(dx), dgain, dbias
 
     return _make(data, (x, gain, bias), bwd)
 
@@ -303,16 +311,13 @@ def conv2d_valid(x: Tensor, kernels: Tensor, stride=(1, 1)) -> Tensor:
     if kh > h or kw > w:
         raise DimensionError(f"kernel ({kh},{kw}) larger than input ({h},{w})")
 
-    xc = np.ascontiguousarray(xd)
-    kc = np.ascontiguousarray(kd)
-    out = _k.conv2d_forward(xc, kc, sh, sw)
+    out = _k.conv2d_forward(xd, kd, sh, sw)
 
     def bwd(g):
-        g = np.ascontiguousarray(g)
-        gk = _k.conv2d_backward_kernels(g, xc, kh, kw, sh, sw)
+        gk = _k.conv2d_backward_kernels(g, xd, kh, kw, sh, sw)
         if not x.requires_grad:
             return None, gk
-        return _k.conv2d_backward_input(g, kc, h, w, sh, sw), gk
+        return _k.conv2d_backward_input(g, kd, h, w, sh, sw), gk
 
     return _make(out, (x, kernels), bwd)
 

@@ -1,83 +1,102 @@
 """Valid-mode 2-d convolution kernels, the hot inner loops of the network.
 
 One numpy implementation in the im2col/GEMM style (Chellapilla et al.
-2006): an ``as_strided`` view gathers the receptive fields and BLAS does
-the contraction.
-
-* ``conv2d_forward`` runs one GEMM per sample (a batched ``matmul``).  A
-  window's output therefore does not depend on the other windows in the
-  batch or on the batch size, bit for bit; push tie-breaking and
-  single-window explanations rely on that.
-* ``conv2d_backward_kernels`` and ``conv2d_backward_input`` each run one
-  GEMM over the whole batch.  Their results are only summed into parameter
-  gradients, so merging the batch there changes the last bits of a
-  gradient, never which window gets which latent.
-
-All kernels take and return C-contiguous float64 arrays.  Shapes follow
-the (N, C, H, W) convention; strides are (stride_h, stride_w) with no
+2006).  Shapes are (N, C, H, W), but activations are channels-last: their
+memory order is (N, H, W, C).  Strides are (stride_h, stride_w) with no
 padding, so output spatial dims are ``(H - kh)//sh + 1`` by
-``(W - kw)//sw + 1``.
+``(W - kw)//sw + 1``.  Kernels keep their (C_out, C_in, kh, kw) shape.
+
+* ``conv2d_forward`` gathers each receptive field (kh runs of kw*C values)
+  into a patch row and runs one GEMM of the (N*ho*wo, kh*kw*C) patch rows
+  against the (C_out, kh*kw*C) kernel matrix; the channels-last output is
+  a view of the product.  With samples and positions in the GEMM's rows, a
+  window's output bits depend neither on its batch nor on the BLAS thread
+  count.  That is a property of OpenBLAS's row blocking, not of the
+  arithmetic: a GEMM of a few rows takes other code paths and rounds
+  differently, so one of fewer than ``MIN_GEMM_ROWS`` rows is zero-padded.
+* ``conv2d_backward_kernels`` is one GEMM over the same patch rows.
+* ``conv2d_backward_input`` is one GEMM to patch gradients, then one
+  product with a 0/1 ``scipy.sparse`` scatter matrix, built once per shape,
+  that sums each patch gradient into the positions it was read from
+  (col2im) in a fixed order, without BLAS.
+
+``conv2d_forward`` and ``conv2d_backward_input`` return channels-last
+arrays, and take inputs of any layout, channels-last ones without a copy.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+from scipy import sparse
+
+# GEMMs with fewer rows than this are zero-padded to it (see module docstring)
+MIN_GEMM_ROWS = 32
 
 
 def out_shape(h: int, w: int, kh: int, kw: int, sh: int, sw: int) -> tuple[int, int]:
     return (h - kh) // sh + 1, (w - kw) // sw + 1
 
 
-def _patches(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
-    """(N, C, H, W) -> read-only (N, C, kh, kw, ho, wo) view of every patch."""
+def _patch_rows(x: np.ndarray, kh: int, kw: int, sh: int, sw: int) -> np.ndarray:
+    """(N, C, H, W) -> (N*ho*wo, kh*kw*C) patch rows, columns ordered (i, j, c).
+    Each run of kw*C channels-last values is copied as one opaque item, so a
+    short run (block 1 has C = 1) costs one copy, not kw*C."""
     n, c, h, w = x.shape
     ho, wo = out_shape(h, w, kh, kw, sh, sw)
-    sn, sc, srow, scol = x.strides
-    return np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, kh, kw, ho, wo),
-        strides=(sn, sc, srow, scol, srow * sh, scol * sw),
-        writeable=False,
-    )
+    xl = np.ascontiguousarray(x.transpose(0, 2, 3, 1))  # a view when channels-last
+    sn, srow, scol, _ = xl.strides
+    runs = np.ndarray((n, ho, wo, kh), dtype=np.dtype((np.void, kw * c * xl.itemsize)),
+                      buffer=xl, strides=(sn, srow * sh, scol * sw, srow))
+    return runs.copy().view(xl.dtype).reshape(n * ho * wo, kh * kw * c)
+
+
+def _row_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` with ``a`` zero-padded to at least MIN_GEMM_ROWS rows."""
+    m = a.shape[0]
+    if m < MIN_GEMM_ROWS:
+        a = np.concatenate([a, np.zeros((MIN_GEMM_ROWS - m, a.shape[1]))])
+    return (a @ b)[:m]
 
 
 def conv2d_forward(x: np.ndarray, kernels: np.ndarray, sh: int, sw: int) -> np.ndarray:
-    n, ci, h, w = x.shape
+    n, _, h, w = x.shape
     co, _, kh, kw = kernels.shape
     ho, wo = out_shape(h, w, kh, kw, sh, sw)
-    cols = _patches(x, kh, kw, sh, sw).reshape(n, ci * kh * kw, ho * wo)
-    kmat = kernels.reshape(co, ci * kh * kw)
-    out = np.matmul(kmat, cols)
-    return np.ascontiguousarray(out.reshape(n, co, ho, wo))
+    kmat = kernels.transpose(0, 2, 3, 1).reshape(co, -1)  # columns (i, j, c)
+    out = _row_gemm(_patch_rows(x, kh, kw, sh, sw), kmat.T)
+    return out.reshape(n, ho, wo, co).transpose(0, 3, 1, 2)
 
 
-def _batch_columns(grad_out: np.ndarray) -> np.ndarray:
-    """(N, C_out, ho, wo) -> (C_out, N*ho*wo), the batch merged into columns."""
-    n, co, ho, wo = grad_out.shape
-    return grad_out.transpose(1, 0, 2, 3).reshape(co, n * ho * wo)
+@functools.lru_cache(maxsize=16)  # a build costs more than the product
+def _scatter_matrix(n: int, h: int, w: int, kh: int, kw: int, sh: int,
+                    sw: int) -> sparse.csc_array:
+    """0/1 (N*H*W, N*ho*wo*kh*kw) matrix whose column for patch entry
+    (n, oh, ow, i, j) holds one 1, at input position (n, oh*sh + i, ow*sw + j)."""
+    ho, wo = out_shape(h, w, kh, kw, sh, sw)
+    s, oh, ow, i, j = np.ix_(np.arange(n), np.arange(ho), np.arange(wo),
+                             np.arange(kh), np.arange(kw))
+    target = ((s * h + oh * sh + i) * w + ow * sw + j).ravel()
+    return sparse.csc_array(
+        (np.ones(target.size), target, np.arange(target.size + 1)),
+        shape=(n * h * w, target.size))
 
 
 def conv2d_backward_input(
     grad_out: np.ndarray, kernels: np.ndarray, h: int, w: int, sh: int, sw: int
 ) -> np.ndarray:
-    n, co, ho, wo = grad_out.shape
+    n, co = grad_out.shape[:2]
     _, ci, kh, kw = kernels.shape
-    # rows ordered (i, j, c) so each kernel offset's block is contiguous
-    kmat_t = kernels.transpose(2, 3, 1, 0).reshape(kh * kw * ci, co)
-    gcols = (kmat_t @ _batch_columns(grad_out)).reshape(kh, kw, ci, n, ho, wo)
-    grad_in = np.zeros((ci, n, h, w))
-    for i in range(kh):
-        for j in range(kw):
-            grad_in[:, :, i : i + ho * sh : sh, j : j + wo * sw : sw] += gcols[i, j]
-    return np.ascontiguousarray(grad_in.transpose(1, 0, 2, 3))
+    gcols = _row_gemm(grad_out.transpose(0, 2, 3, 1).reshape(-1, co),
+                      kernels.transpose(0, 2, 3, 1).reshape(co, -1))
+    grad_in = _scatter_matrix(n, h, w, kh, kw, sh, sw) @ gcols.reshape(-1, ci)
+    return grad_in.reshape(n, h, w, ci).transpose(0, 3, 1, 2)
 
 
 def conv2d_backward_kernels(
     grad_out: np.ndarray, x: np.ndarray, kh: int, kw: int, sh: int, sw: int
 ) -> np.ndarray:
-    n, co, ho, wo = grad_out.shape
-    ci = x.shape[1]
-    cols = _patches(x, kh, kw, sh, sw).transpose(1, 2, 3, 0, 4, 5)
-    cols = cols.reshape(ci * kh * kw, n * ho * wo)
-    gk = _batch_columns(grad_out) @ cols.T
-    return gk.reshape(co, ci, kh, kw)
+    co, ci = grad_out.shape[1], x.shape[1]
+    gk = grad_out.transpose(1, 0, 2, 3).reshape(co, -1) @ _patch_rows(x, kh, kw, sh, sw)
+    return np.ascontiguousarray(gk.reshape(co, kh, kw, ci).transpose(0, 3, 1, 2))

@@ -416,8 +416,10 @@ def save_model(model: ProtoEEGNet, path) -> None:
     write_framed(path, MODEL_MAGIC, MODEL_VERSION, (len(header_bytes),), payload)
 
 
-def load_model(path) -> ProtoEEGNet:
-    (header_len,), payload = read_framed(path, MODEL_MAGIC, MODEL_VERSION, 1, "model")
+def load_model(path, sha=None) -> ProtoEEGNet:
+    """Read a checkpoint; a ``hashlib`` object ``sha`` is updated with its bytes."""
+    (header_len,), payload = read_framed(path, MODEL_MAGIC, MODEL_VERSION, 1, "model",
+                                         sha=sha)
     if len(payload) < header_len:
         raise DataFormatError("model file truncated: header shorter than declared")
     try:

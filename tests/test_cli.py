@@ -69,6 +69,17 @@ def _sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _run_cli(*argv, **env) -> None:
+    """Run ``protoeeg *argv`` in a fresh interpreter, with `env` added to the
+    environment; it must exit 0."""
+    code = "import sys; from protoeeg.cli import main; sys.exit(main(sys.argv[1:]))"
+    pkg = str(Path(protoeeg.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)],
+                          env={**os.environ, "PYTHONPATH": pkg, **env},
+                          capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+
+
 def _copy_with_manifest(data_dir: Path, dest: Path, edit) -> Path:
     """Copy the dataset into dest, passing its manifest dict through edit."""
     dest.mkdir()
@@ -434,17 +445,11 @@ class TestPreprocess:
         src = tmp_path / "raw.npz"
         np.savez(src, values=(20 * rng.standard_normal((50, 256, 37))).astype(np.float32),
                  sample_rate_hz=np.float64(256.0), votes=rng.integers(0, 9, 50))
-        code = "import sys; from protoeeg.cli import main; sys.exit(main(sys.argv[1:]))"
-        pkg = str(Path(protoeeg.__file__).resolve().parents[1])
         digests = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
-            proc = subprocess.run(
-                [sys.executable, "-c", code, "preprocess", "--input", str(src),
-                 "--out", str(out)],
-                env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": pkg},
-                capture_output=True, timeout=300)
-            assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+            _run_cli("preprocess", "--input", src, "--out", out,
+                     OPENBLAS_NUM_THREADS=threads)
             digests.append([_sha(out / name)
                             for name in ("dataset.peeg", "dataset.manifest.json")])
         assert digests[0] == digests[1]
@@ -780,16 +785,8 @@ class TestExplain:
         _, manifest = load(data_dir / "dataset.peeg")
         sid = manifest.ids_for("test")[0]
         out = tmp_path / "ex"
-        src = str(Path(protoeeg.__file__).resolve().parents[1])
-        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
-               "PYTHONUTF8": "0", "PYTHONPATH": src}
-        code = ("import sys; from protoeeg.cli import main; "
-                "sys.exit(main(sys.argv[1:]))")
-        proc = subprocess.run(
-            [sys.executable, "-c", code, "explain", "--model", str(run_dir),
-             "--data", str(data_dir), "--sample-id", str(sid), "--out", str(out)],
-            env=env, capture_output=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        _run_cli("explain", "--model", run_dir, "--data", data_dir, "--sample-id", sid,
+                 "--out", out, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
         svg = (out / f"explain_{sid}.svg").read_bytes().decode("utf-8")
         assert not svg.isascii()
 
@@ -806,6 +803,31 @@ class TestExplain:
         assert main(["explain", "--model", str(run_dir), "--data", str(data_dir),
                      "--sample-id", sid, "--out", str(tmp_path / "o")]) == 2
         assert f"sample id {sid} " in _one_line_error(capsys)
+
+
+class TestInferenceThreadCount:
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # every off-tape product is a merged-row GEMM of at least 32 rows or
+        # uses no BLAS, so inference writes the same bytes, run records
+        # included, at any thread count; training is left out (its loss
+        # reads the bank's Gram)
+        data, run, cfg = tmp_path / "data", tmp_path / "run", tmp_path / "tiny.json"
+        assert main(["synth", "--n", "300", "--seed", "3", "--out", str(data)]) == 0
+        cfg.write_text(json.dumps(TINY))
+        _run_cli("train", "--config", cfg, "--data", data, "--out", run,
+                 OPENBLAS_NUM_THREADS="1")
+        sid = load(data / "dataset.peeg")[1].ids_for("test")[0]
+        commands = {"eval": (), "push": (), "report": (), "explain": ("--sample-id", sid)}
+        digests = {}
+        for threads in ("1", "2"):
+            for name, extra in commands.items():
+                out = tmp_path / f"{name}{threads}"
+                _run_cli(name, "--model", run, "--data", data, *extra, "--out", out,
+                         OPENBLAS_NUM_THREADS=threads)
+                digests[name, threads] = {p.relative_to(out).as_posix(): _sha(p)
+                                          for p in out.rglob("*")}
+        for name in commands:
+            assert digests[name, "1"] == digests[name, "2"], name
 
 
 class TestReport:

@@ -28,6 +28,11 @@ def _case(xshape, kspec, stride, rng):
     return x, kern, y
 
 
+def _channels_last(a):
+    """True when an (N, C, H, W) array lies in (N, H, W, C) memory order."""
+    return a.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
 def _patch(sh, sw, kh, kw, oh, ow):
     return np.s_[:, oh * sh:oh * sh + kh, ow * sw:ow * sw + kw]
 
@@ -67,7 +72,7 @@ def test_backward_input_matches_loop(xshape, kspec, stride, rng):
                 ref[s][_patch(*stride, kh, kw, oh, ow)] += np.tensordot(
                     y[s, :, oh, ow], kern, axes=1)
     got = k.conv2d_backward_input(y, kern, x.shape[2], x.shape[3], *stride)
-    assert got.shape == x.shape and got.flags.c_contiguous
+    assert got.shape == x.shape and _channels_last(got)
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12)
 
 
@@ -128,3 +133,45 @@ def test_embedding_is_batch_invariant(rng):
         latents = net.embed(batch).data
         for pos in positions:
             assert np.array_equal(latents[pos], alone), (size, pos)
+
+
+BLOCKS = SHAPES[:4]  # the four backbone blocks
+
+
+@pytest.mark.parametrize("xshape,kspec,stride", BLOCKS)
+def test_forward_is_batch_invariant(xshape, kspec, stride, rng):
+    # samples x output positions form the GEMM's rows, so a sample's output
+    # bits do not depend on the batch; batches of 1-4 samples need the
+    # zero-padding of short GEMMs
+    _, ci, h, w = xshape
+    co, kh, kw = kspec
+    kern = rng.standard_normal((co, ci, kh, kw))
+    for n in (1, 2, 3, 4):
+        few = rng.standard_normal((n, ci, h, w))
+        alone = k.conv2d_forward(few, kern, *stride)
+        for size in (7, 33, 75):
+            for pos in (0, size // 2, size - n):
+                batch = rng.standard_normal((size, ci, h, w))
+                batch[pos:pos + n] = few
+                out = k.conv2d_forward(batch, kern, *stride)
+                assert np.array_equal(out[pos:pos + n], alone), (n, size, pos)
+
+
+def test_activations_stay_channels_last(rng):
+    # every activation of the backbone is channels-last, so no kernel or op
+    # needs a layout copy; a stray ascontiguousarray would break this
+    (n, ci, h, w), (co, kh, kw), stride = SHAPES[1]
+    kern = rng.standard_normal((co, ci, kh, kw))
+    x = k.conv2d_forward(rng.standard_normal((n, ci, h, w)), kern, *stride)
+    assert _channels_last(x)
+    assert _channels_last(k.conv2d_backward_input(
+        rng.standard_normal(x.shape), kern, h, w, *stride))
+    xt = dc.Tensor(x, requires_grad=True)
+    gain = dc.Tensor(rng.standard_normal((co, 1, 1)), requires_grad=True)
+    bias = dc.Tensor(rng.standard_normal((co, 1, 1)), requires_grad=True)
+    normed = dc.layer_norm(xt, gain, bias)
+    out = dc.elu(normed)
+    assert _channels_last(normed.data) and _channels_last(out.data)
+    (g_normed,) = out._backward(np.ones_like(out.data))  # ones_like keeps the layout
+    assert _channels_last(g_normed)
+    assert _channels_last(normed._backward(g_normed)[0])
