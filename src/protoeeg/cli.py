@@ -38,7 +38,7 @@ from .errors import (ConfigurationError, ContractError, DataFormatError,
                      DegenerateInputError, DimensionError, MissingSampleError,
                      NumericError, ProtoeegError, ProvenanceError,
                      UndefinedMetricError, UsageError)
-from .evaluation import metrics_from_scores, score_samples
+from .evaluation import POSITIVE_VOTE_THRESHOLD, metrics_from_scores, score_samples
 from .explain import explain, global_prototype_report, render_report
 from .model import load_model, save_model
 from .training import TrainConfig, TrainData, push_prototypes, train
@@ -369,15 +369,15 @@ def _cmd_eval(ns) -> None:
     subset = windows[np.sort(rows_of(windows, manifest.ids_for(merged["split"])))]
     if len(subset) == 0:
         raise ConfigurationError(f"split {merged['split']!r} is empty in {data_in[0]}")
-    scores = score_samples(model, subset)
-    votes = subset.votes.tolist()
-    metrics = metrics_from_scores(scores, votes, rounds=merged["rounds"],
+    p_pos = score_samples(model, subset)
+    metrics = metrics_from_scores(p_pos, subset.votes, rounds=merged["rounds"],
                                   seed=merged["seed"])
     out = Path(ns.out)
     write_json(out / "metrics.json", metrics)
-    score_rows = [{"sample_id": b.sample_id, "p_pos": b.p_pos, "p_neg": b.p_neg,
-                   "label": b.label, "votes": v}
-                  for b, v in zip(scores, votes)]
+    score_rows = [{"sample_id": i, "p_pos": p, "p_neg": 1.0 - p,
+                   "label": int(v >= POSITIVE_VOTE_THRESHOLD), "votes": v}
+                  for i, p, v in zip(subset.sample_id.tolist(), p_pos.tolist(),
+                                     subset.votes.tolist())]
     write_json(out / "scores.json", score_rows)
     _write_resolved(out, "eval", merged,
                     inputs={"model": model_in, "dataset": data_in})

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -128,6 +129,17 @@ def rows_of(windows, ids) -> np.ndarray:
     return np.array([row_of[i] for i in ids], dtype=np.intp)
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object whose keys are distinct: a repeated key would silently
+    replace the value before it."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise DataFormatError(f"manifest repeats the key {key!r}")
+        seen.add(key)
+    return dict(pairs)
+
+
 @dataclass
 class DatasetManifest:
     version: int
@@ -159,7 +171,7 @@ class DatasetManifest:
     @classmethod
     def from_json(cls, text: str) -> "DatasetManifest":
         try:
-            raw = json.loads(text)
+            raw = json.loads(text, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise DataFormatError(f"manifest is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
@@ -169,19 +181,29 @@ class DatasetManifest:
         for key in required:
             if key not in raw:
                 raise DataFormatError(f"manifest missing field {key!r}")
-        try:
-            splits = {}
-            for key, name in raw["splits"].items():
-                if name not in SPLIT_NAMES:
-                    raise DataFormatError(f"manifest split for sample {key} is {name!r}")
-                splits[int(key)] = name
-            return cls(version=int(raw["version"]), sample_count=int(raw["sample_count"]),
-                       channel_count=int(raw["channel_count"]),
-                       time_steps=int(raw["time_steps"]),
-                       sample_rate_hz=float(raw["sample_rate_hz"]), splits=splits,
-                       seed=int(raw["seed"]), config_digest=str(raw["config_digest"]))
-        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-            raise DataFormatError(f"manifest has an ill-typed field: {exc!r}") from exc
+        for key in ("version", "sample_count", "channel_count", "time_steps", "seed"):
+            if type(raw[key]) is not int:  # a JSON integer; bool is not one
+                raise DataFormatError(f"manifest {key} must be an integer, got {raw[key]!r}")
+        rate = raw["sample_rate_hz"]
+        if type(rate) not in (int, float) or not (math.isfinite(rate) and rate > 0):
+            raise DataFormatError(
+                f"manifest sample_rate_hz must be a finite positive number, got {rate!r}")
+        if not isinstance(raw["config_digest"], str):
+            raise DataFormatError("manifest config_digest must be a string")
+        if not isinstance(raw["splits"], dict):
+            raise DataFormatError("manifest splits must be a JSON object")
+        splits = {}
+        for key, name in raw["splits"].items():
+            # canonical decimal, so no two keys name one id; ids are u64
+            if not (key.isdecimal() and len(key) <= 20 and str(int(key)) == key):
+                raise DataFormatError(f"manifest split key {key!r} is not a canonical sample id")
+            if name not in SPLIT_NAMES:
+                raise DataFormatError(f"manifest split for sample {key} is {name!r}")
+            splits[int(key)] = name
+        return cls(version=raw["version"], sample_count=raw["sample_count"],
+                   channel_count=raw["channel_count"], time_steps=raw["time_steps"],
+                   sample_rate_hz=float(rate), splits=splits, seed=raw["seed"],
+                   config_digest=raw["config_digest"])
 
 
 # ---------------------------------------------------------------------------

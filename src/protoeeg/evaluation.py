@@ -25,25 +25,6 @@ _BOOTSTRAP_BLOCK_DRAWS = 1 << 16
 
 
 @dataclass(frozen=True)
-class BinaryScore:
-    """Two-way collapsed prediction for one sample."""
-
-    p_pos: float
-    p_neg: float
-    sample_id: int
-    label: int  # 1 when votes >= POSITIVE_VOTE_THRESHOLD
-
-    def __post_init__(self):
-        if abs(self.p_pos + self.p_neg - 1.0) > 1e-12:
-            raise ContractError(
-                f"p_pos + p_neg = {self.p_pos + self.p_neg!r}, expected 1")
-        if not (0.0 < self.p_pos < 1.0):
-            raise ContractError(f"p_pos {self.p_pos!r} outside (0, 1)")
-        if self.label not in (0, 1):
-            raise ContractError(f"binary label must be 0 or 1, got {self.label!r}")
-
-
-@dataclass(frozen=True)
 class BootstrapCI:
     point: float
     lower: float
@@ -57,29 +38,27 @@ class BootstrapCI:
                 f"CI [{self.lower}, {self.upper}] excludes point {self.point}")
 
 
-def binarize(probs9, votes: int = 0, sample_id: int = -1) -> BinaryScore:
-    """Collapse a 9-class distribution to a renormalized (p_pos, p_neg) pair.
+def binary_scores(probs) -> np.ndarray:
+    """p_pos of each row of an (N, 9) array of class distributions.
 
     p_pos averages classes 4..8, p_neg classes 0..3, and the pair goes
-    through a two-way softmax.  The softmax is monotone in the raw
-    difference, so rankings (and AUROC) are unaffected by it.
+    through a two-way softmax, so p_neg is 1 - p_pos.  The softmax is
+    monotone in the raw difference, so rankings (and AUROC) are unaffected
+    by it.  Each row takes the same arithmetic alone or in a batch.
     """
-    probs = np.asarray(probs9, dtype=np.float64)
-    if probs.shape != (9,):
-        raise ContractError(f"expected 9 class probabilities, got shape {probs.shape}")
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim != 2 or probs.shape[1] != 9:
+        raise ContractError(f"expected rows of 9 class probabilities, got shape {probs.shape}")
     if not np.all(np.isfinite(probs)):
         raise ContractError("class probabilities must be finite")
-    if np.any(probs < -1e-12) or abs(probs.sum() - 1.0) > 1e-9:
+    if np.any(probs < -1e-12) or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
         raise ContractError("class probabilities must be a distribution")
-    p_pos_raw = probs[POSITIVE_VOTE_THRESHOLD:].mean()
-    p_neg_raw = probs[:POSITIVE_VOTE_THRESHOLD].mean()
-    shift = max(p_pos_raw, p_neg_raw)
-    e_pos = np.exp(p_pos_raw - shift)
-    e_neg = np.exp(p_neg_raw - shift)
-    p_pos = float(e_pos / (e_pos + e_neg))
-    return BinaryScore(p_pos=p_pos, p_neg=1.0 - p_pos,
-                       sample_id=int(sample_id),
-                       label=int(votes >= POSITIVE_VOTE_THRESHOLD))
+    pos = probs[:, POSITIVE_VOTE_THRESHOLD:].mean(axis=1)
+    neg = probs[:, :POSITIVE_VOTE_THRESHOLD].mean(axis=1)
+    shift = np.maximum(pos, neg)
+    e_pos = np.exp(pos - shift)
+    e_neg = np.exp(neg - shift)
+    return e_pos / (e_pos + e_neg)
 
 
 def _check_score_inputs(scores, labels):
@@ -159,24 +138,22 @@ def bootstrap_ci(scores, labels, rounds: int = 10000, seed: int = 0) -> Bootstra
                        seed=seed)
 
 
-def score_samples(model, windows) -> list:
-    """BinaryScore per window of a dataset record array, in its order."""
+def score_samples(model, windows) -> np.ndarray:
+    """p_pos of each window of a dataset record array, in its order."""
     if len(windows) == 0:
         raise ConfigurationError("test split is empty")
     probs = model.forward_probs(np.asarray(windows.values, dtype=np.float64))
-    return [binarize(p, votes=v, sample_id=i)
-            for p, v, i in zip(probs["probabilities"], windows.votes.tolist(),
-                               windows.sample_id.tolist())]
+    return binary_scores(probs["probabilities"])
 
 
-def metrics_from_scores(binary_scores, votes, rounds: int = 10000,
-                        seed: int = 0) -> dict:
-    """Unfiltered and filtered AUROC with bootstrap CIs as a JSON-ready dict."""
+def metrics_from_scores(p_pos, votes, rounds: int = 10000, seed: int = 0) -> dict:
+    """Unfiltered and filtered AUROC with bootstrap CIs as a JSON-ready dict;
+    a window is positive at POSITIVE_VOTE_THRESHOLD votes or more."""
+    p_pos = np.asarray(p_pos, dtype=np.float64)
     votes = np.asarray(votes)
-    p_pos = np.array([b.p_pos for b in binary_scores])
-    labels = np.array([b.label for b in binary_scores])
     if votes.shape != p_pos.shape:
         raise DimensionError("votes must align with scores")
+    labels = (votes >= POSITIVE_VOTE_THRESHOLD).astype(np.int64)
 
     unfiltered = auroc(p_pos, labels)
     ci_u = bootstrap_ci(p_pos, labels, rounds=rounds, seed=seed)

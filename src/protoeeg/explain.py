@@ -16,7 +16,7 @@ import numpy as np
 from .container import write_atomic, write_json
 from .dataset import rows_of
 from .errors import ConfigurationError, NumericError, ProvenanceError
-from .evaluation import BinaryScore, binarize
+from .evaluation import POSITIVE_VOTE_THRESHOLD, binary_scores
 from .model import ProtoEEGNet, points_contributed
 from .training import TrainData, require_class_coverage
 
@@ -50,19 +50,15 @@ class Explanation:
     sample_id: int
     predicted_class: int
     probabilities: tuple
-    binary: BinaryScore  # None unless the head covers the nine vote classes
+    binary: dict | None  # p_pos, p_neg, label; None unless the head covers the nine vote classes
     sections: tuple  # predicted class first, then by descending probability
 
     def to_dict(self) -> dict:
-        binary = None
-        if self.binary is not None:
-            binary = {"p_pos": self.binary.p_pos, "p_neg": self.binary.p_neg,
-                      "label": self.binary.label}
         return {
             "sample_id": self.sample_id,
             "predicted_class": self.predicted_class,
             "probabilities": list(self.probabilities),
-            "binary": binary,
+            "binary": self.binary,
             "sections": [asdict(s) for s in self.sections],
         }
 
@@ -119,7 +115,9 @@ def explain(model: ProtoEEGNet, sample, top_k: int = 3) -> Explanation:
 
     binary = None
     if probs.shape == (9,):  # the vote-scale reduction needs all nine classes
-        binary = binarize(probs, votes=int(sample.votes), sample_id=sample.sample_id)
+        p_pos = float(binary_scores(probs[None])[0])
+        binary = {"p_pos": p_pos, "p_neg": 1.0 - p_pos,
+                  "label": int(sample.votes >= POSITIVE_VOTE_THRESHOLD)}
     return Explanation(sample_id=int(sample.sample_id),
                        predicted_class=predicted,
                        probabilities=tuple(float(p) for p in probs),
@@ -166,8 +164,8 @@ def _svg_report(explanation: Explanation, query_values, sources) -> str:
     if explanation.binary is not None:
         out.append(f'<text x="{margin}" y="50" font-family="monospace" '
                    f'font-size="13" fill="#222">'
-                   f'p_pos={_fmt(explanation.binary.p_pos)} '
-                   f'p_neg={_fmt(explanation.binary.p_neg)}</text>')
+                   f'p_pos={_fmt(explanation.binary["p_pos"])} '
+                   f'p_neg={_fmt(explanation.binary["p_neg"])}</text>')
 
     for i, row in enumerate(rows):
         top = header_h + i * row_h
@@ -191,9 +189,9 @@ def _text_report(explanation: Explanation) -> str:
     lines = [f"sample {explanation.sample_id}  "
              f"predicted class {explanation.predicted_class}"]
     if explanation.binary is not None:
-        lines.append(f"binary: p_pos={_fmt(explanation.binary.p_pos)} "
-                     f"p_neg={_fmt(explanation.binary.p_neg)} "
-                     f"label={explanation.binary.label}")
+        lines.append(f"binary: p_pos={_fmt(explanation.binary['p_pos'])} "
+                     f"p_neg={_fmt(explanation.binary['p_neg'])} "
+                     f"label={explanation.binary['label']}")
     lines.append("")
     for section in explanation.sections:
         lines.append(f"class {section.class_id}  "

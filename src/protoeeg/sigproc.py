@@ -4,16 +4,16 @@ All filters run causally along the time axis, one column per channel,
 and preserve length.  Defaults follow conventional clinical settings:
 60 Hz notch at Q=30 and a 0.5 Hz order-4 Butterworth high-pass.
 
-`preprocess_window` designs both filters once per call, runs each as one
-`sosfilt` over a block of windows and resamples with one banded sparse
-product, so every column takes the same arithmetic alone or in a batch,
-and without BLAS: a window's bits depend on neither batch nor thread count.
+`preprocess_window` designs the notch and the high-pass once per call as
+one cascade of second-order sections, runs the cascade as one `sosfilt`
+over a block of windows and resamples with one banded sparse product, so
+every column takes the same arithmetic alone or in a batch, and without
+BLAS: a window's bits depend on neither batch nor thread count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as sps, sparse
@@ -31,73 +31,29 @@ MIN_FILTER_SAMPLES = 3  # shortest signal the filters accept
 PREPROCESS_BLOCK = 32  # windows held in float64 at a time by preprocess_window
 
 
-@dataclass(frozen=True)
-class FilterSpec:
-    kind: str  # "notch" | "highpass"
-    center_or_cutoff_hz: float
-    sample_rate_hz: float
-    quality_or_order: float
-
-    def __post_init__(self):
-        if self.kind not in ("notch", "highpass"):
-            raise ConfigurationError(f"unknown filter kind {self.kind!r}")
-        if self.center_or_cutoff_hz <= 0 or self.sample_rate_hz <= 0:
-            raise ConfigurationError("filter frequencies must be positive")
-        if self.center_or_cutoff_hz >= self.sample_rate_hz / 2:
+def _filter_cascade(fs: float, notch_hz: float, notch_q: float, highpass_hz: float,
+                    highpass_order: int) -> np.ndarray:
+    """Second-order sections of the notch followed by the Butterworth
+    high-pass, stacked so one `sosfilt` runs both; the high-pass's flat
+    (b, a) form is ill-conditioned at cutoffs this far below Nyquist."""
+    for name, hz in (("notch", notch_hz), ("highpass", highpass_hz)):
+        if not 0 < hz < fs / 2:
             raise ConfigurationError(
-                f"{self.center_or_cutoff_hz} Hz is at or above Nyquist "
-                f"({self.sample_rate_hz / 2} Hz)"
-            )
-        if self.kind == "notch" and self.quality_or_order <= 0:
-            raise ConfigurationError("notch Q must be positive")
-        if self.kind == "highpass":
-            order = self.quality_or_order
-            if order != int(order) or order < 1:
-                raise ConfigurationError(f"highpass order must be an integer >= 1, got {order}")
-
-
-def notch_spec(sample_rate_hz: float, center_hz: float = DEFAULT_NOTCH_HZ,
-               q: float = DEFAULT_NOTCH_Q) -> FilterSpec:
-    return FilterSpec("notch", center_hz, sample_rate_hz, q)
-
-
-def highpass_spec(sample_rate_hz: float, cutoff_hz: float = DEFAULT_HIGHPASS_HZ,
-                  order: int = DEFAULT_HIGHPASS_ORDER) -> FilterSpec:
-    return FilterSpec("highpass", cutoff_hz, sample_rate_hz, order)
-
-
-def _apply_sos(sos, signal_arr: np.ndarray) -> np.ndarray:
-    x = np.asarray(signal_arr, dtype=np.float64)
-    if x.shape[0] < MIN_FILTER_SAMPLES:
-        raise ConfigurationError(f"signal too short to filter (length {x.shape[0]})")
-    return sps.sosfilt(sos, x, axis=0)
-
-
-def _sos(spec: FilterSpec, kind: str) -> np.ndarray:
-    """Second-order sections of a `kind` spec; the high-pass's flat (b, a)
-    form is ill-conditioned at cutoffs this far below Nyquist."""
-    if spec.kind != kind:
-        raise ConfigurationError(f"{kind} filter got a {spec.kind!r} spec")
-    if kind == "notch":
-        return sps.tf2sos(*sps.iirnotch(spec.center_or_cutoff_hz, spec.quality_or_order,
-                                        fs=spec.sample_rate_hz))
-    return sps.butter(int(spec.quality_or_order), spec.center_or_cutoff_hz,
-                      btype="highpass", fs=spec.sample_rate_hz, output="sos")
-
-
-def notch_filter(signal_arr, spec: FilterSpec) -> np.ndarray:
-    """Second-order IIR notch, causal, per channel (axis 0 = time)."""
-    return _apply_sos(_sos(spec, "notch"), signal_arr)
-
-
-def highpass_filter(signal_arr, spec: FilterSpec) -> np.ndarray:
-    """Butterworth high-pass, causal, per channel (axis 0 = time)."""
-    return _apply_sos(_sos(spec, "highpass"), signal_arr)
+                f"{name} frequency {hz} Hz must lie in (0, {fs / 2}) Hz, below Nyquist")
+    if not notch_q > 0:  # NaN fails too
+        raise ConfigurationError(f"notch Q must be positive, got {notch_q}")
+    if highpass_order != int(highpass_order) or highpass_order < 1:
+        raise ConfigurationError(
+            f"highpass order must be an integer >= 1, got {highpass_order}")
+    return np.vstack([sps.tf2sos(*sps.iirnotch(notch_hz, notch_q, fs=fs)),
+                      sps.butter(int(highpass_order), highpass_hz, btype="highpass",
+                                 fs=fs, output="sos")])
 
 
 def resampled_length(n_in: int, fs_in: float, fs_out: float) -> int:
-    if fs_in <= 0 or fs_out <= 0:
-        raise ConfigurationError(f"sample rates must be positive, got {fs_in}, {fs_out}")
+    if not (0 < fs_in < math.inf and 0 < fs_out < math.inf):  # NaN fails too
+        raise ConfigurationError(
+            f"sample rates must be positive and finite, got {fs_in}, {fs_out}")
     return int(round(n_in * fs_out / fs_in))
 
 
@@ -150,13 +106,14 @@ def preprocess_window(values: np.ndarray, fs_in: float,
     PREPROCESS_BLOCK at a time, each block converted to float64 on its own."""
     x = np.asarray(values)
     batch = x if x.ndim == 3 else x[None]
-    notch = _sos(notch_spec(fs_in, notch_hz, notch_q), "notch")
-    highpass = _sos(highpass_spec(fs_in, highpass_hz, highpass_order), "highpass")
+    sos = _filter_cascade(fs_in, notch_hz, notch_q, highpass_hz, highpass_order)
     n, n_in, channels = batch.shape
+    if n_in < MIN_FILTER_SAMPLES:
+        raise ConfigurationError(f"signal too short to filter (length {n_in})")
     out = np.empty((n, resampled_length(n_in, fs_in, fs_out), channels))
     for start in range(0, n, PREPROCESS_BLOCK):
         block = np.ascontiguousarray(  # time first
             np.moveaxis(batch[start:start + PREPROCESS_BLOCK], 1, 0), dtype=np.float64)
-        y = resample(_apply_sos(highpass, _apply_sos(notch, block)), fs_in, fs_out)
+        y = resample(sps.sosfilt(sos, block, axis=0), fs_in, fs_out)
         out[start:start + y.shape[1]] = np.moveaxis(y, 0, 1)
     return out if x.ndim == 3 else out[0]

@@ -372,10 +372,6 @@ def push_prototypes(model, data, *, epoch: int = 0) -> tuple:
 # convex last-layer fit
 
 
-def _head_objective(weights, sims, labels, off_mask, l1_coef) -> float:
-    return _objective(sims @ weights.T, weights, labels, off_mask, l1_coef)
-
-
 def _objective(logits, weights, labels, off_mask, l1_coef) -> float:
     """Refit objective from the logits ``sims @ weights.T`` already in hand."""
     ce = dc.cross_entropy(dc.Tensor(logits), labels).item()

@@ -81,13 +81,19 @@ def _run_cli(*argv, **env) -> None:
 
 
 def _copy_with_manifest(data_dir: Path, dest: Path, edit) -> Path:
-    """Copy the dataset into dest, passing its manifest dict through edit."""
+    """Copy the dataset into dest, passing its manifest dict through edit; an
+    edit that returns text writes that text as the manifest instead."""
     dest.mkdir()
     (dest / "dataset.peeg").write_bytes((data_dir / "dataset.peeg").read_bytes())
     raw = json.loads((data_dir / "dataset.manifest.json").read_text())
-    edit(raw)
-    (dest / "dataset.manifest.json").write_text(json.dumps(raw))
+    text = edit(raw)
+    (dest / "dataset.manifest.json").write_text(text or json.dumps(raw))
     return dest
+
+
+def _other_split(name: str) -> str:
+    """A split name other than name: an alias that moves a sample if accepted."""
+    return next(other for other in ("train", "val", "test") if other != name)
 
 
 class TestParsing:
@@ -460,6 +466,25 @@ class TestPreprocess:
         assert main(["preprocess", "--input", str(src),
                      "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("doc, match", [({"notch_q": 0.0}, "Q"),
+                                            ({"notch_q": float("nan")}, "Q"),
+                                            ({"highpass_hz": 128.0}, "Nyquist"),
+                                            ({"target_fs": float("nan")}, "sample rates"),
+                                            ({"target_fs": float("inf")}, "sample rates")],
+                             ids=["zero_notch_q", "nan_notch_q", "highpass_at_nyquist",
+                                  "nan_target_rate", "infinite_target_rate"])
+    def test_bad_setting_is_a_config_error(self, tmp_path, capsys, doc, match):
+        src = tmp_path / "raw.npz"
+        np.savez(src, values=np.zeros((2, 256, 37)), sample_rate_hz=np.float64(256.0))
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert main(["preprocess", "--input", str(src), "--config", str(tmp_path / "c.json"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert match in err
+        assert not (out / "dataset.peeg").exists()
+
 
 ENTRIES = {  # element strategy and dtype of each kind of archive array
     "float": (st.floats(-2.0, 10.0) | st.sampled_from([np.nan, np.inf, 0.5, 1e300, -1e300]),
@@ -556,8 +581,27 @@ class TestSplit:
         lambda raw: raw.update(splits=["train", "val"]),
         lambda raw: raw.update(seed="three"),
         lambda raw: raw.update(time_steps=64, channel_count=5),
+        lambda raw: raw.update(sample_count=raw["sample_count"] + 0.9),
+        lambda raw: raw.update(seed=str(raw["seed"])),
+        lambda raw: raw.update(version=True),
+        lambda raw: raw.update(channel_count=float(raw["channel_count"])),
+        lambda raw: raw.update(sample_rate_hz=float("nan")),
+        lambda raw: raw.update(sample_rate_hz=float("inf")),
+        lambda raw: raw.update(sample_rate_hz=0.0),
+        lambda raw: raw.update(sample_rate_hz="128"),
+        lambda raw: raw.update(sample_rate_hz=True),
+        lambda raw: raw.update(config_digest=7),
+        lambda raw: raw["splits"].update({"07": _other_split(raw["splits"]["7"])}),
+        lambda raw: raw["splits"].update({"+7": raw["splits"].pop("7")}),
+        lambda raw: raw["splits"].update({" 7": raw["splits"].pop("7")}),
+        lambda raw: json.dumps(raw).replace(
+            '"splits": {', f'"splits": {{"7": "{_other_split(raw["splits"]["7"])}", ', 1),
     ], ids=["non_integer_split_key", "splits_not_an_object", "ill_typed_seed",
-            "shape_disagrees_with_container"])
+            "shape_disagrees_with_container", "fractional_count", "numeric_string_seed",
+            "bool_version", "float_channel_count", "nan_sample_rate", "infinite_sample_rate",
+            "zero_sample_rate", "string_sample_rate", "bool_sample_rate", "numeric_digest",
+            "zero_padded_split_key", "signed_split_key", "space_padded_split_key",
+            "repeated_split_key"])
     def test_malformed_manifest_is_format_error(self, data_dir, tmp_path, edit):
         bad = _copy_with_manifest(data_dir, tmp_path / "bad", edit)
         assert main(["split", "--data", str(bad), "--out", str(tmp_path / "o")]) == 2

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import rankdata
 
 from protoeeg import evaluation as ev
@@ -28,48 +29,62 @@ def pairwise_auroc(scores, labels):
     return credit / (len(pos) * len(neg))
 
 
+distributions = st.lists(
+    st.lists(st.floats(0.0, 1.0), min_size=9, max_size=9).filter(lambda row: sum(row) > 0),
+    min_size=1, max_size=16).map(lambda rows: np.array(rows) / np.sum(rows, axis=1)[:, None])
+
+
 class TestBinarize:
     def test_uniform_is_even_split(self):
-        score = ev.binarize(np.full(9, 1.0 / 9.0), votes=2, sample_id=4)
-        assert score.p_pos == 0.5
-        assert score.p_neg == 0.5
-        assert score.label == 0
-        assert score.sample_id == 4
+        p_pos = ev.binary_scores(np.full((1, 9), 1.0 / 9.0))
+        assert p_pos.tolist() == [0.5]
+        assert 1.0 - p_pos[0] == 0.5
 
     def test_all_mass_on_class_eight(self):
-        probs = np.zeros(9)
-        probs[8] = 1.0
-        score = ev.binarize(probs, votes=8)
+        probs = np.zeros((1, 9))
+        probs[0, 8] = 1.0
         expected = math.exp(0.2) / (math.exp(0.2) + 1.0)
-        assert abs(score.p_pos - expected) <= 1e-12
-        assert score.label == 1
+        assert abs(ev.binary_scores(probs)[0] - expected) <= 1e-12
 
     def test_pair_sums_to_one(self, rng):
-        for probs in rng.dirichlet(np.ones(9), size=50):
-            score = ev.binarize(probs)
-            assert abs(score.p_pos + score.p_neg - 1.0) <= 1e-12
+        p_pos = ev.binary_scores(rng.dirichlet(np.ones(9), size=50))
+        assert np.all(np.abs(p_pos + (1.0 - p_pos) - 1.0) <= 1e-12)
 
     def test_label_threshold_at_four_votes(self):
-        probs = np.full(9, 1.0 / 9.0)
-        assert ev.binarize(probs, votes=3).label == 0
-        assert ev.binarize(probs, votes=4).label == 1
+        # positive at 4 votes: {4, 8} against {0, 3} ranks 3 of 4 pairs right;
+        # a threshold of 3 or 5 would give another AUROC
+        report = ev.metrics_from_scores([0.6, 0.4, 0.1, 0.9], [3, 4, 0, 8],
+                                        rounds=20, seed=0)
+        assert report["auroc_unfiltered"] == 0.75
 
     def test_softmax_preserves_ranking(self, rng):
         probs = rng.dirichlet(np.ones(9), size=1000)
-        p_pos = np.array([ev.binarize(p).p_pos for p in probs])
+        p_pos = ev.binary_scores(probs)
         raw_diff = probs[:, 4:].mean(axis=1) - probs[:, :4].mean(axis=1)
         assert np.array_equal(np.argsort(p_pos, kind="stable"),
                               np.argsort(raw_diff, kind="stable"))
 
     def test_rejects_bad_distributions(self):
         with pytest.raises(ContractError):
-            ev.binarize(np.full(8, 0.125))
+            ev.binary_scores(np.full((1, 8), 0.125))
         with pytest.raises(ContractError):
-            ev.binarize(np.full(9, 0.2))  # does not sum to 1
-        bad = np.full(9, 1.0 / 9.0)
-        bad[0] = np.nan
+            ev.binary_scores(np.full(9, 1.0 / 9.0))  # one row, not an (N, 9) array
         with pytest.raises(ContractError):
-            ev.binarize(bad)
+            ev.binary_scores(np.full((2, 9), 0.2))  # rows do not sum to 1
+        bad = np.full((3, 9), 1.0 / 9.0)
+        bad[1, 0] = np.nan
+        with pytest.raises(ContractError):
+            ev.binary_scores(bad)
+
+    @settings(deadline=None)
+    @given(probs=distributions)
+    def test_batch_gives_each_row_its_bits_alone(self, probs):
+        p_pos = ev.binary_scores(probs)
+        assert p_pos.shape == (len(probs),)
+        for row, p in zip(probs, p_pos):
+            assert ev.binary_scores(row[None]).tobytes() == p.tobytes()
+        assert np.all((0.0 < p_pos) & (p_pos < 1.0))
+        assert np.all(np.abs(p_pos + (1.0 - p_pos) - 1.0) <= 1e-12)
 
 
 class TestAuroc:

@@ -255,7 +255,7 @@ def test_inference_is_batch_invariant():
     window = rng.standard_normal((128, 37)).astype(np.float32)
     sample = make_windows([0], [4], window[None])[0]
     alone = net.forward_probs(window)
-    p_pos = explain(net, sample).binary.p_pos
+    p_pos = explain(net, sample).binary["p_pos"]
     for size in (7, 75):
         batch = rng.standard_normal((size, 128, 37)).astype(np.float32)
         positions = sorted({0, 1, size // 2, size - 2, size - 1})
@@ -265,7 +265,7 @@ def test_inference_is_batch_invariant():
         for pos in positions:
             for key in ("similarities", "logits", "probabilities"):
                 assert np.array_equal(out[key][pos], alone[key]), (size, pos, key)
-            assert scores[pos].p_pos == p_pos, (size, pos)
+            assert scores[pos] == p_pos, (size, pos)
 
 
 def _reference_embed(net, window):

@@ -17,84 +17,87 @@ def sine(freq, fs, seconds, phase=0.0):
     return np.sin(2 * np.pi * freq * t + phase)
 
 
-class TestFilterSpec:
-    def test_nyquist_violation(self):
-        with pytest.raises(ConfigurationError):
-            sp.notch_spec(100.0, center_hz=60.0)
+def filtered(x, fs=256.0, **spec):
+    """Notch and high-pass cascade alone: preprocess_window without resampling."""
+    return sp.preprocess_window(np.asarray(x).reshape(len(x), -1), fs, fs_out=fs,
+                                **spec).reshape(np.shape(x))
 
-    def test_bad_kind(self):
+
+class TestFilterSpec:
+    """The notch and high-pass settings preprocess_window checks."""
+
+    def test_nyquist_violation(self):
+        with pytest.raises(ConfigurationError, match="notch .*Nyquist"):
+            filtered(np.zeros(64), fs=100.0)  # the default 60 Hz notch
+        for name in ("notch", "highpass"):
+            for hz in (128.0, 200.0):
+                with pytest.raises(ConfigurationError, match=f"{name} .*Nyquist"):
+                    filtered(np.zeros(64), **{f"{name}_hz": hz})
+
+    @pytest.mark.parametrize("spec", [{"notch_hz": 0.0}, {"highpass_hz": -0.5}])
+    def test_nonpositive_frequency(self, spec):
         with pytest.raises(ConfigurationError):
-            sp.FilterSpec("bandpass", 1.0, 128.0, 2)
+            filtered(np.zeros(64), **spec)
+
+    @pytest.mark.parametrize("q", [0.0, -30.0, float("nan")])
+    def test_nonpositive_q(self, q):
+        with pytest.raises(ConfigurationError, match="Q"):
+            filtered(np.zeros(64), notch_q=q)
 
     def test_noninteger_order(self):
-        with pytest.raises(ConfigurationError):
-            sp.highpass_spec(256.0, order=2.5)
-
-    def test_mismatched_spec_rejected(self):
-        with pytest.raises(ConfigurationError):
-            sp.notch_filter(np.zeros(16), sp.highpass_spec(256.0))
+        for order in (0, 2.5):
+            with pytest.raises(ConfigurationError, match="order"):
+                filtered(np.zeros(64), highpass_order=order)
 
 
 class TestNotch:
     def test_zero_in_zero_out(self):
-        y = sp.notch_filter(np.zeros(256), sp.notch_spec(256.0))
-        assert_allclose(y, 0.0)
+        assert_allclose(filtered(np.zeros(256)), 0.0)
 
     def test_60hz_attenuated(self):
         x = sine(60.0, 256.0, 1.0)
-        y = sp.notch_filter(x, sp.notch_spec(256.0))
-        assert steady_amplitude(y) <= 0.1  # >= 20 dB
+        assert steady_amplitude(filtered(x)) <= 0.1  # >= 20 dB
 
     def test_10hz_passes(self):
         x = sine(10.0, 256.0, 4.0)
-        y = sp.notch_filter(x, sp.notch_spec(256.0))
-        ripple_db = abs(20 * np.log10(steady_amplitude(y)))
+        ripple_db = abs(20 * np.log10(steady_amplitude(filtered(x))))
         assert ripple_db <= 1.0
 
     def test_length_preserved_2d(self):
         x = np.random.default_rng(0).standard_normal((512, 3))
-        y = sp.notch_filter(x, sp.notch_spec(256.0))
-        assert y.shape == x.shape
+        assert filtered(x).shape == x.shape
 
     def test_too_short(self):
         with pytest.raises(ConfigurationError):
-            sp.notch_filter(np.zeros(2), sp.notch_spec(256.0))
+            filtered(np.zeros(2))
 
 
 class TestHighpass:
     def test_dc_removed(self):
-        x = np.ones(int(256 * 30))
-        y = sp.highpass_filter(x, sp.highpass_spec(256.0))
+        y = filtered(np.ones(int(256 * 30)))
         assert np.max(np.abs(y[-len(y) // 4:])) <= 1e-3
 
     def test_10hz_passes(self):
         x = sine(10.0, 256.0, 4.0)
-        y = sp.highpass_filter(x, sp.highpass_spec(256.0))
-        ripple_db = abs(20 * np.log10(steady_amplitude(y)))
+        ripple_db = abs(20 * np.log10(steady_amplitude(filtered(x))))
         assert ripple_db <= 1.0
 
     def test_zero_in_zero_out(self):
-        assert_allclose(sp.highpass_filter(np.zeros(64), sp.highpass_spec(256.0)), 0.0)
+        assert_allclose(filtered(np.zeros(64)), 0.0)
 
 
 class TestLinearity:
-    @pytest.mark.parametrize("filt,spec", [
-        (sp.notch_filter, sp.notch_spec(256.0)),
-        (sp.highpass_filter, sp.highpass_spec(256.0)),
-    ])
-    def test_linear_combination(self, filt, spec):
+    def test_linear_combination(self):
         rng = np.random.default_rng(1)
         x, y = rng.standard_normal(512), rng.standard_normal(512)
         a, b = 2.5, -1.25
-        lhs = filt(a * x + b * y, spec)
-        rhs = a * filt(x, spec) + b * filt(y, spec)
+        lhs = filtered(a * x + b * y)
+        rhs = a * filtered(x) + b * filtered(y)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
     def test_deterministic(self):
         x = np.random.default_rng(2).standard_normal(256)
-        a = sp.notch_filter(x, sp.notch_spec(256.0))
-        b = sp.notch_filter(x, sp.notch_spec(256.0))
-        assert np.array_equal(a, b)
+        assert np.array_equal(filtered(x), filtered(x))
 
 
 class TestResample:
@@ -134,6 +137,9 @@ class TestResample:
     def test_bad_rates(self):
         with pytest.raises(ConfigurationError):
             sp.resample(np.zeros(8), 0.0, 128.0)
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                sp.resample(np.zeros(8), 256.0, rate)
 
     def test_linearity(self):
         rng = np.random.default_rng(5)

@@ -434,7 +434,8 @@ def lbfgs_head_objective(sims, labels, w0, per_class, lam):
                    options={"maxiter": 20000, "ftol": 1e-16, "gtol": 1e-12})
     a = res.x[:k * num_p].reshape(k, num_p)
     b = res.x[k * num_p:].reshape(k, num_p)
-    return tr._head_objective(a - b, sims, labels, off, lam)
+    w = a - b
+    return tr._objective(sims @ w.T, w, labels, off, lam)
 
 
 def random_head_problem(seed=0, n=60, k=4, per_class=2, d=6):
