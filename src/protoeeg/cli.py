@@ -7,8 +7,8 @@ resolution is defaults <- file <- command-line flags, key by key; an unknown
 key or a value of the wrong type, at any depth, fails fast naming its path.
 
 The resolved configuration, the seed, and SHA-256 checksums of every input
-(of the bytes the command read) and output artifact land in
-``<out>/resolved_config.json``.  With the same numpy/BLAS build that is
+(of the bytes the command read, a dataset's manifest too) and output
+artifact land in ``<out>/resolved_config.json``.  With the same numpy/BLAS build that is
 enough to reproduce a run bit for bit; ``train`` also needs the same BLAS
 thread count, which the record does not store.
 
@@ -23,6 +23,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import sys
 from dataclasses import MISSING, asdict, fields, is_dataclass, replace
 from pathlib import Path
@@ -74,7 +75,7 @@ def _check(key: str, value, template) -> None:
     """Reject a value whose JSON type disagrees with its default's, leaf by
     leaf: object keys must exist in the default, and each list element must
     match the default list's elements.  An int may stand for a float; a bool
-    stands for no number."""
+    stands for no number, and NaN or an infinity for no config value."""
     if isinstance(template, dict):
         want, ok = "an object", isinstance(value, dict)
     elif isinstance(template, (list, tuple)):
@@ -91,6 +92,8 @@ def _check(key: str, value, template) -> None:
     if not ok:
         raise ConfigurationError(
             f"config key {key!r} expects {want}, got {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigurationError(f"config key {key!r} expects a finite number, got {value}")
     if isinstance(template, dict):
         for sub, item in value.items():
             if sub not in template:
@@ -161,37 +164,39 @@ def _sha256(path: Path) -> str:
 
 def _write_resolved(out: Path, command: str, config: dict, inputs: dict) -> None:
     """Echo the run record: resolved config plus input/output checksums.
-    ``inputs`` maps a name to (path, sha256 fed the bytes read from it)."""
+    ``inputs`` maps a name to (path, sha256 hex digest of the bytes read from it)."""
     outputs = sorted(p for p in out.rglob("*")
                      if p.is_file() and p.name != "resolved_config.json")
     doc = {
         "command": command,
         "seed": config.get("seed"),
         "config": config,
-        "inputs": {name: {"path": str(p), "sha256": sha.hexdigest()}
-                   for name, (p, sha) in sorted(inputs.items())},
+        "inputs": {name: {"path": str(p), "sha256": digest}
+                   for name, (p, digest) in sorted(inputs.items())},
         "outputs": {p.relative_to(out).as_posix(): _sha256(p) for p in outputs},
     }
     write_json(out / "resolved_config.json", doc)
 
 
-def _read_dataset(arg) -> tuple:
-    """(windows, manifest, (path, sha256)) of a dataset file or directory."""
-    p, sha = Path(arg), hashlib.sha256()
+def _read_dataset(arg, inputs: dict) -> tuple:
+    """(windows, manifest) of a dataset file or directory; the digests of its
+    container and manifest go into the run record's ``inputs``."""
+    p = Path(arg)
     if p.is_dir():
         p = p / "dataset.peeg"
-    windows, manifest = load(p, sha=sha)
-    return windows, manifest, (p, sha)
+    return load(p, inputs)
 
 
-def _read_model(arg) -> tuple:
-    """(model, (path, sha256)) of a model file or run directory."""
-    p, sha = Path(arg), hashlib.sha256()
+def _read_model_and_dataset(ns) -> tuple:
+    """(model, windows, manifest, inputs) of ``--model`` (a file or run
+    directory) and ``--data``; ``inputs`` gets the digest of each file read."""
+    p, inputs = Path(ns.model), {}
     if p.is_dir():
         p = p / "model.pegm"
     elif not p.exists() and p.with_suffix(".pegm").exists():
         p = p.with_suffix(".pegm")
-    return load_model(p, sha=sha), (p, sha)
+    model = load_model(p, inputs)
+    return (model, *_read_dataset(ns.data, inputs), inputs)
 
 
 # --------------------------------------------------------------------------
@@ -208,7 +213,7 @@ def _cmd_synth(ns) -> None:
     out = Path(ns.out)
     data_path = out / "dataset.peeg"
     save(windows, manifest, data_path)
-    _write_resolved(out, "synth", asdict(cfg), inputs={})
+    _write_resolved(out, "synth", asdict(cfg), {})
     print(f"wrote {len(windows)} windows to {data_path}")
 
 
@@ -313,7 +318,7 @@ def _cmd_preprocess(ns) -> None:
     out = Path(ns.out)
     data_path = out / "dataset.peeg"
     save(make_windows(ids, votes, processed), manifest, data_path)
-    _write_resolved(out, "preprocess", merged, inputs={"input": (src, src_sha)})
+    _write_resolved(out, "preprocess", merged, {"input": (src, src_sha.hexdigest())})
     print(f"preprocessed {n} windows ({fs_in:g} Hz -> {merged['target_fs']:g} Hz) "
           f"to {data_path}")
 
@@ -323,7 +328,8 @@ def _cmd_split(ns) -> None:
     overrides = {"fractions": list(ns.fractions) if ns.fractions else None,
                  "seed": ns.seed}
     merged = resolve_config(defaults, ns.config, overrides)
-    windows, old, data_in = _read_dataset(ns.data)
+    inputs = {}
+    windows, old = _read_dataset(ns.data, inputs)
     # acquisition facts carry over from the source manifest
     manifest = replace(old, version=ds.FORMAT_VERSION, seed=merged["seed"],
                        splits=ds.split(windows, fractions=merged["fractions"],
@@ -331,7 +337,7 @@ def _cmd_split(ns) -> None:
     out = Path(ns.out)
     data_path = out / "dataset.peeg"
     save(windows, manifest, data_path)
-    _write_resolved(out, "split", merged, inputs={"dataset": data_in})
+    _write_resolved(out, "split", merged, inputs)
     sizes = {name: len(manifest.ids_for(name)) for name in ("train", "val", "test")}
     print(f"split {len(windows)} windows into {sizes} at {data_path}")
 
@@ -342,14 +348,15 @@ def _cmd_train(ns) -> None:
                              "num_train_epochs": ns.epochs,
                              "batch_size": ns.batch_size})
     cfg = _build(TrainConfig, merged)
-    windows, manifest, data_in = _read_dataset(ns.data)
+    inputs = {}
+    windows, manifest = _read_dataset(ns.data, inputs)
     out = Path(ns.out)
     model, history = train(cfg, TrainData.from_dataset(windows, manifest), out_dir=out)
     final = out / "model.pegm"
     save_model(model, final)
     for warning in history.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    _write_resolved(out, "train", asdict(cfg), inputs={"dataset": data_in})
+    _write_resolved(out, "train", asdict(cfg), inputs)
     last = history.records[-1]
     tail = ""
     if last.get("val"):
@@ -363,12 +370,12 @@ def _cmd_eval(ns) -> None:
     merged = resolve_config(defaults, ns.config,
                             {"split": ns.split, "rounds": ns.rounds,
                              "seed": ns.seed, "filtered": ns.filtered})
-    model, model_in = _read_model(ns.model)
-    windows, manifest, data_in = _read_dataset(ns.data)
+    model, windows, manifest, inputs = _read_model_and_dataset(ns)
     # container order, which scores.json and the bootstrap draws follow
     subset = windows[np.sort(rows_of(windows, manifest.ids_for(merged["split"])))]
     if len(subset) == 0:
-        raise ConfigurationError(f"split {merged['split']!r} is empty in {data_in[0]}")
+        raise ConfigurationError(
+            f"split {merged['split']!r} is empty in {inputs['dataset'][0]}")
     p_pos = score_samples(model, subset)
     metrics = metrics_from_scores(p_pos, subset.votes, rounds=merged["rounds"],
                                   seed=merged["seed"])
@@ -379,8 +386,7 @@ def _cmd_eval(ns) -> None:
                   for i, p, v in zip(subset.sample_id.tolist(), p_pos.tolist(),
                                      subset.votes.tolist())]
     write_json(out / "scores.json", score_rows)
-    _write_resolved(out, "eval", merged,
-                    inputs={"model": model_in, "dataset": data_in})
+    _write_resolved(out, "eval", merged, inputs)
     view = "filtered" if merged["filtered"] else "unfiltered"
     lo, hi = metrics[f"ci_{view}"]
     n = metrics["n_filtered"] if view == "filtered" else metrics["n_test"]
@@ -391,15 +397,13 @@ def _cmd_eval(ns) -> None:
 def _cmd_push(ns) -> None:
     defaults = {"seed": 0}
     merged = resolve_config(defaults, ns.config, {"seed": ns.seed})
-    model, model_in = _read_model(ns.model)
-    windows, manifest, data_in = _read_dataset(ns.data)
+    model, windows, manifest, inputs = _read_model_and_dataset(ns)
     data = TrainData.from_dataset(windows, manifest)
     records, _ = push_prototypes(model, data, epoch=0)
     out = Path(ns.out)
     save_model(model, out / "model.pegm")
     write_json(out / "push_records.json", [asdict(r) for r in records])
-    _write_resolved(out, "push", merged,
-                    inputs={"model": model_in, "dataset": data_in})
+    _write_resolved(out, "push", merged, inputs)
     print(f"pushed {len(records)} prototypes; model at {out / 'model.pegm'}")
 
 
@@ -407,14 +411,12 @@ def _cmd_explain(ns) -> None:
     defaults = {"top_k": 3, "seed": 0}
     merged = resolve_config(defaults, ns.config,
                             {"top_k": ns.top_k, "seed": ns.seed})
-    model, model_in = _read_model(ns.model)
-    windows, _, data_in = _read_dataset(ns.data)
+    model, windows, _, inputs = _read_model_and_dataset(ns)
     (row,) = rows_of(windows, [ns.sample_id])
     explanation = explain(model, windows[row], top_k=merged["top_k"])
     out = Path(ns.out)
     paths = render_report(explanation, windows, out)
-    _write_resolved(out, "explain", merged,
-                    inputs={"model": model_in, "dataset": data_in})
+    _write_resolved(out, "explain", merged, inputs)
     for kind, path in sorted(paths.items()):
         print(f"{kind}: {path}")
 
@@ -422,13 +424,11 @@ def _cmd_explain(ns) -> None:
 def _cmd_report(ns) -> None:
     defaults = {"seed": 0}
     merged = resolve_config(defaults, ns.config, {"seed": ns.seed})
-    model, model_in = _read_model(ns.model)
-    windows, manifest, data_in = _read_dataset(ns.data)
+    model, windows, manifest, inputs = _read_model_and_dataset(ns)
     doc = global_prototype_report(model, TrainData.from_dataset(windows, manifest))
     out = Path(ns.out)
     write_json(out / "prototype_report.json", doc)
-    _write_resolved(out, "report", merged,
-                    inputs={"model": model_in, "dataset": data_in})
+    _write_resolved(out, "report", merged, inputs)
     print(f"{len(doc['flagged'])} of {len(doc['prototypes'])} prototypes flagged; "
           f"report at {out / 'prototype_report.json'}")
 

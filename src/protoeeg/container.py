@@ -1,24 +1,30 @@
 """Artifact I/O: one framed binary container and one atomic write.
 
 Datasets (magic ``PEEG``) and checkpoints (``PEGM``) share one little-endian
-frame, ``magic | u32 version | u32 field ... | payload | u32 crc32(payload)``,
-whose fields are the format's own header integers.  Every artifact goes
+frame, ``magic | u32 version | u32 field ... | payload | sha256 of all before``,
+whose fields are the format's own header integers.  A reader maps the file
+read-only and hashes it once: that hash checks the trailer and, finished with
+it, is the file's ``sha256sum`` for the run record.  Every artifact goes
 through :func:`write_atomic`: a temp file beside the target, renamed over
 it, so a process that dies or raises mid-write leaves the old file or the
 new one, never a truncated one.  Nothing is fsynced: power loss is not covered.
+As files are only replaced by renaming, a mapped file never changes under its
+reader, and a command may write over its own input; a file that another
+program truncates in place while it is mapped is outside this contract (SIGBUS).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import mmap
 import os
 import struct
-import zlib
 from pathlib import Path
 
 from .errors import DataFormatError
 
-_CRC = struct.Struct("<I")
+_TRAILER = hashlib.sha256().digest_size
 
 
 def write_atomic(path, *chunks) -> None:
@@ -41,36 +47,43 @@ def write_json(path, doc) -> None:
     write_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def write_framed(path, magic: bytes, version: int, fields, payload) -> None:
+def write_framed(path, magic: bytes, version: int, fields, payload) -> str:
+    """Write one frame; return the sha256 hex digest of the whole file."""
     head = struct.pack(f"<4sI{len(fields)}I", magic, version, *fields)
-    write_atomic(path, head, payload, _CRC.pack(zlib.crc32(payload)))
+    sha = hashlib.sha256(head)
+    sha.update(payload)
+    trailer = sha.digest()
+    sha.update(trailer)
+    write_atomic(path, head, payload, trailer)
+    return sha.hexdigest()
 
 
 def read_framed(path, magic: bytes, version: int, n_fields: int, what: str,
-                payload_size=None, sha=None) -> tuple[tuple[int, ...], memoryview]:
-    """Check one framed file; return its fields and a view of its payload,
-    which must be ``payload_size(*fields)`` bytes long if that is given.
-    A ``hashlib`` object ``sha`` is updated with the file's bytes as read."""
+                payload_size=None) -> tuple[tuple[int, ...], memoryview, str]:
+    """Check one framed file; return its fields, a read-only view of its
+    payload in the mapped file, which must be ``payload_size(*fields)`` bytes
+    long if that is given, and the sha256 hex digest of the whole file."""
     try:
-        blob = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            blob = memoryview(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ))
     except OSError as exc:
         raise DataFormatError(f"cannot read {what} file {path}: {exc.strerror}") from exc
-    if sha is not None:
-        sha.update(blob)
+    except ValueError as exc:  # mmap refuses an empty file
+        raise DataFormatError(f"{what} file truncated: header incomplete") from exc
     head = struct.Struct(f"<4sI{n_fields}I")
-    if len(blob) < head.size + _CRC.size:
+    if len(blob) < head.size + _TRAILER:
         raise DataFormatError(f"{what} file truncated: header incomplete")
     found, found_version, *fields = head.unpack_from(blob)
     if found != magic:
         raise DataFormatError(f"bad magic bytes {found!r}, expected {magic!r}")
     if found_version != version:
         raise DataFormatError(f"unsupported {what} version {found_version}")
-    expected = head.size + payload_size(*fields) + _CRC.size if payload_size else len(blob)
+    expected = head.size + payload_size(*fields) + _TRAILER if payload_size else len(blob)
     if len(blob) != expected:
         raise DataFormatError(
             f"{what} payload truncated: expected {expected} bytes, got {len(blob)}")
-    payload = memoryview(blob)[head.size:-_CRC.size]
-    (stored,) = _CRC.unpack_from(blob, len(blob) - _CRC.size)
-    if zlib.crc32(payload) != stored:
+    sha = hashlib.sha256(blob[:-_TRAILER])
+    if sha.digest() != blob[-_TRAILER:]:
         raise DataFormatError(f"checksum mismatch in {what} file")
-    return tuple(fields), payload
+    sha.update(blob[-_TRAILER:])
+    return tuple(fields), blob[head.size:-_TRAILER], sha.hexdigest()

@@ -11,8 +11,9 @@ A dataset in memory is a record array of :func:`record_dtype`, one row per
 window with fields ``sample_id``, ``votes`` and ``values``.  That record is
 also the stored one: the container (magic ``PEEG``, framed by
 :mod:`.container` like a checkpoint) holds the rows' bytes as they are, so
-:func:`load` is one read-only view over the file and :func:`save` one
-``tobytes``.  A JSON manifest sidecar carries the split assignments.
+:func:`load` is one read-only view over the mapped file and :func:`save` one
+``tobytes``.  A JSON manifest sidecar carries the split assignments and the
+container's sha256, which :func:`load` checks without another pass.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,7 @@ DEFAULT_FRACTIONS = (0.73, 0.12, 0.15)
 SPLIT_NAMES = ("train", "val", "test")
 
 MAGIC = b"PEEG"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -150,6 +151,7 @@ class DatasetManifest:
     splits: dict  # sample_id (int) -> "train" | "val" | "test"
     seed: int
     config_digest: str
+    container_sha256: str = ""  # set by save
 
     def ids_for(self, split: str) -> list[int]:
         if split not in SPLIT_NAMES:
@@ -166,6 +168,7 @@ class DatasetManifest:
             "splits": {str(k): v for k, v in sorted(self.splits.items())},
             "seed": self.seed,
             "config_digest": self.config_digest,
+            "container_sha256": self.container_sha256,
         }, indent=1)
 
     @classmethod
@@ -177,7 +180,8 @@ class DatasetManifest:
         if not isinstance(raw, dict):
             raise DataFormatError("manifest must hold a JSON object")
         required = ("version", "sample_count", "channel_count", "time_steps",
-                    "sample_rate_hz", "splits", "seed", "config_digest")
+                    "sample_rate_hz", "splits", "seed", "config_digest",
+                    "container_sha256")
         for key in required:
             if key not in raw:
                 raise DataFormatError(f"manifest missing field {key!r}")
@@ -188,8 +192,9 @@ class DatasetManifest:
         if type(rate) not in (int, float) or not (math.isfinite(rate) and rate > 0):
             raise DataFormatError(
                 f"manifest sample_rate_hz must be a finite positive number, got {rate!r}")
-        if not isinstance(raw["config_digest"], str):
-            raise DataFormatError("manifest config_digest must be a string")
+        for key in ("config_digest", "container_sha256"):
+            if not isinstance(raw[key], str):
+                raise DataFormatError(f"manifest {key} must be a string")
         if not isinstance(raw["splits"], dict):
             raise DataFormatError("manifest splits must be a JSON object")
         splits = {}
@@ -203,7 +208,8 @@ class DatasetManifest:
         return cls(version=raw["version"], sample_count=raw["sample_count"],
                    channel_count=raw["channel_count"], time_steps=raw["time_steps"],
                    sample_rate_hz=float(rate), splits=splits, seed=raw["seed"],
-                   config_digest=raw["config_digest"])
+                   config_digest=raw["config_digest"],
+                   container_sha256=raw["container_sha256"])
 
 
 # ---------------------------------------------------------------------------
@@ -365,33 +371,40 @@ def _check(windows) -> None:
 
 
 def save(windows, manifest: DatasetManifest, path) -> None:
-    """Write `windows` (a :func:`make_windows` record array) and `manifest`."""
+    """Write `windows` (a :func:`make_windows` record array), then `manifest`
+    naming the written container's sha256."""
     if len(windows) == 0:
         raise ConfigurationError("refusing to save an empty dataset")
     _check(windows)
-    write_framed(path, MAGIC, FORMAT_VERSION,
-                 (len(windows), *windows.dtype["values"].shape), windows.tobytes())
-    write_atomic(manifest_path(path), manifest.to_json())
+    digest = write_framed(path, MAGIC, FORMAT_VERSION,
+                          (len(windows), *windows.dtype["values"].shape), windows.tobytes())
+    write_atomic(manifest_path(path), replace(manifest, container_sha256=digest).to_json())
 
 
-def load(path, sha=None):
+def load(path, digests=None):
     """Read a dataset container and its manifest sidecar.
 
-    The windows are a read-only record array over the bytes read; the
-    manifest must agree with them, down to every id its splits name.  A
-    ``hashlib`` object ``sha`` is updated with the container's bytes.
+    The windows are a read-only record array over the mapped container; the
+    manifest must name the container's sha256 and agree with its windows,
+    down to every id its splits name.  A dict ``digests`` gets ``"dataset"``
+    and ``"manifest"``: each file's path and the sha256 hex digest of the
+    bytes read from it.
     """
-    (count, time_steps, channels), payload = read_framed(
+    (count, time_steps, channels), payload, digest = read_framed(
         path, MAGIC, FORMAT_VERSION, 3, "dataset",
-        lambda n, t, c: n * record_dtype(t, c).itemsize, sha)
+        lambda n, t, c: n * record_dtype(t, c).itemsize)
     windows = np.frombuffer(payload, record_dtype(time_steps, channels)).view(np.recarray)
     _check(windows)
 
     mpath = manifest_path(path)
     try:
-        manifest = DatasetManifest.from_json(mpath.read_text("utf-8"))
+        blob = mpath.read_bytes()
+        manifest = DatasetManifest.from_json(blob.decode("utf-8"))
     except (OSError, UnicodeDecodeError) as exc:  # absent, or not UTF-8
         raise DataFormatError(f"cannot read manifest sidecar {mpath}: {exc}") from exc
+    if manifest.container_sha256 != digest:
+        raise DataFormatError(f"manifest {mpath} names a container of sha256 "
+                              f"{manifest.container_sha256!r}, not {path} ({digest})")
     for key, value in (("version", FORMAT_VERSION), ("sample_count", count),
                        ("time_steps", time_steps), ("channel_count", channels)):
         if getattr(manifest, key) != value:
@@ -400,4 +413,7 @@ def load(path, sha=None):
         rows_of(windows, manifest.splits)
     except MissingSampleError as exc:
         raise DataFormatError(f"manifest splits name an absent window: {exc}") from exc
+    if digests is not None:
+        digests.update(dataset=(path, digest),
+                       manifest=(mpath, hashlib.sha256(blob).hexdigest()))
     return windows, manifest

@@ -135,14 +135,11 @@ def _trace_polylines(values, x0, y0, width, height, color) -> list:
     step = height / n_c
     amp = np.max(np.abs(values)) or 1.0
     xs = x0 + np.arange(n_t) * (width / (n_t - 1))
-    points = " ".join(["%.1f,%.1f"] * n_t)
-    parts = []
-    for c in range(n_c):
-        ys = y0 + (c + 0.5) * step - values[:, c] / amp * (step * 1.3)
-        pts = points % tuple(np.column_stack((xs, ys)).ravel().tolist())
-        parts.append(f'<polyline fill="none" stroke="{color}" '
-                     f'stroke-width="0.6" points="{pts}"/>')
-    return parts
+    points = " ".join(f"{x:.1f},%.1f" for x in xs.tolist())  # only the y values vary
+    ys = y0 + (np.arange(n_c) + 0.5) * step - values / amp * (step * 1.3)
+    return [f'<polyline fill="none" stroke="{color}" '
+            f'stroke-width="0.6" points="{points % tuple(column)}"/>'
+            for column in ys.T.tolist()]
 
 
 def _svg_report(explanation: Explanation, query_values, sources) -> str:

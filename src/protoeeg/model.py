@@ -42,7 +42,7 @@ FINAL_TIME_EXTENT = 10
 OFF_TAPE_CHUNK = 32
 
 MODEL_MAGIC = b"PEGM"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -416,10 +416,13 @@ def save_model(model: ProtoEEGNet, path) -> None:
     write_framed(path, MODEL_MAGIC, MODEL_VERSION, (len(header_bytes),), payload)
 
 
-def load_model(path, sha=None) -> ProtoEEGNet:
-    """Read a checkpoint; a ``hashlib`` object ``sha`` is updated with its bytes."""
-    (header_len,), payload = read_framed(path, MODEL_MAGIC, MODEL_VERSION, 1, "model",
-                                         sha=sha)
+def load_model(path, digests=None) -> ProtoEEGNet:
+    """Read a checkpoint, copying its parameters out of the mapped file; a
+    dict ``digests`` gets ``"model"``: the path and the file's sha256 hex digest."""
+    (header_len,), payload, digest = read_framed(path, MODEL_MAGIC, MODEL_VERSION, 1,
+                                                 "model")
+    if digests is not None:
+        digests["model"] = (path, digest)
     if len(payload) < header_len:
         raise DataFormatError("model file truncated: header shorter than declared")
     try:

@@ -77,8 +77,8 @@ def train_data(values, labels, ids=None) -> TrainData:
 
 
 def rewrite_header(path, edit) -> None:
-    """Drop or replace one checkpoint header key and recompute the CRC."""
-    (header_len,), payload = read_framed(path, m.MODEL_MAGIC, m.MODEL_VERSION, 1, "model")
+    """Drop or replace one checkpoint header key and recompute the trailer."""
+    (header_len,), payload, _ = read_framed(path, m.MODEL_MAGIC, m.MODEL_VERSION, 1, "model")
     header = json.loads(bytes(payload[:header_len]))
     if "drop" in edit:
         del header[edit["drop"]]

@@ -205,6 +205,33 @@ class TestTypedConfig:
         assert f"'{key}'" in err
 
 
+    # JSON NaN and Infinity parse as floats; no config value may be one
+    NON_FINITE = {
+        "sample_rate": ("synth", {"n_samples": 5, "sample_rate_hz": float("nan")},
+                        "sample_rate_hz"),
+        "vote_noise": ("synth", {"n_samples": 5, "annotators": {"vote_noise": float("nan")}},
+                       "annotators.vote_noise"),
+        "background_rms": ("synth", {"n_samples": 5, "background_rms_uv": float("nan")},
+                           "background_rms_uv"),
+        "coefficient": ("train", {**TINY, "coefficients": {"clst": float("inf")}},
+                        "coefficients.clst"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_value_exits_one_naming_the_key(self, case, data_dir, tmp_path,
+                                                       capsys):
+        command, doc, key = self.NON_FINITE[case]
+        (tmp_path / "c.json").write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        args = [command, "--config", str(tmp_path / "c.json"), "--out", str(out)]
+        if command == "train":
+            args += ["--data", str(data_dir)]
+        capsys.readouterr()
+        assert main(args) == 1
+        assert f"'{key}'" in _one_line_error(capsys)
+        assert not out.exists()
+
+
 def _nodes(doc, steps=()):
     """(steps, value) of every value in a JSON document, containers too; a
     step is an object key or a list index."""
@@ -466,11 +493,12 @@ class TestPreprocess:
         assert main(["preprocess", "--input", str(src),
                      "--out", str(tmp_path / "o")]) == 1
 
+    # a non-finite value is refused while the config resolves, naming its key
     @pytest.mark.parametrize("doc, match", [({"notch_q": 0.0}, "Q"),
-                                            ({"notch_q": float("nan")}, "Q"),
+                                            ({"notch_q": float("nan")}, "'notch_q'"),
                                             ({"highpass_hz": 128.0}, "Nyquist"),
-                                            ({"target_fs": float("nan")}, "sample rates"),
-                                            ({"target_fs": float("inf")}, "sample rates")],
+                                            ({"target_fs": float("nan")}, "'target_fs'"),
+                                            ({"target_fs": float("inf")}, "'target_fs'")],
                              ids=["zero_notch_q", "nan_notch_q", "highpass_at_nyquist",
                                   "nan_target_rate", "infinite_target_rate"])
     def test_bad_setting_is_a_config_error(self, tmp_path, capsys, doc, match):
@@ -591,6 +619,8 @@ class TestSplit:
         lambda raw: raw.update(sample_rate_hz="128"),
         lambda raw: raw.update(sample_rate_hz=True),
         lambda raw: raw.update(config_digest=7),
+        lambda raw: raw.update(container_sha256=7),
+        lambda raw: raw.update(container_sha256="0" * 64),
         lambda raw: raw["splits"].update({"07": _other_split(raw["splits"]["7"])}),
         lambda raw: raw["splits"].update({"+7": raw["splits"].pop("7")}),
         lambda raw: raw["splits"].update({" 7": raw["splits"].pop("7")}),
@@ -601,10 +631,32 @@ class TestSplit:
             "bool_version", "float_channel_count", "nan_sample_rate", "infinite_sample_rate",
             "zero_sample_rate", "string_sample_rate", "bool_sample_rate", "numeric_digest",
             "zero_padded_split_key", "signed_split_key", "space_padded_split_key",
-            "repeated_split_key"])
+            "repeated_split_key", "numeric_container_digest", "other_container_digest"])
     def test_malformed_manifest_is_format_error(self, data_dir, tmp_path, edit):
         bad = _copy_with_manifest(data_dir, tmp_path / "bad", edit)
         assert main(["split", "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
+
+    def test_container_beside_another_manifest_is_format_error(self, tmp_path, capsys):
+        # what a synth over an old directory leaves if it dies between its two
+        # writes: the counts and shapes agree, the windows do not
+        for seed in (1, 2):
+            assert main(["synth", "--n", "50", "--seed", str(seed),
+                         "--out", str(tmp_path / f"s{seed}")]) == 0
+        torn = tmp_path / "s2"
+        (torn / "dataset.peeg").write_bytes((tmp_path / "s1" / "dataset.peeg").read_bytes())
+        capsys.readouterr()
+        assert main(["split", "--data", str(torn), "--out", str(tmp_path / "o")]) == 2
+        assert "sha256" in _one_line_error(capsys)
+        assert not (tmp_path / "o").exists()
+
+    def test_split_over_its_own_input(self, data_dir, tmp_path):
+        work = _copy_with_manifest(data_dir, tmp_path / "work", lambda raw: None)
+        before, _ = load(work / "dataset.peeg")
+        expected = before.tobytes()
+        assert main(["split", "--data", str(work), "--seed", "4", "--out", str(work)]) == 0
+        after, manifest = load(work / "dataset.peeg")
+        assert after.tobytes() == before.tobytes() == expected
+        assert manifest.seed == 4
 
 
 def _one_line_error(capsys) -> str:
@@ -644,6 +696,49 @@ class TestEmptySplits:
         capsys.readouterr()
         assert main(args) == 1
         assert "train" in _one_line_error(capsys)
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory, data_dir):
+    """Two splits of the synth dataset, a short training run on each, and an
+    eval and an explain of the first run."""
+    root = tmp_path_factory.mktemp("cli_chain")
+    (root / "tiny.json").write_text(json.dumps(TINY))
+    for k, seed in enumerate(("1", "2")):
+        assert main(["split", "--data", str(data_dir), "--seed", seed,
+                     "--out", str(root / f"split{k}")]) == 0
+        assert main(["train", "--config", str(root / "tiny.json"), "--data",
+                     str(root / f"split{k}"), "--out", str(root / f"train{k}")]) == 0
+    common = ["--model", str(root / "train0"), "--data", str(root / "split0")]
+    assert main(["eval", *common, "--rounds", "20", "--out", str(root / "eval")]) == 0
+    _, manifest = load(root / "split0" / "dataset.peeg")
+    assert main(["explain", *common, "--sample-id", str(manifest.ids_for("test")[0]),
+                 "--out", str(root / "explain")]) == 0
+    return root
+
+
+class TestRunRecord:
+    def test_every_digest_is_the_sha256_of_the_file(self, chain, data_dir):
+        runs = [data_dir, *(chain / name for name in
+                            ("split0", "split1", "train0", "train1", "eval", "explain"))]
+        for run in runs:
+            doc = json.loads((run / "resolved_config.json").read_text())
+            assert doc["outputs"]
+            for rel, digest in doc["outputs"].items():
+                assert _sha(run / rel) == digest, (run, rel)
+            for name, entry in doc["inputs"].items():
+                assert _sha(Path(entry["path"])) == entry["sha256"], (run, name)
+        doc = json.loads((chain / "eval" / "resolved_config.json").read_text())
+        assert sorted(doc["inputs"]) == ["dataset", "manifest", "model"]
+        assert doc["inputs"]["manifest"]["path"] == str(
+            chain / "split0" / "dataset.manifest.json")
+
+    def test_two_splits_give_training_records_of_different_inputs(self, chain):
+        inputs = [json.loads((chain / f"train{k}" / "resolved_config.json").read_text())
+                  ["inputs"] for k in (0, 1)]
+        # split rewrites the windows as they were; only the manifest differs
+        assert inputs[0]["dataset"]["sha256"] == inputs[1]["dataset"]["sha256"]
+        assert inputs[0]["manifest"]["sha256"] != inputs[1]["manifest"]["sha256"]
 
 
 class TestTrain:

@@ -4,7 +4,10 @@ and nothing else."""
 
 import builtins
 import errno
+import hashlib
 import json
+import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import rewrite_header
 from protoeeg import dataset as ds
 from protoeeg import model as m
+from protoeeg.cli import main
 from protoeeg.container import read_framed, write_atomic, write_framed, write_json
 from protoeeg.errors import DataFormatError
 
@@ -35,12 +39,21 @@ def valid(tmp_path_factory):
 def test_framed_roundtrip(tmp_path):
     path = tmp_path / "x.bin"
     write_framed(path, b"TEST", 7, (3, 4), bytearray(b"abcdefghijkl"))
-    fields, payload = read_framed(path, b"TEST", 7, 2, "test", lambda a, b: a * b)
+    fields, payload, _ = read_framed(path, b"TEST", 7, 2, "test", lambda a, b: a * b)
     assert fields == (3, 4) and bytes(payload) == b"abcdefghijkl"
     with pytest.raises(DataFormatError, match="truncat"):
         read_framed(path, b"TEST", 7, 2, "test", lambda a, b: a * b + 1)
     with pytest.raises(DataFormatError, match="version"):
         read_framed(path, b"TEST", 8, 2, "test")
+
+
+def test_trailer_is_the_sha256_of_the_bytes_before_it(tmp_path):
+    path = tmp_path / "x.bin"
+    digest = write_framed(path, b"TEST", 7, (3,), b"abc")
+    blob = path.read_bytes()
+    assert blob[-32:] == hashlib.sha256(blob[:-32]).digest()
+    assert digest == hashlib.sha256(blob).hexdigest() == read_framed(
+        path, b"TEST", 7, 1, "test")[2]
 
 
 def test_write_atomic_makes_the_directory_and_encodes_text(tmp_path):
@@ -90,6 +103,57 @@ def test_save_model_failing_part_way_keeps_the_old_checkpoint(tmp_path, monkeypa
 
 
 # ---------------------------------------------------------------------------
+# damaged files through the command line: exit 2 with one line
+
+
+def _version_1(path, n_fields) -> None:
+    """Rewrite a frame as the version-1 format framed it: a CRC32 trailer."""
+    blob = path.read_bytes()
+    head = struct.Struct(f"<4sI{n_fields}I")
+    magic, _, *fields = head.unpack_from(blob)
+    payload = blob[head.size:-32]
+    path.write_bytes(head.pack(magic, 1, *fields) + payload
+                     + struct.pack("<I", zlib.crc32(payload)))
+
+
+def _flip(offset):
+    def edit(path):
+        blob = bytearray(path.read_bytes())
+        blob[offset] ^= 0x01
+        path.write_bytes(bytes(blob))
+    return edit
+
+
+DAMAGE = {
+    "header_flip": _flip(9),
+    "payload_flip": _flip(100),
+    "trailer_flip": _flip(-1),
+    "empty": lambda path: path.write_bytes(b""),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGE) + ["version_1"])
+@pytest.mark.parametrize("which", ["dataset", "model"])
+def test_damaged_frame_exits_two(valid, tmp_path, capsys, which, damage):
+    for name in ("d.peeg", "d.manifest.json", "m.pegm"):
+        (tmp_path / name).write_bytes((valid / name).read_bytes())
+    data, model = tmp_path / "d.peeg", tmp_path / "m.pegm"
+    path = data if which == "dataset" else model
+    if damage == "version_1":
+        _version_1(path, 3 if which == "dataset" else 1)
+    else:
+        DAMAGE[damage](path)
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--data", str(data),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+    if damage == "version_1":
+        assert f"unsupported {which} version 1" in err
+    assert not (tmp_path / "o").exists()
+
+
+# ---------------------------------------------------------------------------
 # fuzzing
 
 
@@ -110,12 +174,12 @@ def _mutate(data, blob: bytes, hot: int) -> bytes:
 
 
 def _fuzz(data, path, load, magic, version, n_fields, hot):
-    """Mutate the file at `path`, either raw or re-framed under a valid CRC
+    """Mutate the file at `path`, either raw or re-framed under a valid trailer
     (with its fields possibly changed), and load it."""
     original = path.read_bytes()
     try:
         if data.draw(st.booleans(), label="reframe"):
-            fields, payload = read_framed(path, magic, version, n_fields, "fuzz")
+            fields, payload, _ = read_framed(path, magic, version, n_fields, "fuzz")
             field = st.one_of(st.integers(0, 300), st.integers(0, 2**32 - 1))
             fields = tuple(data.draw(st.one_of(st.just(f), field)) for f in fields)
             write_framed(path, magic, version, fields, _mutate(data, bytes(payload), hot))
@@ -194,7 +258,8 @@ def _replace_somewhere(data, doc):
 def test_checkpoint_header_with_one_value_replaced(valid, data):
     path = valid / "m.pegm"
     original = path.read_bytes()
-    (header_len,), payload = read_framed(path, m.MODEL_MAGIC, m.MODEL_VERSION, 1, "model")
+    (header_len,), payload, _ = read_framed(path, m.MODEL_MAGIC, m.MODEL_VERSION, 1,
+                                            "model")
     header = json.loads(bytes(payload[:header_len]))
     key = data.draw(st.sampled_from(sorted(header)))
     try:

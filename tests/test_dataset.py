@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import struct
 
@@ -193,7 +194,7 @@ class TestStorage:
         samples, manifest = small_set
         path = tmp_path / "d.peeg"
         ds.save(samples, manifest, path)
-        _, payload = read_framed(path, ds.MAGIC, ds.FORMAT_VERSION, 3, "dataset")
+        _, payload, _ = read_framed(path, ds.MAGIC, ds.FORMAT_VERSION, 3, "dataset")
         expected = b"".join(struct.pack("<QB", int(s.sample_id), int(s.votes))
                             + np.asarray(s.values, "<f4").tobytes() for s in samples)
         assert bytes(payload) == expected
@@ -206,6 +207,30 @@ class TestStorage:
         assert isinstance(loaded, np.recarray) and not loaded.flags.writeable
         with pytest.raises(ValueError):
             loaded.votes[0] = 1
+
+    def test_loaded_windows_outlive_a_replaced_file(self, small_set, tmp_path):
+        # the file is replaced by renaming, so the mapping keeps the old bytes
+        samples, manifest = small_set
+        path = tmp_path / "d.peeg"
+        ds.save(samples, manifest, path)
+        loaded, _ = ds.load(path)
+        other = ds.make_windows(samples.sample_id, samples.votes, samples.values + 1.0)
+        ds.save(other, manifest, path)
+        assert not loaded.flags.writeable
+        assert loaded.tobytes() == samples.tobytes()
+        assert ds.load(path)[0].tobytes() == other.tobytes()
+
+    def test_manifest_names_the_container_digest(self, small_set, tmp_path):
+        samples, manifest = small_set
+        path = tmp_path / "d.peeg"
+        ds.save(samples, manifest, path)
+        digests = {}
+        _, loaded = ds.load(path, digests)
+        assert loaded.container_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digests == {
+            "dataset": (path, loaded.container_sha256),
+            "manifest": (ds.manifest_path(path), hashlib.sha256(
+                ds.manifest_path(path).read_bytes()).hexdigest())}
 
     def test_wrong_magic(self, small_set, tmp_path):
         samples, manifest = small_set
@@ -245,7 +270,7 @@ class TestStorage:
             ds.load(path)
 
     @pytest.mark.parametrize("key, value", [("sample_count", 59), ("time_steps", 64),
-                                            ("channel_count", 5), ("version", 2)])
+                                            ("channel_count", 5), ("version", 1)])
     def test_manifest_disagreeing_with_container(self, small_set, tmp_path, key,
                                                  value):
         samples, manifest = small_set
@@ -291,7 +316,7 @@ class TestStorage:
         samples, manifest = small_set
         path = tmp_path / "d.peeg"
         ds.save(samples, manifest, path)
-        fields, view = read_framed(path, ds.MAGIC, ds.FORMAT_VERSION, 3, "dataset")
+        fields, view, _ = read_framed(path, ds.MAGIC, ds.FORMAT_VERSION, 3, "dataset")
         records = np.frombuffer(view, ds.record_dtype(*fields[1:])).copy()
         bad = {"sample_id": samples[0].sample_id, "votes": 12, "values": np.inf}
         records[field][1] = bad[field]

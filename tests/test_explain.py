@@ -213,6 +213,31 @@ class TestRenderReport:
         assert lines == per_point(*args)
         assert "-0.0,-0.0" in lines[0]
 
+    def test_trace_points_match_the_per_channel_format(self, rng):
+        def per_channel(values, x0, y0, width, height, color):
+            n_t, n_c = values.shape
+            step = height / n_c
+            amp = np.max(np.abs(values)) or 1.0
+            xs = x0 + np.arange(n_t) * (width / (n_t - 1))
+            points = " ".join(["%.1f,%.1f"] * n_t)
+            parts = []
+            for c in range(n_c):
+                ys = y0 + (c + 0.5) * step - values[:, c] / amp * (step * 1.3)
+                pts = points % tuple(np.column_stack((xs, ys)).ravel().tolist())
+                parts.append(f'<polyline fill="none" stroke="{color}" '
+                             f'stroke-width="0.6" points="{pts}"/>')
+            return parts
+
+        windows = [rng.standard_normal((128, 37)) * 10.0 ** rng.uniform(-3, 3)
+                   for _ in range(20)]
+        windows.append(np.zeros((128, 37)))
+        for values in windows:
+            for x0, y0 in ((20, 88), (480, 360), (-0.04, -0.055)):
+                args = (values, x0, y0, 420, 230, "#1f77b4")
+                assert ex._trace_polylines(*args) == per_channel(*args)
+        args = (np.zeros((4, 2)), -0.04, -0.055, 0.09, 0.1, "#d62728")
+        assert ex._trace_polylines(*args) == per_channel(*args)
+
     def test_missing_source_rejected(self, pushed, tmp_path):
         net, _, samples, _ = pushed
         result = ex.explain(net, samples[4])
