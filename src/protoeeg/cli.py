@@ -6,9 +6,10 @@ Every one of them accepts ``--seed``, ``--config`` (a UTF-8 JSON file) and
 resolution is defaults <- file <- command-line flags, key by key; an unknown
 key or a value of the wrong type, at any depth, fails fast naming its path.
 
-The resolved configuration, the seed, and SHA-256 checksums of every input
-(of the bytes the command read, a dataset's manifest too) and output
-artifact land in ``<out>/resolved_config.json``.  With the same numpy/BLAS build that is
+The resolved configuration, the seed, the inputs (each file the command
+read, a dataset's manifest too, with the sha256 of the bytes read) and the
+outputs (the files this command wrote, hashed as written) land in
+``<out>/resolved_config.json``.  With the same numpy/BLAS build that is
 enough to reproduce a run bit for bit; ``train`` also needs the same BLAS
 thread count, which the record does not store.
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import dataset as ds
 from . import sigproc
-from .container import write_json
+from .container import read_bytes, recording, write_json
 from .dataset import (DatasetManifest, SynthConfig, generate_synthetic, load,
                       make_windows, rows_of, save)
 from .errors import (ConfigurationError, ContractError, DataFormatError,
@@ -154,67 +155,54 @@ def _build(cls, merged: dict):
 # run-directory bookkeeping
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
-def _write_resolved(out: Path, command: str, config: dict, inputs: dict) -> None:
-    """Echo the run record: resolved config plus input/output checksums.
-    ``inputs`` maps a name to (path, sha256 hex digest of the bytes read from it)."""
-    outputs = sorted(p for p in out.rglob("*")
-                     if p.is_file() and p.name != "resolved_config.json")
+def _write_resolved(out: Path, command: str, config: dict, record) -> None:
+    """Echo the run record: the resolved config plus the digests of every file
+    the command read and wrote, from the `record` of its call."""
+    inputs, outputs = record
     doc = {
         "command": command,
         "seed": config.get("seed"),
         "config": config,
         "inputs": {name: {"path": str(p), "sha256": digest}
-                   for name, (p, digest) in sorted(inputs.items())},
-        "outputs": {p.relative_to(out).as_posix(): _sha256(p) for p in outputs},
+                   for name, (p, digest) in inputs.items()},
+        "outputs": {p.relative_to(out).as_posix(): digest for p, digest in outputs.items()},
     }
     write_json(out / "resolved_config.json", doc)
 
 
-def _read_dataset(arg, inputs: dict) -> tuple:
-    """(windows, manifest) of a dataset file or directory; the digests of its
-    container and manifest go into the run record's ``inputs``."""
+def _read_dataset(arg) -> tuple:
+    """(windows, manifest) of a dataset file or directory."""
     p = Path(arg)
     if p.is_dir():
         p = p / "dataset.peeg"
-    return load(p, inputs)
+    return load(p)
 
 
 def _read_model_and_dataset(ns) -> tuple:
-    """(model, windows, manifest, inputs) of ``--model`` (a file or run
-    directory) and ``--data``; ``inputs`` gets the digest of each file read."""
-    p, inputs = Path(ns.model), {}
+    """(model, windows, manifest) of ``--model`` (a file or run directory)
+    and ``--data``."""
+    p = Path(ns.model)
     if p.is_dir():
         p = p / "model.pegm"
     elif not p.exists() and p.with_suffix(".pegm").exists():
         p = p.with_suffix(".pegm")
-    model = load_model(p, inputs)
-    return (model, *_read_dataset(ns.data, inputs), inputs)
+    return (load_model(p), *_read_dataset(ns.data))
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each writes under `out`, returns (its config, the line to print)
 
 
-def _cmd_synth(ns) -> None:
+def _cmd_synth(ns, out: Path) -> tuple:
     defaults = asdict(SynthConfig(n_samples=1))  # n_samples: its type only
     merged = resolve_config(defaults, ns.config,
                             {"n_samples": ns.n, "seed": ns.seed},
                             required=("n_samples",))
     cfg = _build(SynthConfig, merged)
     windows, manifest = generate_synthetic(cfg)
-    out = Path(ns.out)
     data_path = out / "dataset.peeg"
     save(windows, manifest, data_path)
-    _write_resolved(out, "synth", asdict(cfg), {})
-    print(f"wrote {len(windows)} windows to {data_path}")
+    return asdict(cfg), f"wrote {len(windows)} windows to {data_path}"
 
 
 def _archive_array(archive, name: str) -> np.ndarray:
@@ -237,19 +225,16 @@ def _whole_numbers(arr: np.ndarray, name: str, stop: int) -> np.ndarray:
     return arr.astype(np.int64)
 
 
-def _read_archive(src: Path, sha) -> tuple:
+def _read_archive(src: Path) -> tuple:
     """(values (n, time, channel) in their stored dtype, sample rate, votes,
     ids) of an .npz archive, each checked for dtype, shape, integrality,
-    range and finiteness, so that a malformed archive is a data error.
-    ``sha`` is updated with the archive's bytes as read."""
+    range and finiteness, so that a malformed archive is a data error."""
     if not src.exists():
         raise DataFormatError(f"input archive {src} does not exist")
     try:
-        blob = src.read_bytes()
-        archive = np.load(io.BytesIO(blob), allow_pickle=False)
+        archive = np.load(io.BytesIO(read_bytes(src, "input")), allow_pickle=False)
     except (OSError, ValueError) as exc:
         raise DataFormatError(f"cannot read {src} as an .npz archive: {exc}") from exc
-    sha.update(blob)
     if not isinstance(archive, np.lib.npyio.NpzFile):
         raise DataFormatError(f"{src} is a single array, not an .npz archive")
     with archive:
@@ -285,7 +270,7 @@ def _read_archive(src: Path, sha) -> tuple:
             _whole_numbers(ids, "ids", 2 ** 63))
 
 
-def _cmd_preprocess(ns) -> None:
+def _cmd_preprocess(ns, out: Path) -> tuple:
     defaults = {"notch_hz": sigproc.DEFAULT_NOTCH_HZ,
                 "notch_q": sigproc.DEFAULT_NOTCH_Q,
                 "highpass_hz": sigproc.DEFAULT_HIGHPASS_HZ,
@@ -293,8 +278,8 @@ def _cmd_preprocess(ns) -> None:
                 "target_fs": sigproc.TARGET_FS,
                 "seed": 0}
     merged = resolve_config(defaults, ns.config, {"seed": ns.seed})
-    src, src_sha = Path(ns.input), hashlib.sha256()
-    values, fs_in, votes, ids = _read_archive(src, src_sha)
+    src = Path(ns.input)
+    values, fs_in, votes, ids = _read_archive(src)
     n, raw_steps, channels = values.shape
     time_steps = sigproc.resampled_length(raw_steps, fs_in, merged["target_fs"])
     if time_steps == 0:
@@ -315,122 +300,105 @@ def _cmd_preprocess(ns) -> None:
         version=ds.FORMAT_VERSION, sample_count=n, channel_count=channels,
         time_steps=time_steps, sample_rate_hz=float(merged["target_fs"]),
         splits={}, seed=merged["seed"], config_digest=digest)
-    out = Path(ns.out)
     data_path = out / "dataset.peeg"
     save(make_windows(ids, votes, processed), manifest, data_path)
-    _write_resolved(out, "preprocess", merged, {"input": (src, src_sha.hexdigest())})
-    print(f"preprocessed {n} windows ({fs_in:g} Hz -> {merged['target_fs']:g} Hz) "
-          f"to {data_path}")
+    return merged, (f"preprocessed {n} windows ({fs_in:g} Hz -> "
+                    f"{merged['target_fs']:g} Hz) to {data_path}")
 
 
-def _cmd_split(ns) -> None:
+def _cmd_split(ns, out: Path) -> tuple:
     defaults = {"fractions": list(ds.DEFAULT_FRACTIONS), "seed": 0}
     overrides = {"fractions": list(ns.fractions) if ns.fractions else None,
                  "seed": ns.seed}
     merged = resolve_config(defaults, ns.config, overrides)
-    inputs = {}
-    windows, old = _read_dataset(ns.data, inputs)
+    windows, old = _read_dataset(ns.data)
     # acquisition facts carry over from the source manifest
     manifest = replace(old, version=ds.FORMAT_VERSION, seed=merged["seed"],
                        splits=ds.split(windows, fractions=merged["fractions"],
                                        seed=merged["seed"]))
-    out = Path(ns.out)
     data_path = out / "dataset.peeg"
     save(windows, manifest, data_path)
-    _write_resolved(out, "split", merged, inputs)
     sizes = {name: len(manifest.ids_for(name)) for name in ("train", "val", "test")}
-    print(f"split {len(windows)} windows into {sizes} at {data_path}")
+    return merged, f"split {len(windows)} windows into {sizes} at {data_path}"
 
 
-def _cmd_train(ns) -> None:
+def _cmd_train(ns, out: Path) -> tuple:
     merged = resolve_config(asdict(TrainConfig()), ns.config,
                             {"seed": ns.seed,
                              "num_train_epochs": ns.epochs,
                              "batch_size": ns.batch_size})
     cfg = _build(TrainConfig, merged)
-    inputs = {}
-    windows, manifest = _read_dataset(ns.data, inputs)
-    out = Path(ns.out)
+    windows, manifest = _read_dataset(ns.data)
     model, history = train(cfg, TrainData.from_dataset(windows, manifest), out_dir=out)
     final = out / "model.pegm"
     save_model(model, final)
     for warning in history.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    _write_resolved(out, "train", asdict(cfg), inputs)
     last = history.records[-1]
     tail = ""
     if last.get("val"):
         tail = (f"; val accuracy {last['val']['accuracy']:.3f}, "
                 f"val cross-entropy {last['val']['cross_entropy']:.4f}")
-    print(f"trained {cfg.num_train_epochs} epochs; model at {final}{tail}")
+    return asdict(cfg), f"trained {cfg.num_train_epochs} epochs; model at {final}{tail}"
 
 
-def _cmd_eval(ns) -> None:
+def _cmd_eval(ns, out: Path) -> tuple:
     defaults = {"split": "test", "rounds": 10000, "seed": 0, "filtered": False}
     merged = resolve_config(defaults, ns.config,
                             {"split": ns.split, "rounds": ns.rounds,
                              "seed": ns.seed, "filtered": ns.filtered})
-    model, windows, manifest, inputs = _read_model_and_dataset(ns)
+    model, windows, manifest = _read_model_and_dataset(ns)
     # container order, which scores.json and the bootstrap draws follow
     subset = windows[np.sort(rows_of(windows, manifest.ids_for(merged["split"])))]
     if len(subset) == 0:
         raise ConfigurationError(
-            f"split {merged['split']!r} is empty in {inputs['dataset'][0]}")
+            f"split {merged['split']!r} is empty in {ns.data}")
     p_pos = score_samples(model, subset)
     metrics = metrics_from_scores(p_pos, subset.votes, rounds=merged["rounds"],
                                   seed=merged["seed"])
-    out = Path(ns.out)
     write_json(out / "metrics.json", metrics)
     score_rows = [{"sample_id": i, "p_pos": p, "p_neg": 1.0 - p,
                    "label": int(v >= POSITIVE_VOTE_THRESHOLD), "votes": v}
                   for i, p, v in zip(subset.sample_id.tolist(), p_pos.tolist(),
                                      subset.votes.tolist())]
     write_json(out / "scores.json", score_rows)
-    _write_resolved(out, "eval", merged, inputs)
     view = "filtered" if merged["filtered"] else "unfiltered"
     lo, hi = metrics[f"ci_{view}"]
     n = metrics["n_filtered"] if view == "filtered" else metrics["n_test"]
-    print(f"AUROC ({view}): {metrics['auroc_' + view]:.4f}  "
-          f"CI95 [{lo:.4f}, {hi:.4f}]  n={n}")
+    return merged, (f"AUROC ({view}): {metrics['auroc_' + view]:.4f}  "
+                    f"CI95 [{lo:.4f}, {hi:.4f}]  n={n}")
 
 
-def _cmd_push(ns) -> None:
+def _cmd_push(ns, out: Path) -> tuple:
     defaults = {"seed": 0}
     merged = resolve_config(defaults, ns.config, {"seed": ns.seed})
-    model, windows, manifest, inputs = _read_model_and_dataset(ns)
+    model, windows, manifest = _read_model_and_dataset(ns)
     data = TrainData.from_dataset(windows, manifest)
     records, _ = push_prototypes(model, data, epoch=0)
-    out = Path(ns.out)
     save_model(model, out / "model.pegm")
     write_json(out / "push_records.json", [asdict(r) for r in records])
-    _write_resolved(out, "push", merged, inputs)
-    print(f"pushed {len(records)} prototypes; model at {out / 'model.pegm'}")
+    return merged, f"pushed {len(records)} prototypes; model at {out / 'model.pegm'}"
 
 
-def _cmd_explain(ns) -> None:
+def _cmd_explain(ns, out: Path) -> tuple:
     defaults = {"top_k": 3, "seed": 0}
     merged = resolve_config(defaults, ns.config,
                             {"top_k": ns.top_k, "seed": ns.seed})
-    model, windows, _, inputs = _read_model_and_dataset(ns)
+    model, windows, _ = _read_model_and_dataset(ns)
     (row,) = rows_of(windows, [ns.sample_id])
     explanation = explain(model, windows[row], top_k=merged["top_k"])
-    out = Path(ns.out)
     paths = render_report(explanation, windows, out)
-    _write_resolved(out, "explain", merged, inputs)
-    for kind, path in sorted(paths.items()):
-        print(f"{kind}: {path}")
+    return merged, "\n".join(f"{kind}: {path}" for kind, path in sorted(paths.items()))
 
 
-def _cmd_report(ns) -> None:
+def _cmd_report(ns, out: Path) -> tuple:
     defaults = {"seed": 0}
     merged = resolve_config(defaults, ns.config, {"seed": ns.seed})
-    model, windows, manifest, inputs = _read_model_and_dataset(ns)
+    model, windows, manifest = _read_model_and_dataset(ns)
     doc = global_prototype_report(model, TrainData.from_dataset(windows, manifest))
-    out = Path(ns.out)
     write_json(out / "prototype_report.json", doc)
-    _write_resolved(out, "report", merged, inputs)
-    print(f"{len(doc['flagged'])} of {len(doc['prototypes'])} prototypes flagged; "
-          f"report at {out / 'prototype_report.json'}")
+    return merged, (f"{len(doc['flagged'])} of {len(doc['prototypes'])} prototypes "
+                    f"flagged; report at {out / 'prototype_report.json'}")
 
 
 # --------------------------------------------------------------------------
@@ -524,8 +492,12 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         print(f"{parser.prog}: error: a subcommand is required", file=sys.stderr)
         return 1
+    out = Path(ns.out)
     try:
-        ns.handler(ns)
+        with recording() as record:
+            config, message = ns.handler(ns, out)
+            _write_resolved(out, ns.command, config, record)
+        print(message)
     except (ProtoeegError, OSError) as exc:
         print(f"{parser.prog} {ns.command}: error: {exc}", file=sys.stderr)
         return next(_EXIT_CODES[k] for k in type(exc).__mro__ if k in _EXIT_CODES)

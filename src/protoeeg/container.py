@@ -4,13 +4,18 @@ Datasets (magic ``PEEG``) and checkpoints (``PEGM``) share one little-endian
 frame, ``magic | u32 version | u32 field ... | payload | sha256 of all before``,
 whose fields are the format's own header integers.  A reader maps the file
 read-only and hashes it once: that hash checks the trailer and, finished with
-it, is the file's ``sha256sum`` for the run record.  Every artifact goes
-through :func:`write_atomic`: a temp file beside the target, renamed over
-it, so a process that dies or raises mid-write leaves the old file or the
-new one, never a truncated one.  Nothing is fsynced: power loss is not covered.
-As files are only replaced by renaming, a mapped file never changes under its
-reader, and a command may write over its own input; a file that another
-program truncates in place while it is mapped is outside this contract (SIGBUS).
+it, is the file's ``sha256sum`` for the run record.  Every write goes to a
+temp file beside the target, renamed over it, so a process that dies or
+raises mid-write leaves the old file or the new one, never a truncated one.
+Nothing is fsynced: power loss is not covered.  As files are only replaced
+by renaming, a mapped file never changes under its reader, and a command may
+write over its own input; a file that another program truncates in place
+while it is mapped is outside this contract (SIGBUS).
+
+While a record is open (:func:`recording`, one per CLI call), each write adds
+its path and sha256 to the record's outputs, and each read its ``what`` and
+(path, sha256) to the inputs: digests taken as the bytes moved, never by
+reading a file again.  With no record open, nothing is recorded.
 """
 
 from __future__ import annotations
@@ -20,15 +25,29 @@ import json
 import mmap
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import DataFormatError
 
 _TRAILER = hashlib.sha256().digest_size
+_record = None  # (inputs, outputs) of the open record, or None
 
 
-def write_atomic(path, *chunks) -> None:
-    """Write bytes-like or str (as UTF-8) chunks; mode as from ``open(path, "wb")``."""
+@contextmanager
+def recording():
+    """Open a record until the block exits; yields its ``(inputs, outputs)``."""
+    global _record
+    _record = ({}, {})
+    try:
+        yield _record
+    finally:
+        _record = None
+
+
+def _write(path, chunks, digest) -> None:
+    """Write `chunks` to a temp file beside `path` and rename it over `path`;
+    if a record is open, record ``digest()``, the chunks' sha256 hex digest."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
@@ -36,11 +55,19 @@ def write_atomic(path, *chunks) -> None:
     try:
         with fh:
             for chunk in chunks:
-                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    if _record is not None:
+        _record[1][path] = digest()
+
+
+def write_atomic(path, *chunks) -> None:
+    """Write bytes-like or str (as UTF-8) chunks; mode as from ``open(path, "wb")``."""
+    chunks = [c.encode("utf-8") if isinstance(c, str) else c for c in chunks]
+    _write(path, chunks, lambda: hashlib.sha256(b"".join(chunks)).hexdigest())
 
 
 def write_json(path, doc) -> None:
@@ -54,8 +81,16 @@ def write_framed(path, magic: bytes, version: int, fields, payload) -> str:
     sha.update(payload)
     trailer = sha.digest()
     sha.update(trailer)
-    write_atomic(path, head, payload, trailer)
+    _write(path, (head, payload, trailer), sha.hexdigest)
     return sha.hexdigest()
+
+
+def read_bytes(path, what: str) -> bytes:
+    """The bytes of `path`, recorded as input `what` if a record is open."""
+    blob = Path(path).read_bytes()
+    if _record is not None:
+        _record[0][what] = (path, hashlib.sha256(blob).hexdigest())
+    return blob
 
 
 def read_framed(path, magic: bytes, version: int, n_fields: int, what: str,
@@ -86,4 +121,6 @@ def read_framed(path, magic: bytes, version: int, n_fields: int, what: str,
     if sha.digest() != blob[-_TRAILER:]:
         raise DataFormatError(f"checksum mismatch in {what} file")
     sha.update(blob[-_TRAILER:])
+    if _record is not None:
+        _record[0][what] = (path, sha.hexdigest())
     return tuple(fields), blob[head.size:-_TRAILER], sha.hexdigest()

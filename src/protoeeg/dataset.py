@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import read_framed, write_atomic, write_framed
+from .container import read_bytes, read_framed, write_atomic, write_framed
 from .errors import ConfigurationError, DataFormatError, MissingSampleError
 
 CHANNELS = 37
@@ -381,14 +381,12 @@ def save(windows, manifest: DatasetManifest, path) -> None:
     write_atomic(manifest_path(path), replace(manifest, container_sha256=digest).to_json())
 
 
-def load(path, digests=None):
+def load(path):
     """Read a dataset container and its manifest sidecar.
 
     The windows are a read-only record array over the mapped container; the
     manifest must name the container's sha256 and agree with its windows,
-    down to every id its splits name.  A dict ``digests`` gets ``"dataset"``
-    and ``"manifest"``: each file's path and the sha256 hex digest of the
-    bytes read from it.
+    down to every id its splits name.
     """
     (count, time_steps, channels), payload, digest = read_framed(
         path, MAGIC, FORMAT_VERSION, 3, "dataset",
@@ -398,8 +396,7 @@ def load(path, digests=None):
 
     mpath = manifest_path(path)
     try:
-        blob = mpath.read_bytes()
-        manifest = DatasetManifest.from_json(blob.decode("utf-8"))
+        manifest = DatasetManifest.from_json(read_bytes(mpath, "manifest").decode("utf-8"))
     except (OSError, UnicodeDecodeError) as exc:  # absent, or not UTF-8
         raise DataFormatError(f"cannot read manifest sidecar {mpath}: {exc}") from exc
     if manifest.container_sha256 != digest:
@@ -413,7 +410,4 @@ def load(path, digests=None):
         rows_of(windows, manifest.splits)
     except MissingSampleError as exc:
         raise DataFormatError(f"manifest splits name an absent window: {exc}") from exc
-    if digests is not None:
-        digests.update(dataset=(path, digest),
-                       manifest=(mpath, hashlib.sha256(blob).hexdigest()))
     return windows, manifest

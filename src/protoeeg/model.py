@@ -416,13 +416,9 @@ def save_model(model: ProtoEEGNet, path) -> None:
     write_framed(path, MODEL_MAGIC, MODEL_VERSION, (len(header_bytes),), payload)
 
 
-def load_model(path, digests=None) -> ProtoEEGNet:
-    """Read a checkpoint, copying its parameters out of the mapped file; a
-    dict ``digests`` gets ``"model"``: the path and the file's sha256 hex digest."""
-    (header_len,), payload, digest = read_framed(path, MODEL_MAGIC, MODEL_VERSION, 1,
-                                                 "model")
-    if digests is not None:
-        digests["model"] = (path, digest)
+def load_model(path) -> ProtoEEGNet:
+    """Read a checkpoint, copying its parameters out of the mapped file."""
+    (header_len,), payload, _ = read_framed(path, MODEL_MAGIC, MODEL_VERSION, 1, "model")
     if len(payload) < header_len:
         raise DataFormatError("model file truncated: header shorter than declared")
     try:

@@ -26,8 +26,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import rewrite_header
 import protoeeg
+from protoeeg import container
 from protoeeg.cli import _build, main, resolve_config
-from protoeeg.dataset import SynthConfig, load
+from protoeeg.dataset import SynthConfig, load, save
 from protoeeg.errors import ConfigurationError, DataFormatError
 from protoeeg.losses import LossCoefficients
 from protoeeg.model import load_model
@@ -700,13 +701,22 @@ class TestEmptySplits:
 
 @pytest.fixture(scope="module")
 def chain(tmp_path_factory, data_dir):
-    """Two splits of the synth dataset, a short training run on each, and an
-    eval and an explain of the first run."""
+    """Two splits of the synth dataset, a short training run on each, an
+    eval, explain, push and report of the first run, and a preprocess.  The
+    second run's --out held leftovers before it ran: a note, a killed write's
+    temp file and a checkpoint of an earlier run with other push epochs."""
     root = tmp_path_factory.mktemp("cli_chain")
     (root / "tiny.json").write_text(json.dumps(TINY))
     for k, seed in enumerate(("1", "2")):
         assert main(["split", "--data", str(data_dir), "--seed", seed,
                      "--out", str(root / f"split{k}")]) == 0
+        if k:
+            stale = root / "train1"
+            stale.mkdir()
+            (stale / "notes.txt").write_text("hello\n")
+            (stale / ".dataset.peeg.0000.tmp").write_bytes(b"PEEG")
+            (stale / "checkpoint_epoch009.pegm").write_bytes(
+                (root / "train0" / "checkpoint_epoch002.pegm").read_bytes())
         assert main(["train", "--config", str(root / "tiny.json"), "--data",
                      str(root / f"split{k}"), "--out", str(root / f"train{k}")]) == 0
     common = ["--model", str(root / "train0"), "--data", str(root / "split0")]
@@ -714,31 +724,75 @@ def chain(tmp_path_factory, data_dir):
     _, manifest = load(root / "split0" / "dataset.peeg")
     assert main(["explain", *common, "--sample-id", str(manifest.ids_for("test")[0]),
                  "--out", str(root / "explain")]) == 0
+    assert main(["push", *common, "--out", str(root / "push")]) == 0
+    assert main(["report", *common, "--out", str(root / "report")]) == 0
+    np.savez(root / "raw.npz", values=np.random.default_rng(0).normal(size=(4, 256, 37)),
+             sample_rate_hz=np.float64(256.0))
+    assert main(["preprocess", "--input", str(root / "raw.npz"),
+                 "--out", str(root / "preprocess")]) == 0
     return root
+
+
+def _record(run: Path) -> dict:
+    return json.loads((run / "resolved_config.json").read_text())
 
 
 class TestRunRecord:
     def test_every_digest_is_the_sha256_of_the_file(self, chain, data_dir):
         runs = [data_dir, *(chain / name for name in
-                            ("split0", "split1", "train0", "train1", "eval", "explain"))]
+                            ("preprocess", "split0", "split1", "train0", "train1",
+                             "eval", "push", "explain", "report"))]
         for run in runs:
-            doc = json.loads((run / "resolved_config.json").read_text())
+            doc = _record(run)
             assert doc["outputs"]
             for rel, digest in doc["outputs"].items():
                 assert _sha(run / rel) == digest, (run, rel)
             for name, entry in doc["inputs"].items():
                 assert _sha(Path(entry["path"])) == entry["sha256"], (run, name)
-        doc = json.loads((chain / "eval" / "resolved_config.json").read_text())
-        assert sorted(doc["inputs"]) == ["dataset", "manifest", "model"]
-        assert doc["inputs"]["manifest"]["path"] == str(
+        assert sorted(_record(chain / "eval")["inputs"]) == ["dataset", "manifest", "model"]
+        assert _record(chain / "eval")["inputs"]["manifest"]["path"] == str(
             chain / "split0" / "dataset.manifest.json")
+        assert _record(chain / "preprocess")["inputs"] == {
+            "input": {"path": str(chain / "raw.npz"), "sha256": _sha(chain / "raw.npz")}}
+
+    def test_outputs_are_exactly_the_files_the_command_wrote(self, chain):
+        run = chain / "train1"
+        assert {"notes.txt", ".dataset.peeg.0000.tmp", "checkpoint_epoch009.pegm"} <= {
+            p.name for p in run.iterdir()}
+        assert sorted(_record(run)["outputs"]) == [
+            "checkpoint_epoch001.pegm", "checkpoint_epoch002.pegm", "history.jsonl",
+            "model.pegm"]
+        assert sorted(_record(chain / "push")["outputs"]) == [
+            "model.pegm", "push_records.json"]
 
     def test_two_splits_give_training_records_of_different_inputs(self, chain):
-        inputs = [json.loads((chain / f"train{k}" / "resolved_config.json").read_text())
-                  ["inputs"] for k in (0, 1)]
+        inputs = [_record(chain / f"train{k}")["inputs"] for k in (0, 1)]
         # split rewrites the windows as they were; only the manifest differs
         assert inputs[0]["dataset"]["sha256"] == inputs[1]["dataset"]["sha256"]
         assert inputs[0]["manifest"]["sha256"] != inputs[1]["manifest"]["sha256"]
+
+    def test_record_holds_only_its_own_call(self, chain, data_dir, tmp_path):
+        # eval fails after reading the model and the dataset ...
+        _, manifest = load(data_dir / "dataset.peeg")
+        renamed = str(manifest.ids_for("test")[0])
+        bad = _copy_with_manifest(
+            data_dir, tmp_path / "bad",
+            lambda raw: raw["splits"].update({"999999": raw["splits"].pop(renamed)}))
+        assert main(["eval", "--model", str(chain / "train0"), "--data", str(bad),
+                     "--out", str(tmp_path / "ev")]) == 2
+        # ... and synth after writing its container, not its manifest
+        (tmp_path / "syn" / "dataset.manifest.json").mkdir(parents=True)
+        assert main(["synth", "--n", "5", "--out", str(tmp_path / "syn")]) == 2
+        assert (tmp_path / "syn" / "dataset.peeg").exists()
+        assert container._record is None
+        save(*load(data_dir / "dataset.peeg"), tmp_path / "outside" / "dataset.peeg")
+        assert container._record is None
+        assert main(["split", "--data", str(data_dir), "--out", str(tmp_path / "next")]) == 0
+        doc = _record(tmp_path / "next")
+        assert {name: entry["path"] for name, entry in doc["inputs"].items()} == {
+            "dataset": str(data_dir / "dataset.peeg"),
+            "manifest": str(data_dir / "dataset.manifest.json")}
+        assert sorted(doc["outputs"]) == ["dataset.manifest.json", "dataset.peeg"]
 
 
 class TestTrain:

@@ -8,7 +8,7 @@ import pytest
 
 from protoeeg import dataset as ds
 from protoeeg.cli import _build, resolve_config
-from protoeeg.container import read_framed, write_framed
+from protoeeg.container import read_framed, recording, write_framed
 from protoeeg.errors import ConfigurationError, DataFormatError, MissingSampleError
 from protoeeg.training import TrainData
 
@@ -224,8 +224,8 @@ class TestStorage:
         samples, manifest = small_set
         path = tmp_path / "d.peeg"
         ds.save(samples, manifest, path)
-        digests = {}
-        _, loaded = ds.load(path, digests)
+        with recording() as (digests, _):
+            _, loaded = ds.load(path)
         assert loaded.container_sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
         assert digests == {
             "dataset": (path, loaded.container_sha256),
