@@ -35,15 +35,15 @@ from . import dataset as ds
 from . import sigproc
 from .container import read_bytes, recording, write_json
 from .dataset import (DatasetManifest, SynthConfig, generate_synthetic, load,
-                      make_windows, rows_of, save)
+                      make_windows, rows_of, save, split_windows)
 from .errors import (ConfigurationError, ContractError, DataFormatError,
                      DegenerateInputError, DimensionError, MissingSampleError,
                      NumericError, ProtoeegError, ProvenanceError,
                      UndefinedMetricError, UsageError)
 from .evaluation import POSITIVE_VOTE_THRESHOLD, metrics_from_scores, score_samples
 from .explain import explain, global_prototype_report, render_report
-from .model import load_model, save_model
-from .training import TrainConfig, TrainData, push_prototypes, train
+from .model import INPUT_CHANNELS, INPUT_TIME, load_model, save_model
+from .training import TrainConfig, push_prototypes, train
 
 # exit code by error class; an OSError is a file the run could not read or write
 _EXIT_CODES = {UsageError: 1, ConfigurationError: 1,
@@ -170,23 +170,29 @@ def _write_resolved(out: Path, command: str, config: dict, record) -> None:
     write_json(out / "resolved_config.json", doc)
 
 
-def _read_dataset(arg) -> tuple:
-    """(windows, manifest) of a dataset file or directory."""
+def _read_dataset(arg, *, network=False) -> tuple:
+    """(windows, manifest) of a dataset file or directory.  With `network`
+    set its windows must have the shape the network reads."""
     p = Path(arg)
     if p.is_dir():
         p = p / "dataset.peeg"
-    return load(p)
+    windows, manifest = load(p)
+    shape = windows.dtype["values"].shape
+    if network and shape != (INPUT_TIME, INPUT_CHANNELS):
+        raise DataFormatError(f"{p} holds windows of shape {shape}; the network "
+                              f"reads windows of shape {(INPUT_TIME, INPUT_CHANNELS)}")
+    return windows, manifest
 
 
 def _read_model_and_dataset(ns) -> tuple:
     """(model, windows, manifest) of ``--model`` (a file or run directory)
-    and ``--data``."""
+    and ``--data``, whose windows the network must be able to read."""
     p = Path(ns.model)
     if p.is_dir():
         p = p / "model.pegm"
     elif not p.exists() and p.with_suffix(".pegm").exists():
         p = p.with_suffix(".pegm")
-    return (load_model(p), *_read_dataset(ns.data))
+    return (load_model(p), *_read_dataset(ns.data, network=True))
 
 
 # --------------------------------------------------------------------------
@@ -328,8 +334,9 @@ def _cmd_train(ns, out: Path) -> tuple:
                              "num_train_epochs": ns.epochs,
                              "batch_size": ns.batch_size})
     cfg = _build(TrainConfig, merged)
-    windows, manifest = _read_dataset(ns.data)
-    model, history = train(cfg, TrainData.from_dataset(windows, manifest), out_dir=out)
+    windows, manifest = _read_dataset(ns.data, network=True)
+    model, history = train(cfg, split_windows(windows, manifest, "train"),
+                           split_windows(windows, manifest, "val"), out_dir=out)
     final = out / "model.pegm"
     save_model(model, final)
     for warning in history.warnings:
@@ -348,8 +355,8 @@ def _cmd_eval(ns, out: Path) -> tuple:
                             {"split": ns.split, "rounds": ns.rounds,
                              "seed": ns.seed, "filtered": ns.filtered})
     model, windows, manifest = _read_model_and_dataset(ns)
-    # container order, which scores.json and the bootstrap draws follow
-    subset = windows[np.sort(rows_of(windows, manifest.ids_for(merged["split"])))]
+    # ascending sample_id, which scores.json and the bootstrap draws follow
+    subset = split_windows(windows, manifest, merged["split"])
     if len(subset) == 0:
         raise ConfigurationError(
             f"split {merged['split']!r} is empty in {ns.data}")
@@ -373,8 +380,7 @@ def _cmd_push(ns, out: Path) -> tuple:
     defaults = {"seed": 0}
     merged = resolve_config(defaults, ns.config, {"seed": ns.seed})
     model, windows, manifest = _read_model_and_dataset(ns)
-    data = TrainData.from_dataset(windows, manifest)
-    records, _ = push_prototypes(model, data, epoch=0)
+    records, _ = push_prototypes(model, split_windows(windows, manifest, "train"), epoch=0)
     save_model(model, out / "model.pegm")
     write_json(out / "push_records.json", [asdict(r) for r in records])
     return merged, f"pushed {len(records)} prototypes; model at {out / 'model.pegm'}"
@@ -395,7 +401,7 @@ def _cmd_report(ns, out: Path) -> tuple:
     defaults = {"seed": 0}
     merged = resolve_config(defaults, ns.config, {"seed": ns.seed})
     model, windows, manifest = _read_model_and_dataset(ns)
-    doc = global_prototype_report(model, TrainData.from_dataset(windows, manifest))
+    doc = global_prototype_report(model, split_windows(windows, manifest, "train"))
     write_json(out / "prototype_report.json", doc)
     return merged, (f"{len(doc['flagged'])} of {len(doc['prototypes'])} prototypes "
                     f"flagged; report at {out / 'prototype_report.json'}")

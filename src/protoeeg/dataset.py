@@ -8,12 +8,13 @@ with latent salience s in (0, 1] is added, and annotators vote positive
 with probability sigmoid(a_j * (s + noise - b_j)).
 
 A dataset in memory is a record array of :func:`record_dtype`, one row per
-window with fields ``sample_id``, ``votes`` and ``values``.  That record is
-also the stored one: the container (magic ``PEEG``, framed by
-:mod:`.container` like a checkpoint) holds the rows' bytes as they are, so
-:func:`load` is one read-only view over the mapped file and :func:`save` one
-``tobytes``.  A JSON manifest sidecar carries the split assignments and the
-container's sha256, which :func:`load` checks without another pass.
+window with fields ``sample_id``, ``votes`` and ``values``, and so is each
+split of it (:func:`split_windows`).  That record is also the stored one:
+the container (magic ``PEEG``, framed by :mod:`.container` like a
+checkpoint) holds the rows' bytes as they are, so :func:`load` is one
+read-only view over the mapped file and :func:`save` one ``tobytes``.  A
+JSON manifest sidecar carries the split assignments and the container's
+sha256, which :func:`load` checks without another pass.
 """
 
 from __future__ import annotations
@@ -128,6 +129,22 @@ def rows_of(windows, ids) -> np.ndarray:
     if missing is not None:
         raise MissingSampleError(f"sample id {missing} is not in the dataset")
     return np.array([row_of[i] for i in ids], dtype=np.intp)
+
+
+def split_windows(windows, manifest, name: str) -> np.recarray:
+    """The windows of split `name` of a dataset record array, as a copy in
+    the record dtype, in ascending sample_id order."""
+    return windows[rows_of(windows, manifest.ids_for(name))]
+
+
+def require_class_coverage(train, num_classes: int, purpose: str) -> None:
+    """Raise unless every class 0..num_classes-1 votes some window of
+    `train`; `purpose` ends the message ("to push onto", "to audit against")."""
+    counts = np.bincount(train.votes, minlength=num_classes)
+    missing = np.nonzero(counts[:num_classes] == 0)[0]
+    if missing.size:
+        raise ConfigurationError(
+            f"class {int(missing[0])} has no training samples {purpose}")
 
 
 def _unique_keys(pairs) -> dict:

@@ -142,7 +142,7 @@ def score_samples(model, windows) -> np.ndarray:
     """p_pos of each window of a dataset record array, in its order."""
     if len(windows) == 0:
         raise ConfigurationError("test split is empty")
-    probs = model.forward_probs(np.asarray(windows.values, dtype=np.float64))
+    probs = model.forward_probs(windows.values)
     return binary_scores(probs["probabilities"])
 
 

@@ -14,11 +14,10 @@ from pathlib import Path
 import numpy as np
 
 from .container import write_atomic, write_json
-from .dataset import rows_of
+from .dataset import require_class_coverage, rows_of
 from .errors import ConfigurationError, NumericError, ProvenanceError
 from .evaluation import POSITIVE_VOTE_THRESHOLD, binary_scores
 from .model import ProtoEEGNet, points_contributed
-from .training import TrainData, require_class_coverage
 
 
 def _fmt(x: float) -> str:
@@ -82,7 +81,7 @@ def explain(model: ProtoEEGNet, sample, top_k: int = 3) -> Explanation:
         raise ConfigurationError(f"top_k must be a positive integer, got {top_k!r}")
     _require_provenance(model)
 
-    out = model.forward_probs(np.asarray(sample.values, dtype=np.float64))
+    out = model.forward_probs(sample.values)
     sims = out["similarities"]
     logits = out["logits"]
     probs = out["probabilities"]
@@ -217,8 +216,7 @@ def render_report(explanation: Explanation, dataset, out_dir) -> dict:
     """
     ids = [explanation.sample_id,
            *sorted({row.source_sample_id for row in explanation.sections[0].rows})]
-    index = dict(zip(ids, np.asarray(dataset[rows_of(dataset, ids)].values,
-                                     dtype=np.float64)))
+    index = dict(zip(ids, dataset[rows_of(dataset, ids)].values))
 
     stem = f"explain_{explanation.sample_id}"
     paths = {kind: Path(out_dir) / f"{stem}.{kind}" for kind in ("json", "svg", "txt")}
@@ -233,18 +231,19 @@ def render_report(explanation: Explanation, dataset, out_dir) -> dict:
 # prototype-quality audit
 
 
-def global_prototype_report(model: ProtoEEGNet, data: TrainData) -> dict:
-    """Per-prototype similarity audit over the training split.
+def global_prototype_report(model: ProtoEEGNet, train) -> dict:
+    """Per-prototype similarity audit over the `train` windows, a dataset
+    record array.
 
     Flags prototypes that resemble some off-class sample more than any
     sample of their own class.
     """
     _require_provenance(model)
-    labels = data.train_labels
+    labels = train.votes
     bank = model.bank
-    require_class_coverage(data, bank.num_classes, "to audit against")
+    require_class_coverage(train, bank.num_classes, "to audit against")
 
-    sims = model.forward_probs(data.train_values)["similarities"]  # (n, count)
+    sims = model.forward_probs(train.values)["similarities"]  # (n, count)
     rows, flagged = [], []
     for j in range(bank.count):
         c = bank.class_of(j)

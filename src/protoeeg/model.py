@@ -33,7 +33,6 @@ INPUT_CHANNELS = 37
 LATENT_DIM = 128
 NUM_CLASSES = 9
 PROTOS_PER_CLASS = 12
-NUM_PROTOTYPES = NUM_CLASSES * PROTOS_PER_CLASS
 FINAL_TIME_EXTENT = 10
 
 # windows per off-tape chunk and rows per similarity GEMM: small chunks are
@@ -339,6 +338,9 @@ class ProtoEEGNet:
     def embed(self, values: np.ndarray) -> Tensor:
         """Map (128, 37) or (N, 128, 37) windows to unit latents.
 
+        This is where the network widens window values to float64: callers
+        hand on the float32 rows of a dataset record array, which widen
+        exactly.
         Stays on the autodiff tape so training losses can backpropagate
         through the backbone.
         """
@@ -359,12 +361,13 @@ class ProtoEEGNet:
     def forward_probs(self, values: np.ndarray) -> dict:
         """Inference pass: latents, similarities, logits, probabilities.
 
-        Runs off-tape in chunks of ``OFF_TAPE_CHUNK`` windows, and every
-        output row is the same bits wherever its window sits in the batch;
-        logits come from :func:`class_logits` so they match explanation row
-        sums exactly.
+        Runs off-tape in chunks of ``OFF_TAPE_CHUNK`` windows, handing each
+        chunk to :meth:`embed` as given, so only a chunk is ever widened to
+        float64; every output row is the same bits wherever its window sits
+        in the batch.  Logits come from :func:`class_logits` so they match
+        explanation row sums exactly.
         """
-        vals = np.asarray(values, dtype=np.float64)
+        vals = np.asarray(values)
         squeeze = vals.ndim == 2
         if squeeze:
             vals = vals[None]

@@ -10,6 +10,11 @@ each so that the benchmark's tracer can time the stages.  At configured
 epochs the prototypes are projected ("pushed") onto their most similar
 same-class training latents and the head is re-fit by a convex proximal
 pass that drives off-class weights toward exact zeros.
+
+The training and validation windows are the dataset's own record arrays
+(:func:`.dataset.split_windows`): stages, push and refit read their
+``values``, ``votes`` and ``sample_id`` fields, and the float32 values turn
+float64 only inside ``ProtoEEGNet.embed``, a batch at a time.
 """
 
 from __future__ import annotations
@@ -23,17 +28,16 @@ import numpy as np
 
 from . import diffcore as dc
 from .container import write_atomic
-from .dataset import rows_of
+from .dataset import require_class_coverage
 from .errors import ConfigurationError
 from .losses import LossCoefficients, total_loss
 from .model import (ProtoEEGNet, PushRecord, own_class_mask, save_model,
                     similarities, softmax_rows)
 
 __all__ = [
-    "TrainConfig", "TrainData", "TrainHistory", "stage_spans",
-    "joint_lr_factor", "stage_lr", "run_stage", "run_warm_stage",
-    "run_secondary_warm_stage", "run_joint_stage", "require_class_coverage",
-    "push_prototypes", "optimize_last_layer", "train",
+    "TrainConfig", "TrainHistory", "stage_spans", "joint_lr_factor",
+    "stage_lr", "run_stage", "run_warm_stage", "run_secondary_warm_stage",
+    "run_joint_stage", "push_prototypes", "optimize_last_layer", "train",
 ]
 
 
@@ -148,46 +152,9 @@ def joint_lr_factor(config: TrainConfig, epoch: int) -> float:
     return config.joint_lr_decay ** (offset // config.joint_lr_step_size)
 
 
-# ---------------------------------------------------------------------------
-# data plumbing
-
-
-@dataclass
-class TrainData:
-    """Dense split arrays ready for batching (values f64, labels/ids i64)."""
-
-    train_values: np.ndarray
-    train_labels: np.ndarray
-    train_ids: np.ndarray
-    val_values: np.ndarray
-    val_labels: np.ndarray
-    val_ids: np.ndarray
-
-    @classmethod
-    def from_dataset(cls, windows, manifest) -> "TrainData":
-        """The train and val windows of a dataset record array, each in
-        ascending sample_id order; an empty split gives (0, T, C) values."""
-        columns = []
-        for name in ("train", "val"):
-            part = windows[rows_of(windows, manifest.ids_for(name))]
-            columns += [np.asarray(part.values, dtype=np.float64),
-                        part.votes.astype(np.int64), part.sample_id.astype(np.int64)]
-        return cls(*columns)
-
-
-def _require_nonempty(data: TrainData) -> None:
-    if data.train_values.shape[0] == 0:
+def _require_nonempty(train) -> None:
+    if len(train) == 0:
         raise ConfigurationError("training split is empty")
-
-
-def require_class_coverage(data: TrainData, num_classes: int, purpose: str) -> None:
-    """Raise unless every class 0..num_classes-1 has a training sample;
-    `purpose` ends the message ("to push onto", "to audit against")."""
-    counts = np.bincount(data.train_labels, minlength=num_classes)
-    missing = np.nonzero(counts[:num_classes] == 0)[0]
-    if missing.size:
-        raise ConfigurationError(
-            f"class {int(missing[0])} has no training samples {purpose}")
 
 
 # ---------------------------------------------------------------------------
@@ -205,20 +172,20 @@ class TrainHistory:
         return "\n".join(json.dumps(r, sort_keys=True) for r in self.records)
 
 
-def _validation_metrics(model: ProtoEEGNet, data: TrainData):
-    if data.val_values.shape[0] == 0:
+def _validation_metrics(model: ProtoEEGNet, val):
+    if len(val) == 0:
         return None
-    out = model.forward_probs(data.val_values)
-    labels = data.val_labels
+    out = model.forward_probs(val.values)
+    labels = val.votes
     return {
         "cross_entropy": dc.cross_entropy(dc.Tensor(out["logits"]), labels).item(),
         "accuracy": float(np.mean(np.argmax(out["probabilities"], axis=1) == labels)),
     }
 
 
-def _epoch_pass(model, data, config, opt, rng, latents_cache=None) -> dict:
+def _epoch_pass(model, train, config, opt, rng, latents_cache=None) -> dict:
     """One shuffled gradient epoch; returns sample-weighted mean losses."""
-    n = data.train_values.shape[0]
+    n = len(train)
     perm = rng.permutation(n)
     keys = ("total", "cross_entropy", "cluster", "separation",
             "orthogonality", "l1")
@@ -228,8 +195,8 @@ def _epoch_pass(model, data, config, opt, rng, latents_cache=None) -> dict:
         if latents_cache is not None:
             latents = dc.Tensor(latents_cache[idx])
         else:
-            latents = model.embed(data.train_values[idx])
-        report = total_loss(latents, data.train_labels[idx], model.bank,
+            latents = model.embed(train.values[idx])
+        report = total_loss(latents, train.votes[idx], model.bank,
                             model.head, config.coefficients)
         for p in model.all_parameters():
             p.zero_grad()
@@ -241,7 +208,7 @@ def _epoch_pass(model, data, config, opt, rng, latents_cache=None) -> dict:
     return {k: float(v / n) for k, v in agg.items()}
 
 
-def _record(history, model, data, *, epoch, stage, lr, losses, defer_val) -> None:
+def _record(history, model, val, *, epoch, stage, lr, losses, defer_val) -> None:
     """Append one epoch's record.  Epochs in `defer_val` get ``"val": None``;
     train() validates those after the push and refit that follow them."""
     if history is None:
@@ -251,7 +218,7 @@ def _record(history, model, data, *, epoch, stage, lr, losses, defer_val) -> Non
         "stage": stage,
         "lr": {k: float(v) for k, v in lr.items()},
         "loss": losses,
-        "val": None if epoch in defer_val else _validation_metrics(model, data),
+        "val": None if epoch in defer_val else _validation_metrics(model, val),
     })
 
 
@@ -278,9 +245,10 @@ def stage_lr(config: TrainConfig, stage: str, epoch: int) -> dict:
             for group, name in _STAGE_RATES[stage].items()}
 
 
-def run_stage(stage: str, model, data, config, epochs=None, *, rng=None,
+def run_stage(stage: str, model, train, val, config, epochs=None, *, rng=None,
               history=None, defer_val=(), latents=None) -> ProtoEEGNet:
-    """Train the parameter groups of `stage` over `epochs` with one fresh Adam.
+    """Train the parameter groups of `stage` on the `train` windows over
+    `epochs` with one fresh Adam, validating on the `val` windows.
 
     `epochs` defaults to the stage's whole span and `rng` to a generator
     seeded by ``config.seed``.  Groups outside the stage stay frozen: the
@@ -296,7 +264,7 @@ def run_stage(stage: str, model, data, config, epochs=None, *, rng=None,
     """
     if stage not in _STAGE_RATES:
         raise ConfigurationError(f"unknown training stage {stage!r}")
-    _require_nonempty(data)
+    _require_nonempty(train)
     if epochs is None:
         epochs = stage_spans(config)[stage]
     if not epochs:
@@ -310,14 +278,14 @@ def run_stage(stage: str, model, data, config, epochs=None, *, rng=None,
                    for group, lr in stage_lr(config, stage, epochs[0]).items()])
     cache = None
     if stage == "warm":
-        cache = (model.forward_probs(data.train_values)["latents"]
+        cache = (model.forward_probs(train.values)["latents"]
                  if latents is None else latents)
     for epoch in epochs:
         lr = stage_lr(config, stage, epoch)
         for group, value in lr.items():
             opt.set_lr(group, value)
-        losses = _epoch_pass(model, data, config, opt, rng, latents_cache=cache)
-        _record(history, model, data, epoch=epoch, stage=stage, lr=lr,
+        losses = _epoch_pass(model, train, config, opt, rng, latents_cache=cache)
+        _record(history, model, val, epoch=epoch, stage=stage, lr=lr,
                 losses=losses, defer_val=defer_val)
     return model
 
@@ -333,34 +301,34 @@ run_joint_stage = _STAGE_OPS["joint"]
 # prototype projection
 
 
-def push_prototypes(model, data, *, epoch: int = 0) -> tuple:
+def push_prototypes(model, train, *, epoch: int = 0) -> tuple:
     """Snap each prototype onto its most similar same-class training latent.
 
-    One `forward_probs` pass over the training split gives the latents and
+    One `forward_probs` pass over the `train` windows gives the latents and
     the similarities the classifier scores with.  Each class's rows are
     scanned in ascending sample_id order and the first maximum wins, so
     ties resolve to the smallest sample_id.  Prototype rows are overwritten
     with the winning latents byte for byte.
 
-    Returns (records, latents): the training split's latents in `data`
+    Returns (records, latents): the training windows' latents in `train`
     order, which the frozen-backbone head refit reuses.
     """
-    _require_nonempty(data)
+    _require_nonempty(train)
     bank = model.bank
-    require_class_coverage(data, bank.num_classes, "to push onto")
-    out = model.forward_probs(data.train_values)
+    require_class_coverage(train, bank.num_classes, "to push onto")
+    out = model.forward_probs(train.values)
     latents, sims = out["latents"], out["similarities"]
-    order = np.argsort(data.train_ids, kind="stable")
+    order = np.argsort(train.sample_id, kind="stable")
     winner = np.empty(bank.count, dtype=np.int64)
     for c in range(bank.num_classes):
-        rows = order[data.train_labels[order] == c]
+        rows = order[train.votes[order] == c]
         cols = bank.class_slice(c)
         winner[cols] = rows[np.argmax(sims[rows, cols], axis=0)]
 
     top = np.clip(sims[winner, np.arange(bank.count)], -1.0, 1.0)
     records = [PushRecord(prototype_class=bank.class_of(j),
                           prototype_index=j % bank.per_class,
-                          source_sample_id=int(data.train_ids[winner[j]]),
+                          source_sample_id=int(train.sample_id[winner[j]]),
                           similarity=float(top[j]), epoch=int(epoch))
                for j in range(bank.count)]
     bank.provenance[:] = records
@@ -473,19 +441,20 @@ def _segments(span, push_set) -> list:
     return out
 
 
-def train(config: TrainConfig, data: TrainData, model: ProtoEEGNet = None,
+def train(config: TrainConfig, train, val, model: ProtoEEGNet = None,
           out_dir=None) -> tuple:
     """Full schedule: warm, secondary warm, joint, with push + convex fit
-    after every epoch named in `push_epochs`.
+    after every epoch named in `push_epochs`, on the `train` windows and
+    validated on the `val` windows (dataset record arrays).
 
     Returns (model, TrainHistory).  With `out_dir` set, writes
     `history.jsonl` and a checkpoint at every push epoch.
     """
-    _require_nonempty(data)
+    _require_nonempty(train)
     if model is None:
         model = ProtoEEGNet.initialize(seed=config.seed)
     # every schedule pushes, so a missing class fails here, before epoch 1
-    require_class_coverage(data, model.bank.num_classes, "to push onto")
+    require_class_coverage(train, model.bank.num_classes, "to push onto")
     if out_dir is not None:
         out_dir = Path(out_dir)
 
@@ -499,14 +468,14 @@ def train(config: TrainConfig, data: TrainData, model: ProtoEEGNet = None,
         op = _STAGE_OPS[stage]
         latents = None  # the last push's, while the backbone has not moved since
         for seg in _segments(span, push_set):
-            op(model, data, config, seg, rng=rng, history=history.records,
+            op(model, train, val, config, seg, rng=rng, history=history.records,
                defer_val=push_set, latents=latents)
             last = seg[-1]
             if last not in push_set:
                 continue
-            pushes, latents = push_prototypes(model, data, epoch=last)
+            pushes, latents = push_prototypes(model, train, epoch=last)
             model, info = optimize_last_layer(
-                model, latents, data.train_labels, l1_coef=config.coefficients.l1,
+                model, latents, train.votes, l1_coef=config.coefficients.l1,
                 max_iters=config.last_layer_max_iters,
                 tol=config.last_layer_tol)
             if not info["converged"]:
@@ -519,7 +488,7 @@ def train(config: TrainConfig, data: TrainData, model: ProtoEEGNet = None,
                              "iterations": info["iterations"],
                              "objective_initial": info["objective_initial"],
                              "objective": info["objective"]}
-            rec["val"] = _validation_metrics(model, data)
+            rec["val"] = _validation_metrics(model, val)
             if out_dir is not None:
                 save_model(model, out_dir / f"checkpoint_epoch{last:03d}.pegm")
 

@@ -6,7 +6,7 @@ import pytest
 from protoeeg import diffcore as dc
 from protoeeg import model as m
 from protoeeg.container import read_framed, write_framed
-from protoeeg.training import TrainData
+from protoeeg.dataset import make_windows
 
 
 def fd_gradient(loss_fn, param: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -64,16 +64,13 @@ def gradcheck(build_loss, params: list, h: float = 1e-5) -> None:
         assert_grad_matches(analytic, numeric)
 
 
-def train_data(values, labels, ids=None) -> TrainData:
-    """Wrap raw train arrays in a TrainData with an empty validation split;
-    ids default to 0..n-1."""
-    values = np.asarray(values, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+def train_data(values, labels, ids=None) -> tuple:
+    """(train, val): raw train arrays as a dataset record array, so float32
+    values, and an empty validation split; ids default to 0..n-1."""
+    values = np.asarray(values)
     ids = np.arange(len(labels)) if ids is None else ids
-    empty_v = np.empty((0,) + values.shape[1:])
-    empty_i = np.empty(0, dtype=np.int64)
-    return TrainData(values, labels, np.asarray(ids, dtype=np.int64),
-                     empty_v, empty_i, empty_i.copy())
+    return (make_windows(ids, labels, values),
+            make_windows([], [], np.empty((0,) + values.shape[1:])))
 
 
 def rewrite_header(path, edit) -> None:

@@ -16,13 +16,13 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from conftest import assert_grad_matches, gradcheck, train_data
+from conftest import assert_grad_matches, gradcheck
 from protoeeg import cli
 from protoeeg import diffcore as dc
 from protoeeg import model as m
 from protoeeg import sigproc
 from protoeeg import training as tr
-from protoeeg.dataset import SynthConfig, generate_synthetic, load
+from protoeeg.dataset import SynthConfig, generate_synthetic, load, split_windows
 from protoeeg.diffcore import Tensor
 from protoeeg.evaluation import (auroc, bootstrap_ci, metrics_from_scores,
                                  score_samples)
@@ -305,15 +305,13 @@ def test_criterion_02_loss_oracles():
 
 def test_criterion_03_push_postconditions():
     samples, _ = generate_synthetic(SynthConfig(n_samples=500, seed=3))
-    values = np.stack([s.values for s in samples]).astype(np.float64)
-    labels = np.array([s.votes for s in samples], dtype=np.int64)
+    labels = samples.votes
     assert np.bincount(labels, minlength=9).min() > 0
-    data = train_data(values, labels)
 
     net = m.ProtoEEGNet.initialize(seed=1)
     old_protos = net.bank.vectors.data.copy()
-    z = net.forward_probs(values)["latents"]
-    records, _ = tr.push_prototypes(net, data, epoch=7)
+    z = net.forward_probs(samples.values)["latents"]
+    records, _ = tr.push_prototypes(net, samples, epoch=7)
 
     protos = net.bank.vectors.data
     assert np.all(np.abs(np.linalg.norm(protos, axis=1) - 1.0) <= 1e-9)
@@ -507,7 +505,8 @@ def trained_run():
                             push_epochs=(20, 30), joint_lr_step_size=30,
                             batch_size=32, seed=0)
     t0 = time.monotonic()
-    net, _ = tr.train(config, tr.TrainData.from_dataset(samples, manifest))
+    net, _ = tr.train(config, split_windows(samples, manifest, "train"),
+                      split_windows(samples, manifest, "val"))
     elapsed = time.monotonic() - t0
     test_samples = samples[manifest.ids_for("test")]
     train_labels = {int(i): samples[i].votes for i in manifest.ids_for("train")}

@@ -700,6 +700,35 @@ class TestEmptySplits:
 
 
 @pytest.fixture(scope="module")
+def short_windows(tmp_path_factory):
+    """A dataset of (100, 37) windows, 1 s at 100 Hz, whose training split
+    holds every vote class."""
+    out = tmp_path_factory.mktemp("cli_short_windows")
+    (out / "synth.json").write_text(json.dumps({"sample_rate_hz": 100.0}))
+    assert main(["synth", "--n", "90", "--seed", "1", "--config", str(out / "synth.json"),
+                 "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "push", "explain", "report"])
+def test_windows_the_network_cannot_read_are_a_data_error(command, short_windows, run_dir,
+                                                         tmp_path, capsys, monkeypatch):
+    args = [command, "--data", str(short_windows), "--out", str(tmp_path / "o")]
+    if command != "train":
+        args += ["--model", str(run_dir)]
+    if command == "explain":
+        args += ["--sample-id", "0"]
+    monkeypatch.setattr("protoeeg.training._epoch_pass",
+                        lambda *a, **k: pytest.fail("an epoch trained"))
+    capsys.readouterr()
+    assert main(args) == 2
+    err = _one_line_error(capsys)
+    assert str(short_windows / "dataset.peeg") in err
+    assert "(100, 37)" in err and "(128, 37)" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture(scope="module")
 def chain(tmp_path_factory, data_dir):
     """Two splits of the synth dataset, a short training run on each, an
     eval, explain, push and report of the first run, and a preprocess.  The
@@ -905,6 +934,32 @@ class TestEval:
         _, manifest = load(data_dir / "dataset.peeg")
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["n_test"] == len(manifest.ids_for("val"))
+
+    def test_scores_follow_sample_id_whatever_the_container_order(self, run_dir, tmp_path):
+        # one archive preprocessed in two row orders: eval reads a split in
+        # ascending sample_id, so both give the same bytes
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(60, 256, 37)) * 20
+        votes = rng.integers(0, 9, 60)
+        ids = rng.permutation(60) * 5 + 3
+        outputs = []
+        for name, rows in (("forward", slice(None)), ("reversed", slice(None, None, -1))):
+            run = tmp_path / name
+            run.mkdir()
+            np.savez(run / "raw.npz", values=values[rows], votes=votes[rows], ids=ids[rows],
+                     sample_rate_hz=np.float64(256.0))
+            assert main(["preprocess", "--input", str(run / "raw.npz"),
+                         "--out", str(run / "pre")]) == 0
+            assert main(["split", "--data", str(run / "pre"), "--seed", "2",
+                         "--out", str(run / "split")]) == 0
+            assert main(["eval", "--model", str(run_dir), "--data", str(run / "split"),
+                         "--rounds", "50", "--out", str(run / "eval")]) == 0
+            outputs.append([(run / "eval" / f).read_bytes()
+                            for f in ("metrics.json", "scores.json")])
+        assert outputs[0] == outputs[1]
+        _, manifest = load(tmp_path / "forward" / "split" / "dataset.peeg")
+        rows = json.loads(outputs[0][1])
+        assert [r["sample_id"] for r in rows] == manifest.ids_for("test")
 
     def test_model_header_without_backbone_is_format_error(self, run_dir, data_dir,
                                                            tmp_path):

@@ -10,7 +10,6 @@ from protoeeg import dataset as ds
 from protoeeg.cli import _build, resolve_config
 from protoeeg.container import read_framed, recording, write_framed
 from protoeeg.errors import ConfigurationError, DataFormatError, MissingSampleError
-from protoeeg.training import TrainData
 
 
 @pytest.fixture(scope="module")
@@ -368,13 +367,11 @@ class TestRowsOf:
             ds.rows_of(windows, ids)
 
 
-def test_train_data_is_id_ordered(small_set):
+def test_split_windows_keep_the_record_in_id_order(small_set):
     samples, manifest = small_set
-    data = TrainData.from_dataset(samples[::-1], manifest)
-    assert data.train_values.dtype == np.float64
-    assert list(data.train_ids) == manifest.ids_for("train")
-    assert list(data.val_ids) == manifest.ids_for("val")
-    by_id = {int(s.sample_id): s for s in samples}
-    for i, sid in enumerate(data.train_ids):
-        assert data.train_labels[i] == by_id[sid].votes
-        assert np.array_equal(data.train_values[i], by_id[sid].values)
+    by_id = {int(s.sample_id): s.tobytes() for s in samples}
+    for name in ds.SPLIT_NAMES:
+        part = ds.split_windows(samples[::-1], manifest, name)
+        assert part.dtype == samples.dtype and part.values.dtype == np.float32
+        assert part.sample_id.tolist() == manifest.ids_for(name)
+        assert [row.tobytes() for row in part] == [by_id[i] for i in manifest.ids_for(name)]

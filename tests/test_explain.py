@@ -31,24 +31,21 @@ def toy_windows(n_per_class=6, num_classes=9, seed=0):
             w = tone * emphasis[None, :] + 0.05 * rng.standard_normal((128, 37))
             values.append(w)
             labels.append(c)
-    # round-trip through float32 so stored samples match training arrays bitwise
-    return np.asarray(values, dtype=np.float32).astype(np.float64), \
-        np.asarray(labels, dtype=np.int64)
+    return np.asarray(values), np.asarray(labels, dtype=np.int64)
 
 
 @pytest.fixture(scope="module")
 def pushed():
     values, labels = toy_windows()
-    data = train_data(values, labels)
+    samples, val = train_data(values, labels)
     net = m.ProtoEEGNet.initialize(config=TOY_ARCH, seed=31, num_classes=9,
                                    per_class=2)
     cfg = tr.TrainConfig(num_train_epochs=4, num_warm_epochs=4,
                          num_secondary_warm_epochs=0, push_start=0,
                          push_epochs=(4,), batch_size=8, seed=2)
-    tr.run_warm_stage(net, data, cfg)
-    records, _ = tr.push_prototypes(net, data, epoch=4)
-    samples = make_windows(data.train_ids, labels, values)
-    return net, data, samples, records
+    tr.run_warm_stage(net, samples, val, cfg)
+    records, _ = tr.push_prototypes(net, samples, epoch=4)
+    return net, samples, records
 
 
 class TestExplain:
@@ -60,7 +57,7 @@ class TestExplain:
             ex.explain(net, sample)
 
     def test_push_source_scores_similarity_one(self, pushed):
-        net, data, samples, records = pushed
+        net, samples, records = pushed
         rec = records[0]
         sample = next(s for s in samples if s.sample_id == rec.source_sample_id)
         result = ex.explain(net, sample, top_k=net.bank.count)
@@ -73,7 +70,7 @@ class TestExplain:
         assert row.source_sample_id == sample.sample_id
 
     def test_completeness_residual_is_zero(self, pushed):
-        net, _, samples, _ = pushed
+        net, samples, _ = pushed
         for sample in samples[:12]:
             result = ex.explain(net, sample, top_k=net.bank.count)
             for section in result.sections:
@@ -82,7 +79,7 @@ class TestExplain:
                 assert abs(total - section.logit) <= 1e-12
 
     def test_rows_sorted_by_absolute_points(self, pushed):
-        net, _, samples, _ = pushed
+        net, samples, _ = pushed
         result = ex.explain(net, samples[3], top_k=net.bank.count)
         for section in result.sections:
             mags = [abs(r.points) for r in section.rows]
@@ -92,14 +89,14 @@ class TestExplain:
                                       for r in result.sections[0].rows)
 
     def test_points_is_exact_product(self, pushed):
-        net, _, samples, _ = pushed
+        net, samples, _ = pushed
         result = ex.explain(net, samples[5], top_k=4)
         for section in result.sections:
             for row in section.rows:
                 assert row.points == row.similarity * row.class_connection
 
     def test_section_ordering(self, pushed):
-        net, _, samples, _ = pushed
+        net, samples, _ = pushed
         result = ex.explain(net, samples[7])
         assert result.sections[0].class_id == result.predicted_class
         rest = [s.probability for s in result.sections[1:]]
@@ -107,7 +104,7 @@ class TestExplain:
         assert len(result.sections) == net.bank.num_classes
 
     def test_top_k_limits_rows(self, pushed):
-        net, _, samples, _ = pushed
+        net, samples, _ = pushed
         assert all(len(s.rows) == 2
                    for s in ex.explain(net, samples[0], top_k=2).sections)
         assert all(len(s.rows) == net.bank.count
@@ -116,16 +113,15 @@ class TestExplain:
             ex.explain(net, samples[0], top_k=0)
 
     def test_sources_belong_to_prototype_class(self, pushed):
-        net, data, samples, _ = pushed
-        label_of = {int(i): int(l) for i, l in zip(data.train_ids,
-                                                   data.train_labels)}
+        net, samples, _ = pushed
+        label_of = {int(i): int(l) for i, l in zip(samples.sample_id, samples.votes)}
         result = ex.explain(net, samples[9], top_k=net.bank.count)
         for section in result.sections:
             for row in section.rows:
                 assert label_of[row.source_sample_id] == row.prototype_class
 
     def test_json_roundtrip(self, pushed):
-        net, _, samples, _ = pushed
+        net, samples, _ = pushed
         result = ex.explain(net, samples[2])
         blob = json.dumps(result.to_dict(), sort_keys=True)
         parsed = json.loads(blob)
@@ -137,19 +133,18 @@ class TestExplain:
 
     def test_binary_score_needs_nine_classes(self):
         values, labels = toy_windows(n_per_class=4, num_classes=4)
-        data = train_data(values, labels)
+        train, _ = train_data(values, labels)
         net = m.ProtoEEGNet.initialize(config=TOY_ARCH, seed=2, num_classes=4,
                                        per_class=2)
-        tr.push_prototypes(net, data, epoch=1)
-        sample = make_windows([0], [0], values[:1])[0]
-        result = ex.explain(net, sample)
+        tr.push_prototypes(net, train, epoch=1)
+        result = ex.explain(net, train[0])
         assert result.binary is None
         assert result.to_dict()["binary"] is None
 
 
 class TestRenderReport:
     def test_files_and_names(self, pushed, tmp_path):
-        net, _, samples, _ = pushed
+        net, samples, _ = pushed
         result = ex.explain(net, samples[4])
         paths = ex.render_report(result, samples, tmp_path)
         sid = samples[4].sample_id
@@ -158,14 +153,14 @@ class TestRenderReport:
             assert paths[kind].exists()
 
     def test_svg_is_well_formed(self, pushed, tmp_path):
-        net, _, samples, _ = pushed
+        net, samples, _ = pushed
         result = ex.explain(net, samples[4])
         paths = ex.render_report(result, samples, tmp_path)
         root = ET.fromstring(paths["svg"].read_text())
         assert root.tag.endswith("svg")
 
     def test_rendered_numbers_match_explanation(self, pushed, tmp_path):
-        net, _, samples, _ = pushed
+        net, samples, _ = pushed
         result = ex.explain(net, samples[6])
         paths = ex.render_report(result, samples, tmp_path)
         svg = paths["svg"].read_text()
@@ -179,7 +174,7 @@ class TestRenderReport:
             assert format(section.logit, ".12g") in txt
 
     def test_deterministic_bytes(self, pushed, tmp_path):
-        net, _, samples, _ = pushed
+        net, samples, _ = pushed
         result = ex.explain(net, samples[1])
         first = ex.render_report(result, samples, tmp_path / "a")
         second = ex.render_report(result, samples, tmp_path / "b")
@@ -239,7 +234,7 @@ class TestRenderReport:
         assert ex._trace_polylines(*args) == per_channel(*args)
 
     def test_missing_source_rejected(self, pushed, tmp_path):
-        net, _, samples, _ = pushed
+        net, samples, _ = pushed
         result = ex.explain(net, samples[4])
         needed = {r.source_sample_id for r in result.sections[0].rows}
         pruned = samples[~np.isin(samples.sample_id, list(needed))]
@@ -247,7 +242,7 @@ class TestRenderReport:
             ex.render_report(result, pruned, tmp_path)
 
     def test_missing_query_rejected(self, pushed, tmp_path):
-        net, _, samples, _ = pushed
+        net, samples, _ = pushed
         result = ex.explain(net, samples[4])
         pruned = samples[samples.sample_id != samples[4].sample_id]
         with pytest.raises(MissingSampleError,
@@ -257,15 +252,15 @@ class TestRenderReport:
 
 class TestGlobalPrototypeReport:
     def test_requires_push(self, pushed):
-        _, data, _, _ = pushed
+        _, samples, _ = pushed
         fresh = m.ProtoEEGNet.initialize(config=TOY_ARCH, seed=5,
                                          num_classes=4, per_class=2)
         with pytest.raises(ProvenanceError):
-            ex.global_prototype_report(fresh, data)
+            ex.global_prototype_report(fresh, samples)
 
     def test_rows_and_push_similarities(self, pushed):
-        net, data, _, _ = pushed
-        report = ex.global_prototype_report(net, data)
+        net, samples, _ = pushed
+        report = ex.global_prototype_report(net, samples)
         assert len(report["prototypes"]) == net.bank.count
         for row in report["prototypes"]:
             assert abs(row["max_on_class"] - 1.0) <= 1e-9  # just pushed
@@ -273,7 +268,7 @@ class TestGlobalPrototypeReport:
             assert row["source_sample_id"] >= 0
 
     def test_no_flags_on_separable_toy(self, pushed):
-        net, data, _, _ = pushed
-        report = ex.global_prototype_report(net, data)
+        net, samples, _ = pushed
+        report = ex.global_prototype_report(net, samples)
         assert report["flagged"] == []
         assert all(not row["flagged"] for row in report["prototypes"])

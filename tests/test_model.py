@@ -268,6 +268,21 @@ def test_inference_is_batch_invariant():
             assert scores[pos] == p_pos, (size, pos)
 
 
+def test_float32_rows_score_as_their_widened_copy(net):
+    # forward_probs hands record rows to embed as they are stored; widening
+    # float32 is exact, so the rows give the bits of a float64 copy
+    rng = np.random.default_rng(4)
+    rows = make_windows(np.arange(40), np.zeros(40),
+                        rng.standard_normal((40, 128, 37)) * 15).values
+    assert rows.dtype == np.float32
+    for values in (rows[0], rows[3:6], rows):  # one window, a batch, two chunks
+        got = net.forward_probs(values)
+        want = net.forward_probs(values.astype(np.float64))
+        for key in ("latents", "similarities", "logits", "probabilities"):
+            assert got[key].dtype == np.float64
+            assert got[key].tobytes() == want[key].tobytes(), key
+
+
 def _reference_embed(net, window):
     """Independent forward pass: explicit loops, no shared conv code."""
     x = np.asarray(window, dtype=np.float64)[None, :, :]  # (C=1, H, W)

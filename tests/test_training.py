@@ -158,7 +158,7 @@ class TestWarmStage:
         head_before = net.head.data.tobytes()
         protos_before = net.bank.vectors.data.tobytes()
 
-        tr.run_warm_stage(net, toy_data, cfg)
+        tr.run_warm_stage(net, *toy_data, cfg)
 
         assert param_bytes(net.backbone_parameters()) == backbone_before
         assert net.head.data.tobytes() == head_before
@@ -169,19 +169,19 @@ class TestWarmStage:
     def test_same_class_similarity_strictly_increases(self, toy_data):
         net = toy_model(seed=11)
         cfg = toy_config()
-        latents = net.forward_probs(toy_data.train_values)["latents"]
+        latents = net.forward_probs(toy_data[0].values)["latents"]
         rng = np.random.default_rng(0)
 
         def metric():
             sims = latents @ net.bank.vectors.data.T
             per = net.bank.per_class
             best = [sims[i, y * per:(y + 1) * per].max()
-                    for i, y in enumerate(toy_data.train_labels)]
+                    for i, y in enumerate(toy_data[0].votes)]
             return float(np.mean(best))
 
         trace = [metric()]
         for epoch in range(1, 11):
-            tr.run_warm_stage(net, toy_data, cfg,
+            tr.run_warm_stage(net, *toy_data, cfg,
                               epochs=range(epoch, epoch + 1), rng=rng)
             trace.append(metric())
         assert all(b > a for a, b in zip(trace, trace[1:]))
@@ -189,11 +189,11 @@ class TestWarmStage:
     def test_empty_split_rejected(self):
         empty = train_data(np.empty((0, 128, 37)), np.empty(0, dtype=int))
         with pytest.raises(ConfigurationError):
-            tr.run_warm_stage(toy_model(), empty, toy_config())
+            tr.run_warm_stage(toy_model(), *empty, toy_config())
 
     def test_history_records_stage_and_lr(self, toy_data):
         records = []
-        tr.run_warm_stage(toy_model(), toy_data, toy_config(),
+        tr.run_warm_stage(toy_model(), *toy_data, toy_config(),
                           history=records)
         assert [r["epoch"] for r in records] == [1, 2]
         assert all(r["stage"] == "warm" for r in records)
@@ -213,7 +213,7 @@ class TestSecondaryWarmStage:
         head_before = net.head.data.tobytes()
         backbone_before = param_bytes(net.backbone_parameters())
 
-        tr.run_secondary_warm_stage(net, toy_data, cfg)
+        tr.run_secondary_warm_stage(net, *toy_data, cfg)
 
         assert net.head.data.tobytes() == head_before
         assert param_bytes(net.backbone_parameters()) != backbone_before
@@ -223,9 +223,9 @@ class TestSecondaryWarmStage:
     def test_loss_nonincreasing_moving_average(self, toy_data):
         net = toy_model(seed=2)
         cfg = toy_config()
-        tr.run_warm_stage(net, toy_data, cfg)
+        tr.run_warm_stage(net, *toy_data, cfg)
         records = []
-        tr.run_secondary_warm_stage(net, toy_data, cfg,
+        tr.run_secondary_warm_stage(net, *toy_data, cfg,
                                     epochs=range(3, 13), history=records)
         totals = np.array([r["loss"]["total"] for r in records])
         smoothed = np.convolve(totals, np.ones(3) / 3.0, mode="valid")
@@ -243,7 +243,7 @@ class TestJointStage:
                          num_secondary_warm_epochs=1, joint_lr_step_size=3,
                          push_epochs=(10,), push_start=5)
         records = []
-        tr.run_joint_stage(net, toy_data, cfg, history=records)
+        tr.run_joint_stage(net, *toy_data, cfg, history=records)
         lrs = [r["lr"]["prototypes"] for r in records]
         assert lrs == [0.05, 0.05, 0.05, 0.025, 0.025, 0.025, 0.0125, 0.0125]
         ratios = [r["lr"]["features"] / r["lr"]["prototypes"] for r in records]
@@ -253,7 +253,7 @@ class TestJointStage:
         net = toy_model()
         cfg = toy_config()
         before = param_bytes(net.all_parameters())
-        tr.run_joint_stage(net, toy_data, cfg, epochs=range(5, 7))
+        tr.run_joint_stage(net, *toy_data, cfg, epochs=range(5, 7))
         after = param_bytes(net.all_parameters())
         assert all(a != b for a, b in zip(after, before))
 
@@ -292,14 +292,14 @@ class TestRunStage:
         monkeypatch.setattr(m.ProtoEEGNet, "forward_probs",
                             lambda *a: pytest.fail("latents were computed"))
         records = []
-        tr.run_stage(stage, net, toy_data, toy_config(), range(5, 5),
+        tr.run_stage(stage, net, *toy_data, toy_config(), range(5, 5),
                      history=records)
         assert adams == [] and records == []
         assert param_bytes(net.all_parameters()) == before
 
     def test_unknown_stage_rejected(self, toy_data):
         with pytest.raises(ConfigurationError, match="stage"):
-            tr.run_stage("final", toy_model(), toy_data, toy_config())
+            tr.run_stage("final", toy_model(), *toy_data, toy_config())
 
 
 # ---------------------------------------------------------------------------
@@ -335,24 +335,24 @@ def push_toy_data():
     values.extend(more)
     labels.extend(more_labels + 1)
     ids = rng.permutation(50) * 3 + 7
-    return train_data(np.asarray(values), labels, ids=ids)
+    return train_data(np.asarray(values), labels, ids=ids)[0]
 
 
 class TestPush:
     def test_matches_exhaustive_oracle(self):
-        data = push_toy_data()
+        train = push_toy_data()
         net = toy_model(seed=13)
         protos_before = net.bank.vectors.data.copy()
-        order = np.argsort(data.train_ids)
-        latents = net.forward_probs(data.train_values[order])["latents"]
+        order = np.argsort(train.sample_id)
+        latents = net.forward_probs(train.values[order])["latents"]
 
-        records, pushed_latents = tr.push_prototypes(net, data, epoch=12)
+        records, pushed_latents = tr.push_prototypes(net, train, epoch=12)
 
-        # the push hands back every training latent, in data order, unchanged
+        # the push hands back every training latent, in train order, unchanged
         assert np.array_equal(pushed_latents[order], latents)
 
         oracle_ids, oracle_latents = push_oracle(
-            latents, data.train_labels[order], data.train_ids[order],
+            latents, train.votes[order], train.sample_id[order],
             protos_before, net.bank.per_class)
         for rec in records:
             j = rec.prototype_class * net.bank.per_class + rec.prototype_index
@@ -363,32 +363,32 @@ class TestPush:
             assert net.bank.provenance[j] is rec
 
     def test_tie_breaks_to_smallest_id(self):
-        data = push_toy_data()
+        train = push_toy_data()
         net = toy_model(seed=13)
-        records, _ = tr.push_prototypes(net, data)
-        class0_ids = sorted(data.train_ids[data.train_labels == 0])
+        records, _ = tr.push_prototypes(net, train)
+        class0_ids = sorted(train.sample_id[train.votes == 0])
         for rec in records:
             if rec.prototype_class == 0:
                 assert rec.source_sample_id == class0_ids[0]
 
     def test_max_same_class_similarity_is_one(self, toy_data):
         net = toy_model(seed=4)
-        tr.push_prototypes(net, toy_data)
-        latents = net.forward_probs(toy_data.train_values)["latents"]
+        tr.push_prototypes(net, toy_data[0])
+        latents = net.forward_probs(toy_data[0].values)["latents"]
         sims = latents @ net.bank.vectors.data.T
         per = net.bank.per_class
         for j in range(net.bank.count):
             c = j // per
-            same = sims[toy_data.train_labels == c, j]
+            same = sims[toy_data[0].votes == c, j]
             assert abs(same.max() - 1.0) <= 1e-9
 
     def test_prototype_equals_source_latent(self, toy_data):
         net = toy_model(seed=4)
-        records, _ = tr.push_prototypes(net, toy_data)
+        records, _ = tr.push_prototypes(net, toy_data[0])
         for rec in records:
             j = rec.prototype_class * net.bank.per_class + rec.prototype_index
-            row = np.nonzero(toy_data.train_ids == rec.source_sample_id)[0][0]
-            solo = net.forward_probs(toy_data.train_values[row])["latents"]
+            row = np.nonzero(toy_data[0].sample_id == rec.source_sample_id)[0][0]
+            solo = net.forward_probs(toy_data[0].values[row])["latents"]
             np.testing.assert_allclose(net.bank.vectors.data[j], solo,
                                        rtol=1e-12, atol=1e-15)
 
@@ -396,7 +396,7 @@ class TestPush:
         values, labels = toy_windows(n_per_class=5, num_classes=3)
         data = train_data(values, labels)  # classes 0..2; model wants 4
         with pytest.raises(ConfigurationError, match="class 3"):
-            tr.push_prototypes(toy_model(), data)
+            tr.push_prototypes(toy_model(), data[0])
 
 
 # ---------------------------------------------------------------------------
@@ -490,9 +490,9 @@ class TestConvexHeadFit:
         protos_before = net.bank.vectors.data.tobytes()
         head_before = net.head.data.tobytes()
 
-        latents = net.forward_probs(toy_data.train_values)["latents"]
+        latents = net.forward_probs(toy_data[0].values)["latents"]
 
-        _, info = tr.optimize_last_layer(net, latents, toy_data.train_labels,
+        _, info = tr.optimize_last_layer(net, latents, toy_data[0].votes,
                                          max_iters=50)
 
         assert param_bytes(net.backbone_parameters()) == backbone_before
@@ -502,19 +502,19 @@ class TestConvexHeadFit:
 
     def test_nonconvergence_flag(self, toy_data):
         net = toy_model(seed=6)
-        latents = net.forward_probs(toy_data.train_values)["latents"]
-        _, info = tr.optimize_last_layer(net, latents, toy_data.train_labels,
+        latents = net.forward_probs(toy_data[0].values)["latents"]
+        _, info = tr.optimize_last_layer(net, latents, toy_data[0].votes,
                                          max_iters=1, tol=1e-15)
         assert not info["converged"]
 
     def test_sparsity_direction(self, toy_data):
         net = toy_model(seed=8)
         cfg = toy_config()
-        tr.run_warm_stage(net, toy_data, cfg)
-        _, latents = tr.push_prototypes(net, toy_data)
+        tr.run_warm_stage(net, *toy_data, cfg)
+        _, latents = tr.push_prototypes(net, toy_data[0])
         off = ~m.own_class_mask(net.bank.num_classes, net.bank.per_class)
         before = np.mean(np.abs(net.head.data[off]))
-        tr.optimize_last_layer(net, latents, toy_data.train_labels,
+        tr.optimize_last_layer(net, latents, toy_data[0].votes,
                                l1_coef=0.01, max_iters=400)
         after = np.mean(np.abs(net.head.data[off]))
         assert after < before
@@ -535,7 +535,7 @@ class TestTrain:
 
     def test_stage_tags_and_push_epochs(self, toy_data, tmp_path):
         cfg = self.small_cfg()
-        net, history = tr.train(cfg, toy_data, model=toy_model(seed=9),
+        net, history = tr.train(cfg, *toy_data, model=toy_model(seed=9),
                                 out_dir=tmp_path)
 
         assert [r["epoch"] for r in history.records] == [1, 2, 3, 4, 5, 6]
@@ -559,7 +559,7 @@ class TestTrain:
         cfg = self.small_cfg()
         outputs = []
         for run in ("a", "b"):
-            net, history = tr.train(cfg, toy_data, model=toy_model(seed=9))
+            net, history = tr.train(cfg, *toy_data, model=toy_model(seed=9))
             path = tmp_path / f"{run}.pegm"
             m.save_model(net, path)
             outputs.append((path.read_bytes(), history.to_jsonl()))
@@ -567,22 +567,19 @@ class TestTrain:
         assert outputs[0][1] == outputs[1][1]
 
     def test_validates_once_per_epoch_after_the_refit(self, toy_data, monkeypatch):
-        d = toy_data
-        data = tr.TrainData(d.train_values, d.train_labels, d.train_ids,
-                            d.train_values[:12], d.train_labels[:12], d.train_ids[:12])
+        train, _ = toy_data
+        val = train[:12]
         calls = []
         validate = tr._validation_metrics
         monkeypatch.setattr(tr, "_validation_metrics",
-                            lambda model, data: calls.append(1) or validate(model, data))
-        net, history = tr.train(self.small_cfg(), data, model=toy_model(seed=9))
+                            lambda model, val: calls.append(1) or validate(model, val))
+        net, history = tr.train(self.small_cfg(), train, val, model=toy_model(seed=9))
         assert len(calls) == len(history.records) == 6
         # epoch 6 ends with the last push and refit, so its val is the final model's
-        assert history.records[-1]["val"] == validate(net, data)
+        assert history.records[-1]["val"] == validate(net, val)
 
     def test_embeds_each_split_once_per_pass(self, toy_data, monkeypatch):
-        d = toy_data
-        data = tr.TrainData(d.train_values, d.train_labels, d.train_ids,
-                            d.train_values[:12], d.train_labels[:12], d.train_ids[:12])
+        train, _ = toy_data
         off_tape = []
         embed = m.ProtoEEGNet.embed
 
@@ -594,24 +591,24 @@ class TestTrain:
 
         monkeypatch.setattr(m.ProtoEEGNet, "embed", counting_embed)
         cfg = self.small_cfg()
-        tr.train(cfg, data, model=toy_model(seed=9))
-        n_train, n_val = len(d.train_labels), 12
+        tr.train(cfg, train, train[:12], model=toy_model(seed=9))
+        n_train, n_val = len(train), 12
         # the warm-stage cache, one push scan per push epoch (the refit reuses
         # its latents), and one validation pass per epoch
         assert sum(off_tape) == (n_train + len(cfg.push_epochs) * n_train
                                  + cfg.num_train_epochs * n_val)
 
     def test_toy_accuracy_after_full_schedule(self, toy_data):
-        net, _ = tr.train(toy_config(), toy_data, model=toy_model(seed=9))
-        out = net.forward_probs(toy_data.train_values)
+        net, _ = tr.train(toy_config(), *toy_data, model=toy_model(seed=9))
+        out = net.forward_probs(toy_data[0].values)
         acc = np.mean(np.argmax(out["probabilities"], axis=1)
-                      == toy_data.train_labels)
+                      == toy_data[0].votes)
         assert acc >= 0.95
 
     def test_empty_train_split_rejected(self):
         empty = train_data(np.empty((0, 128, 37)), np.empty(0, dtype=int))
         with pytest.raises(ConfigurationError):
-            tr.train(self.small_cfg(), empty)
+            tr.train(self.small_cfg(), *empty)
 
     def test_missing_class_rejected_before_any_epoch(self, monkeypatch):
         values, labels = toy_windows(n_per_class=5, num_classes=3)
@@ -619,7 +616,7 @@ class TestTrain:
         passes = []
         monkeypatch.setattr(tr, "_epoch_pass", lambda *a, **k: passes.append(1))
         with pytest.raises(ConfigurationError, match="class 3"):
-            tr.train(self.small_cfg(), data, model=toy_model(seed=9))
+            tr.train(self.small_cfg(), *data, model=toy_model(seed=9))
         assert passes == []
 
     def test_fresh_adam_per_push_segment(self, toy_data, adams, tmp_path):
@@ -627,9 +624,9 @@ class TestTrain:
         cfg = self.small_cfg(num_train_epochs=7, num_warm_epochs=3,
                              num_secondary_warm_epochs=2, push_start=0,
                              push_epochs=(1, 4, 7), joint_lr_step_size=1)
-        _, history = tr.train(cfg, toy_data, model=toy_model(seed=9),
+        _, history = tr.train(cfg, *toy_data, model=toy_model(seed=9),
                               out_dir=tmp_path)
-        batches = -(-len(toy_data.train_labels) // cfg.batch_size)
+        batches = -(-len(toy_data[0]) // cfg.batch_size)
         assert [a.step_count for a in adams] == [batches * k for k in (1, 2, 1, 1, 2)]
         groups = [[g["name"] for g in a.groups] for a in adams]
         assert groups == [["prototypes"]] * 2 + [["prototypes", "features"]] * 2 \
@@ -655,14 +652,14 @@ class TestTrain:
             return forward(self, values)
 
         def artifacts(out):
-            net, history = tr.train(cfg, toy_data, model=toy_model(seed=9), out_dir=out)
+            net, history = tr.train(cfg, *toy_data, model=toy_model(seed=9), out_dir=out)
             m.save_model(net, out / "model.pegm")
             return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
 
         monkeypatch.setattr(m.ProtoEEGNet, "forward_probs", counting_forward)
         reused = artifacts(tmp_path / "reused")
         # the warm cache once, then one scan per push
-        assert passes == [len(toy_data.train_labels)] * 4
+        assert passes == [len(toy_data[0])] * 4
 
         ops = dict(tr._STAGE_OPS)
         monkeypatch.setitem(tr._STAGE_OPS, "warm",
@@ -673,6 +670,6 @@ class TestTrain:
 
     def test_nonconvergence_recorded_as_warning(self, toy_data):
         cfg = self.small_cfg(last_layer_max_iters=1, last_layer_tol=1e-15)
-        _, history = tr.train(cfg, toy_data, model=toy_model(seed=9))
+        _, history = tr.train(cfg, *toy_data, model=toy_model(seed=9))
         assert history.warnings
         assert "max_iters" in history.warnings[0]

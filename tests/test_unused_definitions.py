@@ -1,9 +1,10 @@
 """Every definition in the package has a use inside the package.
 
-An API that only tests call is a second code path to keep in step with the
-first; it goes instead.  The guard is coarse: a name counts as used when it
-appears anywhere in ``src/protoeeg`` beyond its own definition, a mention in
-a docstring or comment included.
+A definition is a module-level function, class or assigned name (a constant
+or a table), or a method.  An API that only tests call is a second code path
+to keep in step with the first; it goes instead.  The guard is coarse: a name
+counts as used when it appears anywhere in ``src/protoeeg`` beyond its own
+definition, a mention in a docstring or comment included.
 """
 
 import ast
@@ -14,10 +15,16 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "protoeeg"
 
 
 def _definitions(tree):
-    """Module-level functions and classes, and the non-dunder methods."""
+    """Module-level functions, classes and assigned names, and the non-dunder
+    methods."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        yield name.id
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
