@@ -11,11 +11,16 @@ result keeps ``.grad`` at None; its gradient lives only during the walk.
 Only the operations the network needs are provided, each for the batched
 layout the network sends it.  Everything runs in float64; inputs of other
 dtypes are converted on construction.
+
+Grad mode is per thread: :func:`no_grad` on one thread leaves tape
+construction on every other thread as it was, and a new thread starts with
+the tape on.
 """
 
 from __future__ import annotations
 
 import contextlib
+import threading
 
 import numpy as np
 
@@ -28,19 +33,25 @@ from .errors import (
     NumericError,
 )
 
-_GRAD_ENABLED = True
+
+class _GradMode(threading.local):
+    enabled = True  # each thread's starting value
+
+
+_GRAD_MODE = _GradMode()
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape construction inside the block (inference mode)."""
-    global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    """Disable tape construction inside the block (inference mode), on the
+    calling thread only; other threads, and threads started inside the
+    block, keep their own mode."""
+    prev = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
     try:
         yield
     finally:
-        _GRAD_ENABLED = prev
+        _GRAD_MODE.enabled = prev
 
 
 class Tensor:
@@ -95,7 +106,7 @@ def _as_tensor(x) -> Tensor:
 
 def _make(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     out = Tensor(data)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _GRAD_MODE.enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn

@@ -14,6 +14,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -35,10 +38,15 @@ NUM_CLASSES = 9
 PROTOS_PER_CLASS = 12
 FINAL_TIME_EXTENT = 10
 
-# windows per off-tape chunk and rows per similarity GEMM: small chunks are
-# faster per window and keep the peak low, and a window's latent does not
-# depend on its chunk
+# rows per off-tape similarity GEMM: every block is exactly this many rows,
+# the last one zero-padded, so a window's similarities do not depend on its
+# batch (see similarities)
 OFF_TAPE_CHUNK = 32
+# windows per embed call in off-tape inference: the unit of work a worker
+# thread takes.  A latent does not depend on its slice, since the layer
+# kernels pad every GEMM below MIN_GEMM_ROWS; small slices keep each
+# thread's freed temporaries, and so the peak memory, small
+EMBED_SLICE = 8
 
 MODEL_MAGIC = b"PEGM"
 MODEL_VERSION = 2
@@ -361,21 +369,48 @@ class ProtoEEGNet:
     def forward_probs(self, values: np.ndarray) -> dict:
         """Inference pass: latents, similarities, logits, probabilities.
 
-        Runs off-tape in chunks of ``OFF_TAPE_CHUNK`` windows, handing each
-        chunk to :meth:`embed` as given, so only a chunk is ever widened to
-        float64; every output row is the same bits wherever its window sits
-        in the batch.  Logits come from :func:`class_logits` so they match
-        explanation row sums exactly.
+        Runs off-tape, handing :meth:`embed` slices of ``EMBED_SLICE``
+        windows as given, so only a slice is ever widened to float64.  The
+        calling thread and one helper thread per further CPU in the
+        process's affinity mask take the slices in turn; each writes its
+        latents into its slices' rows, and a helper's exception is raised
+        here.  One slice runs on the calling thread alone.
+        Every output row is the same bits wherever its window sits in the
+        batch, and so at any worker count.  Logits come from
+        :func:`class_logits` so they match explanation row sums exactly.
         """
         vals = np.asarray(values)
         squeeze = vals.ndim == 2
         if squeeze:
             vals = vals[None]
         lat = np.empty((vals.shape[0], self.config.latent_dim))
-        with dc.no_grad():
-            for lo in range(0, vals.shape[0], OFF_TAPE_CHUNK):
-                chunk = vals[lo:lo + OFF_TAPE_CHUNK]
-                lat[lo:lo + chunk.shape[0]] = self.embed(chunk).data
+        starts = range(0, vals.shape[0], EMBED_SLICE)
+        # the OS has no affinity mask outside Linux: use every CPU there
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        workers = min(cpus, len(starts))
+        queue, lock = iter(starts), threading.Lock()
+
+        def embed_slices() -> None:
+            # take the next slice until none is left, so a thread that runs
+            # slower (a busy core) takes fewer
+            with dc.no_grad():  # grad mode is per thread
+                while True:
+                    with lock:
+                        lo = next(queue, None)
+                    if lo is None:
+                        return
+                    chunk = vals[lo:lo + EMBED_SLICE]
+                    lat[lo:lo + chunk.shape[0]] = self.embed(chunk).data
+
+        if workers <= 1:
+            embed_slices()
+        else:
+            with ThreadPoolExecutor(workers - 1) as pool:
+                helpers = [pool.submit(embed_slices) for _ in range(workers - 1)]
+                embed_slices()
+            for helper in helpers:
+                helper.result()
         sims = similarities(lat, self.bank)
         logits = class_logits(sims, self.head.data)
         probs = softmax_rows(logits)

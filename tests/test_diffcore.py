@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,43 @@ class TestTensorBasics:
         assert not y.requires_grad
         dc.backward(y)  # no-op
         assert x.grad is None
+
+    def test_no_grad_on_another_thread_leaves_this_one_taping(self):
+        x = Tensor(np.ones(4), requires_grad=True)
+        inside, release = threading.Event(), threading.Event()
+
+        def hold_no_grad():
+            with dc.no_grad():
+                inside.set()
+                release.wait(10)
+
+        other = threading.Thread(target=hold_no_grad)
+        other.start()
+        try:
+            assert inside.wait(10)
+            y = dc.tsum(dc.mul(x, x))
+        finally:
+            release.set()
+            other.join(10)
+        assert not other.is_alive()
+        assert y.requires_grad
+        dc.backward(y)
+        assert_allclose(x.grad, 2 * np.ones(4))
+
+    def test_thread_started_inside_no_grad_builds_a_tape(self):
+        x = Tensor(np.ones(4), requires_grad=True)
+        taped = []
+
+        def build():
+            taped.append(dc.tsum(dc.mul(x, x)).requires_grad)
+
+        with dc.no_grad():
+            other = threading.Thread(target=build)
+            other.start()
+            other.join(10)
+            assert not other.is_alive()
+            assert not dc.tsum(dc.mul(x, x)).requires_grad
+        assert taped == [True]
 
     def test_shared_parent_counted_twice(self):
         # x*x must produce the same gradient as squaring

@@ -1,3 +1,7 @@
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -281,6 +285,101 @@ def test_float32_rows_score_as_their_widened_copy(net):
         for key in ("latents", "similarities", "logits", "probabilities"):
             assert got[key].dtype == np.float64
             assert got[key].tobytes() == want[key].tobytes(), key
+
+
+def _cpus(monkeypatch, count):
+    """Give forward_probs an affinity mask of ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+class TestWorkers:
+    # forward_probs shares its embed slices between the calling thread and
+    # one helper per further CPU; the worker count changes no bits
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        rng = np.random.default_rng(6)
+        return (rng.standard_normal((100, 128, 37)) * 15).astype(np.float32)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 33, 100])
+    def test_bytes_do_not_depend_on_the_worker_count(self, net, rows, n, monkeypatch):
+        outs = []
+        for cpus in (1, 2, 3):
+            _cpus(monkeypatch, cpus)
+            outs.append(net.forward_probs(rows[:n]))
+        for key in ("latents", "similarities", "logits", "probabilities"):
+            assert outs[0][key].shape[0] == n
+            for out in outs[1:]:
+                assert out[key].tobytes() == outs[0][key].tobytes(), key
+
+    def test_more_workers_than_cores_switching_often(self, net, rows, monkeypatch):
+        # 13 slices on 8 workers, the interpreter switching threads every
+        # microsecond: a lost or misplaced row would change the bytes
+        want = net.forward_probs(rows)["latents"]
+        _cpus(monkeypatch, 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = net.forward_probs(rows)["latents"]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == want.tobytes()
+
+    def test_without_an_affinity_mask_every_cpu_works(self, net, rows, monkeypatch):
+        want = net.forward_probs(rows[:33])["latents"]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: (started.append(thread), start(thread))[1])
+        assert net.forward_probs(rows[:33])["latents"].tobytes() == want.tobytes()
+        assert len(started) == 2
+
+    def test_every_row_is_the_one_window_call(self, net, rows, monkeypatch):
+        _cpus(monkeypatch, 3)
+        batch = net.forward_probs(rows[:33])
+        for i in range(33):
+            alone = net.forward_probs(rows[i])
+            for key in ("latents", "similarities", "logits", "probabilities"):
+                assert batch[key][i].tobytes() == alone[key].tobytes(), (i, key)
+
+    def test_one_slice_starts_no_thread(self, net, rows, monkeypatch):
+        _cpus(monkeypatch, 3)
+
+        def refuse(thread):
+            raise AssertionError("a one-slice call started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        for n in (1, m.EMBED_SLICE):
+            assert net.forward_probs(rows[:n])["latents"].shape == (n, 128)
+        assert net.forward_probs(rows[0])["latents"].shape == (128,)
+
+    def test_a_helpers_error_is_raised_in_the_caller(self, net, rows, monkeypatch):
+        # helpers embed with a NaN planted in their slice; the calling thread
+        # holds its first slice until a helper has failed, so every slice but
+        # that one is left to the helpers
+        _cpus(monkeypatch, 3)
+        embed, failed = m.ProtoEEGNet.embed, threading.Event()
+
+        def embed_with_a_nan_off_the_caller(self, values):
+            if threading.current_thread() is threading.main_thread():
+                assert failed.wait(10)
+                return embed(self, values)
+            values = values.copy()
+            values[0, 5, 5] = np.nan
+            try:
+                return embed(self, values)
+            except NumericError:
+                failed.set()
+                raise
+
+        monkeypatch.setattr(m.ProtoEEGNet, "embed", embed_with_a_nan_off_the_caller)
+        before = threading.active_count()
+        with pytest.raises(NumericError):
+            net.forward_probs(rows[:3 * m.EMBED_SLICE])
+        assert failed.is_set()
+        assert threading.active_count() == before
 
 
 def _reference_embed(net, window):
