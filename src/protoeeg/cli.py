@@ -3,13 +3,16 @@
 Subcommands: synth, preprocess, split, train, eval, push, explain, report.
 Every one of them accepts ``--seed``, ``--config`` (a UTF-8 JSON file) and
 ``--out`` (the run directory; no subcommand writes anywhere else).  Config
-resolution is defaults <- file <- command-line flags, key by key; an unknown
-key or a value of the wrong type, at any depth, fails fast naming its path.
+resolution is defaults <- file <- command-line flags, key by key.  One
+decoder, `container.decode`, reads configs (exit 1) and artifacts, that is
+manifests and checkpoint headers (exit 2): an unknown, repeated, missing or
+ill-typed key, at any depth, fails fast naming its path.  An int may stand
+for a float, and null only for a prototype's provenance before its push.
 
 The resolved configuration, the seed, the inputs (each file the command
-read, a dataset's manifest too, with the sha256 of the bytes read) and the
-outputs (the files this command wrote, hashed as written) land in
-``<out>/resolved_config.json``.  With the same numpy/BLAS build that is
+read, the config file and a dataset's manifest too, with the sha256 of the
+bytes read) and the outputs (the files this command wrote, hashed as
+written) land in ``<out>/resolved_config.json``.  With the same numpy/BLAS build that is
 enough to reproduce a run bit for bit; ``train`` also needs the same BLAS
 thread count, which the record does not store.
 
@@ -24,16 +27,15 @@ import argparse
 import hashlib
 import io
 import json
-import math
 import sys
-from dataclasses import MISSING, asdict, fields, is_dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dataset as ds
 from . import sigproc
-from .container import read_bytes, recording, write_json
+from .container import decode, loads, read_bytes, recording, write_json
 from .dataset import (DatasetManifest, SynthConfig, generate_synthetic, load,
                       make_windows, rows_of, save, split_windows)
 from .errors import (ConfigurationError, ContractError, DataFormatError,
@@ -63,64 +65,24 @@ def _load_config_file(path) -> dict:
     p = Path(path)
     if not p.exists():
         raise DataFormatError(f"config file {p} does not exist")
-    try:
-        raw = json.loads(p.read_text("utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataFormatError(f"config file {p} is not valid JSON: {exc}") from exc
+    raw = loads(read_bytes(p, "config"), ConfigurationError, f"config file {p}")
     if not isinstance(raw, dict):
         raise DataFormatError(f"config file {p} must hold a JSON object")
     return raw
 
 
-def _check(key: str, value, template) -> None:
-    """Reject a value whose JSON type disagrees with its default's, leaf by
-    leaf: object keys must exist in the default, and each list element must
-    match the default list's elements.  An int may stand for a float; a bool
-    stands for no number, and NaN or an infinity for no config value."""
-    if isinstance(template, dict):
-        want, ok = "an object", isinstance(value, dict)
-    elif isinstance(template, (list, tuple)):
-        want, ok = "a list", isinstance(value, (list, tuple))
-    elif isinstance(template, bool):
-        want, ok = "a boolean", isinstance(value, bool)
-    elif isinstance(template, int):
-        want, ok = "an integer", isinstance(value, int) and not isinstance(value, bool)
-    elif isinstance(template, float):
-        want = "a number"
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    else:
-        want, ok = "a string", isinstance(value, str)
-    if not ok:
-        raise ConfigurationError(
-            f"config key {key!r} expects {want}, got {type(value).__name__}")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigurationError(f"config key {key!r} expects a finite number, got {value}")
-    if isinstance(template, dict):
-        for sub, item in value.items():
-            if sub not in template:
-                raise ConfigurationError(f"unknown config key {f'{key}.{sub}'!r}")
-            _check(f"{key}.{sub}", item, template[sub])
-    elif isinstance(template, (list, tuple)) and template:
-        for i, item in enumerate(value):
-            _check(f"{key}[{i}]", item, template[0])
-
-
 def resolve_config(defaults: dict, config_path, overrides: dict,
                    required=()) -> dict:
-    """defaults <- JSON file <- CLI flags; later sources win key by key.
+    """defaults <- JSON file <- CLI flags; later sources win key by key, at
+    every depth.
 
     Every file value and every override that is not None is checked against
-    its default with `_check`; a key in `required` must come from one of
-    them, and a seed must be non-negative.
+    its default by `container.decode`; a key in `required` must come from one
+    of them, and a seed must be non-negative.
     """
-    merged = dict(defaults)
     given = {**_load_config_file(config_path),
              **{k: v for k, v in overrides.items() if v is not None}}
-    for key, value in given.items():
-        if key not in merged:
-            raise ConfigurationError(f"unknown config key {key!r}")
-        _check(key, value, defaults[key])
-        merged[key] = value
+    merged = decode(defaults, given, ConfigurationError, "config")
     for key in required:
         if key not in given:
             raise UsageError(f"config key {key!r} must come from a flag or the config file")
@@ -128,27 +90,6 @@ def resolve_config(defaults: dict, config_path, overrides: dict,
         raise ConfigurationError(
             f"config key 'seed' must be a non-negative integer, got {merged['seed']}")
     return merged
-
-
-def _build(cls, merged: dict):
-    """Build config dataclass `cls` from a checked dict.  Nested dataclasses
-    are built the same way, keys a dict leaves out keep their field defaults,
-    and a list becomes a tuple where the default is one."""
-    kwargs = {}
-    for f in fields(cls):
-        if f.name not in merged:
-            continue
-        value = merged[f.name]
-        default = f.default if f.default_factory is MISSING else f.default_factory()
-        if is_dataclass(default):
-            value = _build(type(default), value)
-        elif isinstance(default, tuple):
-            value = tuple(value)
-        kwargs[f.name] = value
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad config value: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -200,11 +141,11 @@ def _read_model_and_dataset(ns) -> tuple:
 
 
 def _cmd_synth(ns, out: Path) -> tuple:
-    defaults = asdict(SynthConfig(n_samples=1))  # n_samples: its type only
-    merged = resolve_config(defaults, ns.config,
+    default = SynthConfig(n_samples=1)  # n_samples: its type only
+    merged = resolve_config(asdict(default), ns.config,
                             {"n_samples": ns.n, "seed": ns.seed},
                             required=("n_samples",))
-    cfg = _build(SynthConfig, merged)
+    cfg = decode(default, merged, ConfigurationError, "config")
     windows, manifest = generate_synthetic(cfg)
     data_path = out / "dataset.peeg"
     save(windows, manifest, data_path)
@@ -333,7 +274,7 @@ def _cmd_train(ns, out: Path) -> tuple:
                             {"seed": ns.seed,
                              "num_train_epochs": ns.epochs,
                              "batch_size": ns.batch_size})
-    cfg = _build(TrainConfig, merged)
+    cfg = decode(TrainConfig(), merged, ConfigurationError, "config")
     windows, manifest = _read_dataset(ns.data, network=True)
     model, history = train(cfg, split_windows(windows, manifest, "train"),
                            split_windows(windows, manifest, "val"), out_dir=out)

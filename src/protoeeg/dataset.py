@@ -27,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import read_bytes, read_framed, write_atomic, write_framed
+from .container import (decode, loads, read_bytes, read_framed, write_atomic,
+                        write_framed)
 from .errors import ConfigurationError, DataFormatError, MissingSampleError
 
 CHANNELS = 37
@@ -147,19 +148,12 @@ def require_class_coverage(train, num_classes: int, purpose: str) -> None:
             f"class {int(missing[0])} has no training samples {purpose}")
 
 
-def _unique_keys(pairs) -> dict:
-    """A JSON object whose keys are distinct: a repeated key would silently
-    replace the value before it."""
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise DataFormatError(f"manifest repeats the key {key!r}")
-        seen.add(key)
-    return dict(pairs)
-
-
 @dataclass
 class DatasetManifest:
+    """A dataset's JSON sidecar, written as ``asdict`` and read by
+    :func:`.container.decode` against ``_TEMPLATE``, so every field is
+    required; its splits are held, and written, in ascending sample id."""
+
     version: int
     sample_count: int
     channel_count: int
@@ -170,63 +164,33 @@ class DatasetManifest:
     config_digest: str
     container_sha256: str = ""  # set by save
 
+    def __post_init__(self):
+        if min(self.sample_count, self.channel_count, self.time_steps) < 1:
+            raise DataFormatError("manifest counts and dimensions must be >= 1")
+        if not 0 < self.sample_rate_hz < math.inf:  # NaN fails too
+            raise DataFormatError(f"manifest sample_rate_hz {self.sample_rate_hz!r} "
+                                  f"is not a finite positive number")
+        for sid, name in self.splits.items():
+            if name not in SPLIT_NAMES:
+                raise DataFormatError(f"manifest split for sample {sid} is {name!r}")
+        self.splits = dict(sorted(self.splits.items()))
+
     def ids_for(self, split: str) -> list[int]:
         if split not in SPLIT_NAMES:
             raise ConfigurationError(f"unknown split {split!r}")
         return sorted(sid for sid, name in self.splits.items() if name == split)
 
-    def to_json(self) -> str:
-        return json.dumps({
-            "version": self.version,
-            "sample_count": self.sample_count,
-            "channel_count": self.channel_count,
-            "time_steps": self.time_steps,
-            "sample_rate_hz": self.sample_rate_hz,
-            "splits": {str(k): v for k, v in sorted(self.splits.items())},
-            "seed": self.seed,
-            "config_digest": self.config_digest,
-            "container_sha256": self.container_sha256,
-        }, indent=1)
-
     @classmethod
-    def from_json(cls, text: str) -> "DatasetManifest":
-        try:
-            raw = json.loads(text, object_pairs_hook=_unique_keys)
-        except json.JSONDecodeError as exc:
-            raise DataFormatError(f"manifest is not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise DataFormatError("manifest must hold a JSON object")
-        required = ("version", "sample_count", "channel_count", "time_steps",
-                    "sample_rate_hz", "splits", "seed", "config_digest",
-                    "container_sha256")
-        for key in required:
-            if key not in raw:
-                raise DataFormatError(f"manifest missing field {key!r}")
-        for key in ("version", "sample_count", "channel_count", "time_steps", "seed"):
-            if type(raw[key]) is not int:  # a JSON integer; bool is not one
-                raise DataFormatError(f"manifest {key} must be an integer, got {raw[key]!r}")
-        rate = raw["sample_rate_hz"]
-        if type(rate) not in (int, float) or not (math.isfinite(rate) and rate > 0):
-            raise DataFormatError(
-                f"manifest sample_rate_hz must be a finite positive number, got {rate!r}")
-        for key in ("config_digest", "container_sha256"):
-            if not isinstance(raw[key], str):
-                raise DataFormatError(f"manifest {key} must be a string")
-        if not isinstance(raw["splits"], dict):
-            raise DataFormatError("manifest splits must be a JSON object")
-        splits = {}
-        for key, name in raw["splits"].items():
-            # canonical decimal, so no two keys name one id; ids are u64
-            if not (key.isdecimal() and len(key) <= 20 and str(int(key)) == key):
-                raise DataFormatError(f"manifest split key {key!r} is not a canonical sample id")
-            if name not in SPLIT_NAMES:
-                raise DataFormatError(f"manifest split for sample {key} is {name!r}")
-            splits[int(key)] = name
-        return cls(version=raw["version"], sample_count=raw["sample_count"],
-                   channel_count=raw["channel_count"], time_steps=raw["time_steps"],
-                   sample_rate_hz=float(rate), splits=splits, seed=raw["seed"],
-                   config_digest=raw["config_digest"],
-                   container_sha256=raw["container_sha256"])
+    def from_json(cls, text) -> "DatasetManifest":
+        return decode(_TEMPLATE, loads(text, DataFormatError, "manifest"),
+                      DataFormatError, "manifest")
+
+
+# the decoder's template: one value of each field's type, and splits keyed by
+# an int, so that the manifest's keys are read as sample ids
+_TEMPLATE = DatasetManifest(version=FORMAT_VERSION, sample_count=1, channel_count=1,
+                            time_steps=1, sample_rate_hz=1.0, splits={0: "train"},
+                            seed=0, config_digest="")
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +359,8 @@ def save(windows, manifest: DatasetManifest, path) -> None:
     _check(windows)
     digest = write_framed(path, MAGIC, FORMAT_VERSION,
                           (len(windows), *windows.dtype["values"].shape), windows.tobytes())
-    write_atomic(manifest_path(path), replace(manifest, container_sha256=digest).to_json())
+    write_atomic(manifest_path(path),
+                 json.dumps(asdict(replace(manifest, container_sha256=digest)), indent=1))
 
 
 def load(path):
@@ -413,9 +378,10 @@ def load(path):
 
     mpath = manifest_path(path)
     try:
-        manifest = DatasetManifest.from_json(read_bytes(mpath, "manifest").decode("utf-8"))
-    except (OSError, UnicodeDecodeError) as exc:  # absent, or not UTF-8
+        blob = read_bytes(mpath, "manifest")
+    except OSError as exc:
         raise DataFormatError(f"cannot read manifest sidecar {mpath}: {exc}") from exc
+    manifest = DatasetManifest.from_json(blob)
     if manifest.container_sha256 != digest:
         raise DataFormatError(f"manifest {mpath} names a container of sha256 "
                               f"{manifest.container_sha256!r}, not {path} ({digest})")

@@ -52,15 +52,6 @@ class Explanation:
     binary: dict | None  # p_pos, p_neg, label; None unless the head covers the nine vote classes
     sections: tuple  # predicted class first, then by descending probability
 
-    def to_dict(self) -> dict:
-        return {
-            "sample_id": self.sample_id,
-            "predicted_class": self.predicted_class,
-            "probabilities": list(self.probabilities),
-            "binary": self.binary,
-            "sections": [asdict(s) for s in self.sections],
-        }
-
 
 def _require_provenance(model: ProtoEEGNet) -> None:
     if any(rec is None for rec in model.bank.provenance):
@@ -220,7 +211,7 @@ def render_report(explanation: Explanation, dataset, out_dir) -> dict:
 
     stem = f"explain_{explanation.sample_id}"
     paths = {kind: Path(out_dir) / f"{stem}.{kind}" for kind in ("json", "svg", "txt")}
-    write_json(paths["json"], explanation.to_dict())
+    write_json(paths["json"], asdict(explanation))
     write_atomic(paths["svg"],
                  _svg_report(explanation, index[explanation.sample_id], index) + "\n")
     write_atomic(paths["txt"], _text_report(explanation) + "\n")

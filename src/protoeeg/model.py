@@ -17,12 +17,12 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import diffcore as dc
-from .container import read_framed, write_framed
+from .container import decode, loads, read_framed, write_framed
 from .diffcore import Tensor
 from .errors import (
     ConfigurationError,
@@ -49,14 +49,19 @@ OFF_TAPE_CHUNK = 32
 EMBED_SLICE = 8
 
 MODEL_MAGIC = b"PEGM"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 
 
 @dataclass(frozen=True)
 class ConvBlock:
     out_channels: int
-    kernel: tuple[int, int]
+    kernel: tuple[int, int]  # (time, channel)
     stride: tuple[int, int]
+
+    def __post_init__(self):
+        if not len(self.kernel) == len(self.stride) == 2 or min(
+                self.out_channels, *self.kernel, *self.stride) < 1:
+            raise ConfigurationError(f"{self} needs sizes >= 1 and 2-d kernel and stride")
 
 
 DEFAULT_BLOCKS = (
@@ -84,8 +89,6 @@ class BackboneConfig:
                 raise ConfigurationError(
                     f"block {i}: kernel ({kh},{kw}) exceeds input ({t},{c})"
                 )
-            if sh < 1 or sw < 1 or b.out_channels < 1:
-                raise ConfigurationError(f"block {i}: non-positive stride or channels")
             t = (t - kh) // sh + 1
             c = (c - kw) // sw + 1
         if (t, c) != (1, 1):
@@ -104,19 +107,6 @@ class BackboneConfig:
                 f"got {self.blocks[-1].kernel[0]}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "blocks": [[b.out_channels, list(b.kernel), list(b.stride)]
-                       for b in self.blocks],
-            "latent_dim": self.latent_dim,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "BackboneConfig":
-        blocks = tuple(ConvBlock(int(o), (int(k[0]), int(k[1])), (int(s[0]), int(s[1])))
-                       for o, k, s in raw["blocks"])
-        return cls(blocks=blocks, latent_dim=int(raw["latent_dim"]))
-
 
 @dataclass
 class PushRecord:
@@ -128,23 +118,16 @@ class PushRecord:
     similarity: float
     epoch: int
 
-    @classmethod
-    def from_dict(cls, raw) -> "PushRecord":
-        return cls(prototype_class=int(raw["prototype_class"]),
-                   prototype_index=int(raw["prototype_index"]),
-                   source_sample_id=int(raw["source_sample_id"]),
-                   similarity=float(raw["similarity"]), epoch=int(raw["epoch"]))
-
 
 @dataclass
 class PrototypeBank:
     vectors: Tensor  # (num_classes * per_class, latent_dim), unit rows
     num_classes: int = NUM_CLASSES
     per_class: int = PROTOS_PER_CLASS
-    provenance: list = field(default_factory=list)  # PushRecord | None per prototype
+    provenance: list | None = None  # PushRecord | None per prototype; all None by default
 
     def __post_init__(self):
-        if not self.provenance:
+        if self.provenance is None:
             self.provenance = [None] * self.count
 
     @property
@@ -322,7 +305,7 @@ class ProtoEEGNet:
 
     def config_digest(self) -> str:
         arch = {
-            "backbone": self.config.to_dict(),
+            "backbone": asdict(self.config),
             "num_classes": self.bank.num_classes,
             "per_class": self.bank.per_class,
         }
@@ -435,19 +418,46 @@ def _param_manifest(model: ProtoEEGNet) -> list[tuple[str, Tensor]]:
     return named
 
 
+@dataclass(frozen=True)
+class ParamSpec:
+    """One parameter block of a checkpoint, in payload order."""
+
+    name: str
+    shape: tuple[int, ...]
+
+    def __post_init__(self):
+        if min(self.shape, default=1) < 1:
+            raise ConfigurationError(f"block {self.name!r} has the shape {self.shape}")
+
+
+@dataclass(frozen=True)
+class CheckpointHeader:
+    """A checkpoint's JSON header, written as ``asdict`` and read by
+    :func:`.container.decode` against ``_HEADER``, so every field is required."""
+
+    backbone: BackboneConfig
+    num_classes: int
+    per_class: int
+    parameters: tuple[ParamSpec, ...]
+    provenance: tuple[PushRecord | None, ...]
+    config_digest: str
+
+
+# the decoder's template: one value of each field's type, and a provenance
+# entry that may be null, for a prototype not yet pushed
+_HEADER = CheckpointHeader(backbone=BackboneConfig(), num_classes=1, per_class=1,
+                           parameters=(ParamSpec("head", (1,)),),
+                           provenance=(PushRecord(0, 0, 0, 0.0, 0), None), config_digest="")
+
+
 def save_model(model: ProtoEEGNet, path) -> None:
     named = _param_manifest(model)
-    header = {
-        "format_version": MODEL_VERSION,
-        "config_digest": model.config_digest(),
-        "backbone": model.config.to_dict(),
-        "num_classes": model.bank.num_classes,
-        "per_class": model.bank.per_class,
-        "parameters": [{"name": n, "shape": list(t.data.shape)} for n, t in named],
-        "provenance": [asdict(p) if p is not None else None
-                       for p in model.bank.provenance],
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode()
+    header = CheckpointHeader(
+        backbone=model.config, num_classes=model.bank.num_classes,
+        per_class=model.bank.per_class,
+        parameters=tuple(ParamSpec(n, t.data.shape) for n, t in named),
+        provenance=tuple(model.bank.provenance), config_digest=model.config_digest())
+    header_bytes = json.dumps(asdict(header), sort_keys=True).encode()
     payload = bytearray(header_bytes)
     for _, t in named:
         payload += np.ascontiguousarray(t.data, dtype="<f8").tobytes()
@@ -460,39 +470,25 @@ def load_model(path) -> ProtoEEGNet:
     if len(payload) < header_len:
         raise DataFormatError("model file truncated: header shorter than declared")
     try:
-        header = json.loads(bytes(payload[:header_len]).decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DataFormatError(f"model header is not valid JSON: {exc}") from exc
-
-    try:
-        config = BackboneConfig.from_dict(header["backbone"])
-        num_classes = int(header["num_classes"])
-        per_class = int(header["per_class"])
-        specs = [(str(spec["name"]), tuple(int(d) for d in spec["shape"]))
-                 for spec in header["parameters"]]
-        provenance = [PushRecord.from_dict(p) if p is not None else None
-                      for p in header["provenance"]]
-        config_digest = header["config_digest"]
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise DataFormatError(
-            f"model header is missing or has an ill-typed field: {exc!r}") from exc
+        header = decode(_HEADER, loads(payload[:header_len], DataFormatError, "model header"),
+                        DataFormatError, "model header")
+    except ConfigurationError as exc:  # a value the header's dataclasses reject
+        raise DataFormatError(f"model header holds a bad value: {exc}") from exc
     offset = header_len
     tensors = {}
-    for name, shape in specs:
-        if min(shape, default=1) < 1:
-            raise DataFormatError(f"model header gives block {name!r} the shape {shape}")
-        count = math.prod(shape)
+    for spec in header.parameters:
+        count = math.prod(spec.shape)
         end = offset + count * 8
         if end > len(payload):
-            raise DataFormatError(f"model file truncated inside block {name!r}")
+            raise DataFormatError(f"model file truncated inside block {spec.name!r}")
         arr = np.frombuffer(payload, dtype="<f8", count=count,
-                            offset=offset).reshape(shape)
-        tensors[name] = Tensor(arr.copy(), requires_grad=True)
+                            offset=offset).reshape(spec.shape)
+        tensors[spec.name] = Tensor(arr.copy(), requires_grad=True)
         offset = end
     if offset != len(payload):
         raise DataFormatError("model file has trailing bytes after parameter blocks")
 
-    n_blocks = len(config.blocks)
+    n_blocks = len(header.backbone.blocks)
     try:
         conv = [tensors[f"conv{i}"] for i in range(n_blocks)]
         gains = [tensors[f"ln_gain{i}"] for i in range(n_blocks)]
@@ -500,12 +496,12 @@ def load_model(path) -> ProtoEEGNet:
         vectors, head = tensors["prototypes"], tensors["head"]
     except KeyError as exc:
         raise DataFormatError(f"model file lacks parameter block {exc}") from exc
-    bank = PrototypeBank(vectors=vectors, num_classes=num_classes,
-                         per_class=per_class, provenance=provenance)
+    bank = PrototypeBank(vectors=vectors, num_classes=header.num_classes,
+                         per_class=header.per_class, provenance=list(header.provenance))
     try:
-        model = ProtoEEGNet(config, conv, gains, biases, bank, head)
+        model = ProtoEEGNet(header.backbone, conv, gains, biases, bank, head)
     except ConfigurationError as exc:
         raise DataFormatError(f"model header disagrees with its blocks: {exc}") from exc
-    if model.config_digest() != config_digest:
+    if model.config_digest() != header.config_digest:
         raise DataFormatError("config digest mismatch in model header")
     return model

@@ -74,17 +74,35 @@ def train_data(values, labels, ids=None) -> tuple:
 
 
 def rewrite_header(path, edit) -> None:
-    """Drop or replace one checkpoint header key and recompute the trailer."""
+    """Drop (``{"drop": key}``) or replace (``{"set": (key, value)}``) one
+    checkpoint header key, or map the encoded header to new text
+    (``{"text": fn}``), and recompute the trailer.  The header is encoded
+    as `save_model` encodes it."""
     (header_len,), payload, _ = read_framed(path, m.MODEL_MAGIC, m.MODEL_VERSION, 1, "model")
     header = json.loads(bytes(payload[:header_len]))
     if "drop" in edit:
         del header[edit["drop"]]
-    else:
+    elif "set" in edit:
         key, value = edit["set"]
         header[key] = value
-    new_header = json.dumps(header, sort_keys=True).encode()
+    text = json.dumps(header, sort_keys=True)
+    new_header = (edit["text"](text) if "text" in edit else text).encode()
     write_framed(path, m.MODEL_MAGIC, m.MODEL_VERSION, (len(new_header),),
                  new_header + payload[header_len:])
+
+
+def key_path(steps) -> str:
+    """The path an error names: ``coefficients.clst``, ``push_epochs[0]``."""
+    return "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in steps)[1:]
+
+
+def same_json_type(value, default) -> bool:
+    """Whether JSON `value` has the type of `default`; an int may stand for a float."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):  # an int may stand for a float
+        return isinstance(value, (int, float))
+    return type(value) is type(default)
 
 
 @pytest.fixture

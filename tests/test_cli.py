@@ -24,10 +24,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import rewrite_header
+from conftest import key_path, rewrite_header, same_json_type
 import protoeeg
 from protoeeg import container
-from protoeeg.cli import _build, main, resolve_config
+from protoeeg.cli import main, resolve_config
+from protoeeg.container import decode
 from protoeeg.dataset import SynthConfig, load, save
 from protoeeg.errors import ConfigurationError, DataFormatError
 from protoeeg.losses import LossCoefficients
@@ -160,6 +161,12 @@ class TestResolveConfig:
         with pytest.raises(DataFormatError):
             resolve_config(self.DEFAULTS, tmp_path / "absent.json", {})
 
+    def test_integer_of_over_4300_digits_is_a_format_error(self, tmp_path):
+        f = tmp_path / "c.json"
+        f.write_text('{"alpha": ' + "1" * 5000 + "}")  # json.loads raises ValueError
+        with pytest.raises(DataFormatError, match="not valid JSON"):
+            resolve_config(self.DEFAULTS, f, {})
+
 
 class TestTypedConfig:
     """Every leaf of a config file is checked against its default's JSON type;
@@ -243,19 +250,6 @@ def _nodes(doc, steps=()):
         yield from _nodes(value, (*steps, step))
 
 
-def _key_path(steps) -> str:
-    """The path a config error names: ``coefficients.clst``, ``push_epochs[0]``."""
-    return "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in steps)[1:]
-
-
-def _same_json_type(value, default) -> bool:
-    if isinstance(value, bool) or isinstance(default, bool):
-        return type(value) is type(default)
-    if isinstance(default, float):  # an int may stand for a float
-        return isinstance(value, (int, float))
-    return type(value) is type(default)
-
-
 JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-10, 10), st.floats(allow_nan=False),
     st.text(max_size=4), st.lists(st.integers(0, 3), max_size=2),
@@ -278,12 +272,12 @@ def test_ill_typed_leaf_names_its_key_path(config_dir, data, which):
     node = doc
     for step in steps[:-1]:
         node = node[step]
-    node[steps[-1]] = data.draw(JSON_VALUES.filter(lambda v: not _same_json_type(v, old)))
+    node[steps[-1]] = data.draw(JSON_VALUES.filter(lambda v: not same_json_type(v, old)))
     f = config_dir / "c.json"
     f.write_text(json.dumps(doc))
     with pytest.raises(ConfigurationError) as info:
-        _build(type(default), resolve_config(asdict(default), f, {}))
-    assert f"'{_key_path(steps)}'" in str(info.value)
+        decode(default, resolve_config(asdict(default), f, {}), ConfigurationError, "config")
+    assert f"'{key_path(steps)}'" in str(info.value)
 
 
 SEEDS = st.integers(0, 2 ** 32)
@@ -318,11 +312,13 @@ def synth_configs(draw):
 @CONFIG_FUZZ
 @given(cfg=st.one_of(train_configs(), synth_configs()))
 def test_valid_config_survives_the_file_round_trip(config_dir, cfg):
-    assert _build(type(cfg), json.loads(json.dumps(asdict(cfg)))) == cfg
+    default = DEFAULT_CONFIGS["train" if isinstance(cfg, TrainConfig) else "synth"]
+    assert decode(default, json.loads(json.dumps(asdict(cfg))), ConfigurationError,
+                  "config") == cfg
     f = config_dir / "valid.json"
     f.write_text(json.dumps(asdict(cfg)))
-    default = DEFAULT_CONFIGS["train" if isinstance(cfg, TrainConfig) else "synth"]
-    assert _build(type(cfg), resolve_config(asdict(default), f, {})) == cfg
+    assert decode(default, resolve_config(asdict(default), f, {}), ConfigurationError,
+                  "config") == cfg
 
 
 class TestSynth:
@@ -355,6 +351,12 @@ class TestSynth:
         cfg.write_text(json.dumps({"n_samples": 5, "spoke_rate": 0.5}))
         assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "spoke_rate" in capsys.readouterr().err
+
+    def test_repeated_config_key_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text('{"n_samples": 5, "n_samples": 6}')
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "repeats the key 'n_samples'" in _one_line_error(capsys)
 
     @pytest.mark.parametrize("target", ["afile", "afile/sub"])
     def test_unwritable_out_is_file_error(self, tmp_path, capsys, target):
@@ -781,6 +783,7 @@ class TestRunRecord:
         assert sorted(_record(chain / "eval")["inputs"]) == ["dataset", "manifest", "model"]
         assert _record(chain / "eval")["inputs"]["manifest"]["path"] == str(
             chain / "split0" / "dataset.manifest.json")
+        assert _record(chain / "train0")["inputs"]["config"]["path"] == str(chain / "tiny.json")
         assert _record(chain / "preprocess")["inputs"] == {
             "input": {"path": str(chain / "raw.npz"), "sha256": _sha(chain / "raw.npz")}}
 
@@ -978,6 +981,18 @@ class TestEval:
                      "--rounds", "200", "--out", str(tmp_path / "ev")]) == 2
         err = capsys.readouterr().err
         assert "header" in err and "Traceback" not in err
+
+    def test_ill_typed_header_value_is_format_error(self, run_dir, data_dir, tmp_path,
+                                                    capsys):
+        model = tmp_path / "model.pegm"
+        model.write_bytes((run_dir / "model.pegm").read_bytes())
+        provenance = [asdict(r) for r in load_model(model).bank.provenance]
+        provenance[0]["epoch"] = 2.7  # read back as 2 by a casting reader
+        rewrite_header(model, {"set": ("provenance", provenance)})
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--data", str(data_dir),
+                     "--rounds", "200", "--out", str(tmp_path / "ev")]) == 2
+        assert "'provenance[0].epoch' expects an integer" in _one_line_error(capsys)
 
     def test_non_utf8_manifest_is_format_error(self, run_dir, data_dir, tmp_path,
                                               capsys):

@@ -8,11 +8,12 @@ import hashlib
 import json
 import struct
 import zlib
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import rewrite_header
+from conftest import key_path, rewrite_header, same_json_type
 from protoeeg import dataset as ds
 from protoeeg import model as m
 from protoeeg.cli import main
@@ -28,7 +29,9 @@ def valid(tmp_path_factory):
     root = tmp_path_factory.mktemp("valid")
     samples, manifest = ds.generate_synthetic(ds.SynthConfig(n_samples=6, seed=1))
     ds.save(samples, manifest, root / "d.peeg")
-    m.save_model(m.ProtoEEGNet.initialize(seed=0), root / "m.pegm")
+    net = m.ProtoEEGNet.initialize(seed=0)
+    net.bank.provenance[0] = m.PushRecord(0, 0, 3, 0.5, 2)  # the others not yet pushed
+    m.save_model(net, root / "m.pegm")
     return root
 
 
@@ -231,26 +234,55 @@ def test_manifest_from_arbitrary_text(text):
         pass
 
 
+def _replace_somewhere(data, doc, steps=()):
+    """(steps, old value) of one random path inside the object or list `doc`,
+    whose value there is replaced in place."""
+    key = data.draw(st.sampled_from(sorted(doc) if isinstance(doc, dict)
+                                    else range(len(doc))))
+    old = doc[key]
+    if isinstance(old, (dict, list)) and old and data.draw(st.integers(0, 3)):
+        return _replace_somewhere(data, old, (*steps, key))
+    doc[key] = data.draw(st.one_of(EDGE, JSON))
+    return (*steps, key), old
+
+
+def _at(doc, steps):
+    for step in steps:
+        doc = doc[step]
+    return doc
+
+
+def _reads_back_or_names(read, doc, steps, old, nullable=False) -> None:
+    """`read()` parses `doc`, whose value at `steps` replaced `old`, and
+    returns its own encoding.  A replacement of another JSON type (null is
+    of any type where `nullable`) must raise a DataFormatError naming its key
+    path; any other must raise one or read back unchanged."""
+    new = _at(doc, steps)
+    same = same_json_type(new, old) or (nullable and new is None)
+    try:
+        back = read()
+    except DataFormatError as exc:
+        assert same or f"'{key_path(steps)}" in str(exc), (steps, new, exc)
+        return
+    assert same, (steps, new)
+    assert _at(back, steps) == (float(new) if isinstance(old, float) else new), (steps, new)
+
+
 @FUZZ
 @given(data=st.data())
 def test_manifest_with_one_field_replaced(valid, data):
     raw = json.loads(ds.manifest_path(valid / "d.peeg").read_text("utf-8"))
     key = data.draw(st.sampled_from(sorted(raw)))
-    raw[key] = data.draw(st.one_of(EDGE, JSON))
-    try:
-        ds.DatasetManifest.from_json(json.dumps(raw))
-    except DataFormatError:
-        pass
+    old, raw[key] = raw[key], data.draw(st.one_of(EDGE, JSON))
+    _reads_back_or_names(
+        lambda: json.loads(json.dumps(asdict(ds.DatasetManifest.from_json(json.dumps(raw))))),
+        raw, (key,), old)
 
 
-def _replace_somewhere(data, doc):
-    """`doc` with the value at one random path inside it replaced."""
-    if isinstance(doc, (dict, list)) and doc and data.draw(st.integers(0, 3)):
-        key = data.draw(st.sampled_from(sorted(doc) if isinstance(doc, dict)
-                                        else range(len(doc))))
-        doc[key] = _replace_somewhere(data, doc[key])
-        return doc
-    return data.draw(st.one_of(EDGE, JSON))
+def _header(path) -> dict:
+    (header_len,), payload, _ = read_framed(path, m.MODEL_MAGIC, m.MODEL_VERSION, 1,
+                                            "model")
+    return json.loads(bytes(payload[:header_len]))
 
 
 @FUZZ
@@ -258,15 +290,16 @@ def _replace_somewhere(data, doc):
 def test_checkpoint_header_with_one_value_replaced(valid, data):
     path = valid / "m.pegm"
     original = path.read_bytes()
-    (header_len,), payload, _ = read_framed(path, m.MODEL_MAGIC, m.MODEL_VERSION, 1,
-                                            "model")
-    header = json.loads(bytes(payload[:header_len]))
-    key = data.draw(st.sampled_from(sorted(header)))
+    header = _header(path)
+    steps, old = _replace_somewhere(data, header)
     try:
-        rewrite_header(path, {"set": (key, _replace_somewhere(data, header[key]))})
-        try:
-            m.load_model(path)
-        except DataFormatError:
-            pass
+        rewrite_header(path, {"set": (steps[0], header[steps[0]])})
+
+        def read():
+            m.save_model(m.load_model(path), valid / "again.pegm")
+            return _header(valid / "again.pegm")
+        # a prototype not yet pushed has a null provenance
+        _reads_back_or_names(read, header, steps, old,
+                             nullable=len(steps) == 2 and steps[0] == "provenance")
     finally:
         path.write_bytes(original)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from protoeeg import dataset as ds
-from protoeeg.cli import _build, resolve_config
-from protoeeg.container import read_framed, recording, write_framed
+from protoeeg.cli import resolve_config
+from protoeeg.container import decode, read_framed, recording, write_framed
 from protoeeg.errors import ConfigurationError, DataFormatError, MissingSampleError
 
 
@@ -37,7 +37,8 @@ class TestSynthConfig:
 
     def test_roundtrip_dict(self):
         cfg = ds.SynthConfig(n_samples=5, seed=9, spike_rate=0.3)
-        again = _build(ds.SynthConfig, json.loads(json.dumps(dataclasses.asdict(cfg))))
+        again = decode(ds.SynthConfig(n_samples=1), json.loads(json.dumps(dataclasses.asdict(cfg))),
+                       ConfigurationError, "config")
         assert again == cfg
         assert again.digest() == cfg.digest()
 

@@ -2,6 +2,7 @@
 
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -123,7 +124,7 @@ class TestExplain:
     def test_json_roundtrip(self, pushed):
         net, samples, _ = pushed
         result = ex.explain(net, samples[2])
-        blob = json.dumps(result.to_dict(), sort_keys=True)
+        blob = json.dumps(asdict(result), sort_keys=True)
         parsed = json.loads(blob)
         assert parsed["sample_id"] == samples[2].sample_id
         assert parsed["predicted_class"] == result.predicted_class
@@ -139,7 +140,7 @@ class TestExplain:
         tr.push_prototypes(net, train, epoch=1)
         result = ex.explain(net, train[0])
         assert result.binary is None
-        assert result.to_dict()["binary"] is None
+        assert asdict(result)["binary"] is None
 
 
 class TestRenderReport:

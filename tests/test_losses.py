@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from protoeeg import diffcore as dc
-from protoeeg.cli import _build
+from protoeeg.container import decode
 from protoeeg import losses as ls
 from protoeeg import model as m
 from protoeeg.diffcore import Tensor
@@ -267,7 +267,8 @@ class TestErrors:
 
     def test_coef_dict_roundtrip(self):
         c = ls.LossCoefficients(crs_ent=2.0, l1=0.5)
-        assert _build(ls.LossCoefficients, json.loads(json.dumps(asdict(c)))) == c
+        assert decode(ls.LossCoefficients(), json.loads(json.dumps(asdict(c))),
+                      ConfigurationError, "config") == c
 
 
 def _tape(root):

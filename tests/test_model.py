@@ -1,6 +1,8 @@
+import json
 import os
 import sys
 import threading
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from numpy.testing import assert_allclose
 from conftest import rewrite_header
 
 from protoeeg import model as m
+from protoeeg.container import decode
 from protoeeg.dataset import make_windows
 from protoeeg.diffcore import Tensor
 from protoeeg.errors import (
@@ -54,8 +57,9 @@ class TestBackboneConfig:
             m.BackboneConfig(blocks=(m.ConvBlock(128, (10, 5), (2, 2)),)).validate()
 
     def test_dict_roundtrip(self):
-        cfg = m.BackboneConfig()
-        assert m.BackboneConfig.from_dict(cfg.to_dict()) == cfg
+        cfg = m.BackboneConfig(blocks=m.DEFAULT_BLOCKS[:3] + (m.ConvBlock(128, (10, 3), (1, 2)),))
+        doc = json.loads(json.dumps(asdict(cfg)))
+        assert decode(m.BackboneConfig(), doc, DataFormatError, "model header") == cfg
 
 
 class TestPrototypeInit:
@@ -414,11 +418,14 @@ def _shapes_with(name, shape) -> list:
 
 
 # the default table with a final time kernel of 9: the backbone ends at 2x1
-NONREDUCING_BACKBONE = {
-    "blocks": [[b.out_channels, list(b.kernel), list(b.stride)]
-               for b in m.DEFAULT_BLOCKS[:3]] + [[128, [9, 3], [1, 1]]],
-    "latent_dim": 128,
-}
+NONREDUCING_BACKBONE = asdict(m.BackboneConfig(
+    blocks=m.DEFAULT_BLOCKS[:3] + (m.ConvBlock(128, (9, 3), (1, 1)),)))
+
+
+def _first_pushed(**change) -> list:
+    """A provenance list whose first prototype has a push record, with
+    `change` applied to it, and the others none."""
+    return [{**asdict(m.PushRecord(0, 0, 7, 0.5, 2)), **change}] + [None] * 107
 
 
 class TestCheckpoint:
@@ -487,12 +494,25 @@ class TestCheckpoint:
         {"set": ("provenance", [None])},
         {"set": ("backbone", NONREDUCING_BACKBONE)},
         {"set": ("parameters", _shapes_with("conv0", [-1, 1, 5, 5]))},
+        # ill-typed values that a reader must not cast
+        {"set": ("per_class", 12.0)}, {"set": ("num_classes", "9")},
+        {"set": ("backbone", {**asdict(m.BackboneConfig()), "latent_dim": 128.9})},
+        {"set": ("parameters", _shapes_with("conv0", [16, 1, "5", 5]))},
+        {"set": ("provenance", _first_pushed(epoch=2.7))},
+        {"set": ("provenance", _first_pushed(similarity="0.5"))},
     ])
     def test_malformed_header_is_format_error(self, net, tmp_path, edit):
         path = tmp_path / "model.pegm"
         m.save_model(net, path)
         rewrite_header(path, edit)
         with pytest.raises(DataFormatError, match="header"):
+            m.load_model(path)
+
+    def test_repeated_header_key_is_format_error(self, net, tmp_path):
+        path = tmp_path / "model.pegm"
+        m.save_model(net, path)
+        rewrite_header(path, {"text": lambda t: t.replace("{", '{"per_class": 12, ', 1)})
+        with pytest.raises(DataFormatError, match="repeats the key 'per_class'"):
             m.load_model(path)
 
     def test_initialize_deterministic(self, tmp_path):

@@ -10,7 +10,8 @@ from scipy.optimize import minimize
 from conftest import train_data
 from protoeeg import model as m
 from protoeeg import training as tr
-from protoeeg.cli import _build, resolve_config
+from protoeeg.cli import resolve_config
+from protoeeg.container import decode
 from protoeeg.errors import ConfigurationError
 from protoeeg.losses import LossCoefficients
 
@@ -102,7 +103,8 @@ class TestTrainConfig:
     def test_dict_roundtrip(self):
         cfg = toy_config(joint_prototype_lr=0.02,
                          coefficients=LossCoefficients(sep=0.1))
-        again = _build(tr.TrainConfig, json.loads(json.dumps(asdict(cfg))))
+        again = decode(tr.TrainConfig(), json.loads(json.dumps(asdict(cfg))),
+                       ConfigurationError, "config")
         assert again == cfg
 
     def test_unknown_key_rejected(self, tmp_path):
