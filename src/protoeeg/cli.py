@@ -76,12 +76,14 @@ def resolve_config(defaults: dict, config_path, overrides: dict,
     """defaults <- JSON file <- CLI flags; later sources win key by key, at
     every depth.
 
-    Every file value and every override that is not None is checked against
-    its default by `container.decode`; a key in `required` must come from one
-    of them, and a seed must be non-negative.
+    `container.decode` checks every file value against its default, also one
+    that a flag replaces, then the file merged with every override that is
+    not None; a key in `required` must come from one of them, and a seed must
+    be non-negative.
     """
-    given = {**_load_config_file(config_path),
-             **{k: v for k, v in overrides.items() if v is not None}}
+    file_doc = _load_config_file(config_path)
+    decode(defaults, file_doc, ConfigurationError, "config")
+    given = {**file_doc, **{k: v for k, v in overrides.items() if v is not None}}
     merged = decode(defaults, given, ConfigurationError, "config")
     for key in required:
         if key not in given:
@@ -131,8 +133,6 @@ def _read_model_and_dataset(ns) -> tuple:
     p = Path(ns.model)
     if p.is_dir():
         p = p / "model.pegm"
-    elif not p.exists() and p.with_suffix(".pegm").exists():
-        p = p.with_suffix(".pegm")
     return (load_model(p), *_read_dataset(ns.data, network=True))
 
 

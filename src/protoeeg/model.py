@@ -49,7 +49,7 @@ OFF_TAPE_CHUNK = 32
 EMBED_SLICE = 8
 
 MODEL_MAGIC = b"PEGM"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -260,45 +260,41 @@ def _param_shapes(config: BackboneConfig, num_classes: int,
 class ProtoEEGNet:
     """Full network with grouped parameters for staged training."""
 
-    def __init__(self, config: BackboneConfig, conv_kernels, ln_gains, ln_biases,
-                 bank: PrototypeBank, head: Tensor):
+    def __init__(self, config: BackboneConfig, params: list, num_classes: int,
+                 per_class: int, provenance: list | None = None):
+        """Build the network from one array per parameter, in
+        :func:`_param_shapes` order."""
         config.validate()
         self.config = config
-        self.conv_kernels = conv_kernels
-        self.ln_gains = ln_gains
-        self.ln_biases = ln_biases
-        self.bank = bank
-        self.head = head
-        bank.validate()
-        shapes = _param_shapes(config, bank.num_classes, bank.per_class)
-        for (name, t), shape in zip(_param_manifest(self), shapes):
-            if t.data.shape != shape:
-                raise ConfigurationError(
-                    f"parameter {name} has shape {t.data.shape}, the config "
-                    f"expects {shape}"
-                )
+        tensors = [Tensor(p, requires_grad=True) for p in params]
+        self.conv_kernels = tensors[0:-2:3]
+        self.ln_gains = tensors[1:-2:3]
+        self.ln_biases = tensors[2:-2:3]
+        self.bank = PrototypeBank(vectors=tensors[-2], num_classes=num_classes,
+                                  per_class=per_class, provenance=provenance)
+        self.head = tensors[-1]
+        self.bank.validate()
 
     @classmethod
     def initialize(cls, config: BackboneConfig = BackboneConfig(), seed: int = 0,
                    num_classes: int = NUM_CLASSES,
                    per_class: int = PROTOS_PER_CLASS) -> "ProtoEEGNet":
-        config.validate()
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         shapes = _param_shapes(config, num_classes, per_class)[:-2]
         # He init: the fan-in of a kernel is c_in * kh * kw
-        conv_kernels = [Tensor(rng.standard_normal(s) * np.sqrt(2.0 / np.prod(s[1:])),
-                               requires_grad=True) for s in shapes[0::3]]
-        ln_gains = [Tensor(np.ones(s), requires_grad=True) for s in shapes[1::3]]
-        ln_biases = [Tensor(np.zeros(s), requires_grad=True) for s in shapes[2::3]]
+        kernels = [rng.standard_normal(s) * np.sqrt(2.0 / np.prod(s[1:])) for s in shapes[0::3]]
+        params = [p for k, s in zip(kernels, shapes[1::3]) for p in (k, np.ones(s), np.zeros(s))]
         bank = init_prototypes(rng.integers(0, 2**63 - 1), num_classes=num_classes,
                                per_class=per_class, latent_dim=config.latent_dim)
         head = init_head(num_classes=num_classes, per_class=per_class)
-        return cls(config, conv_kernels, ln_gains, ln_biases, bank, head)
+        return cls(config, [*params, bank.vectors.data, head.data], num_classes, per_class)
 
     # -- parameter groups ----------------------------------------------------
 
     def all_parameters(self) -> list[Tensor]:
-        return [t for _, t in _param_manifest(self)]
+        """Every parameter, in :func:`_param_shapes` order."""
+        blocks = zip(self.conv_kernels, self.ln_gains, self.ln_biases)
+        return [t for block in blocks for t in block] + [self.bank.vectors, self.head]
 
     def backbone_parameters(self) -> list[Tensor]:
         return self.all_parameters()[:-2]
@@ -405,29 +401,11 @@ class ProtoEEGNet:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: one framed container whose one field is the header length
-
-
-def _param_manifest(model: ProtoEEGNet) -> list[tuple[str, Tensor]]:
-    named = []
-    for i, (k, g, b) in enumerate(zip(model.conv_kernels, model.ln_gains,
-                                      model.ln_biases)):
-        named.extend([(f"conv{i}", k), (f"ln_gain{i}", g), (f"ln_bias{i}", b)])
-    named.append(("prototypes", model.bank.vectors))
-    named.append(("head", model.head))
-    return named
-
-
-@dataclass(frozen=True)
-class ParamSpec:
-    """One parameter block of a checkpoint, in payload order."""
-
-    name: str
-    shape: tuple[int, ...]
-
-    def __post_init__(self):
-        if min(self.shape, default=1) < 1:
-            raise ConfigurationError(f"block {self.name!r} has the shape {self.shape}")
+# checkpoint format: one framed container whose one field is the header
+# length.  The payload is the JSON header, then every parameter as
+# little-endian float64 in `_param_shapes` order: the architecture the header
+# names fixes each block's shape, so the header lists none, and a payload of
+# any other size is rejected before anything is allocated.
 
 
 @dataclass(frozen=True)
@@ -438,28 +416,31 @@ class CheckpointHeader:
     backbone: BackboneConfig
     num_classes: int
     per_class: int
-    parameters: tuple[ParamSpec, ...]
     provenance: tuple[PushRecord | None, ...]
     config_digest: str
+
+    def __post_init__(self):
+        # with these, every block `_param_shapes` gives is non-empty
+        if min(self.num_classes, self.per_class, self.backbone.latent_dim) < 1:
+            raise ConfigurationError(
+                f"num_classes {self.num_classes}, per_class {self.per_class} and "
+                f"latent_dim {self.backbone.latent_dim} must each be >= 1")
 
 
 # the decoder's template: one value of each field's type, and a provenance
 # entry that may be null, for a prototype not yet pushed
 _HEADER = CheckpointHeader(backbone=BackboneConfig(), num_classes=1, per_class=1,
-                           parameters=(ParamSpec("head", (1,)),),
                            provenance=(PushRecord(0, 0, 0, 0.0, 0), None), config_digest="")
 
 
 def save_model(model: ProtoEEGNet, path) -> None:
-    named = _param_manifest(model)
     header = CheckpointHeader(
         backbone=model.config, num_classes=model.bank.num_classes,
-        per_class=model.bank.per_class,
-        parameters=tuple(ParamSpec(n, t.data.shape) for n, t in named),
-        provenance=tuple(model.bank.provenance), config_digest=model.config_digest())
+        per_class=model.bank.per_class, provenance=tuple(model.bank.provenance),
+        config_digest=model.config_digest())
     header_bytes = json.dumps(asdict(header), sort_keys=True).encode()
     payload = bytearray(header_bytes)
-    for _, t in named:
+    for t in model.all_parameters():
         payload += np.ascontiguousarray(t.data, dtype="<f8").tobytes()
     write_framed(path, MODEL_MAGIC, MODEL_VERSION, (len(header_bytes),), payload)
 
@@ -474,32 +455,18 @@ def load_model(path) -> ProtoEEGNet:
                         DataFormatError, "model header")
     except ConfigurationError as exc:  # a value the header's dataclasses reject
         raise DataFormatError(f"model header holds a bad value: {exc}") from exc
-    offset = header_len
-    tensors = {}
-    for spec in header.parameters:
-        count = math.prod(spec.shape)
-        end = offset + count * 8
-        if end > len(payload):
-            raise DataFormatError(f"model file truncated inside block {spec.name!r}")
-        arr = np.frombuffer(payload, dtype="<f8", count=count,
-                            offset=offset).reshape(spec.shape)
-        tensors[spec.name] = Tensor(arr.copy(), requires_grad=True)
-        offset = end
-    if offset != len(payload):
-        raise DataFormatError("model file has trailing bytes after parameter blocks")
-
-    n_blocks = len(header.backbone.blocks)
+    shapes = _param_shapes(header.backbone, header.num_classes, header.per_class)
+    sizes = [math.prod(s) for s in shapes]
+    if 8 * sum(sizes) != len(payload) - header_len:
+        raise DataFormatError(
+            f"model file holds {len(payload) - header_len} parameter bytes, but the "
+            f"architecture its header names needs {8 * sum(sizes)}")
+    flat = np.frombuffer(payload, dtype="<f8", offset=header_len).copy()
+    params = [block.reshape(s) for block, s in
+              zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
     try:
-        conv = [tensors[f"conv{i}"] for i in range(n_blocks)]
-        gains = [tensors[f"ln_gain{i}"] for i in range(n_blocks)]
-        biases = [tensors[f"ln_bias{i}"] for i in range(n_blocks)]
-        vectors, head = tensors["prototypes"], tensors["head"]
-    except KeyError as exc:
-        raise DataFormatError(f"model file lacks parameter block {exc}") from exc
-    bank = PrototypeBank(vectors=vectors, num_classes=header.num_classes,
-                         per_class=header.per_class, provenance=list(header.provenance))
-    try:
-        model = ProtoEEGNet(header.backbone, conv, gains, biases, bank, head)
+        model = ProtoEEGNet(header.backbone, params, header.num_classes, header.per_class,
+                            list(header.provenance))
     except ConfigurationError as exc:
         raise DataFormatError(f"model header disagrees with its blocks: {exc}") from exc
     if model.config_digest() != header.config_digest:

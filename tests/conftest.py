@@ -75,8 +75,9 @@ def train_data(values, labels, ids=None) -> tuple:
 
 def rewrite_header(path, edit) -> None:
     """Drop (``{"drop": key}``) or replace (``{"set": (key, value)}``) one
-    checkpoint header key, or map the encoded header to new text
-    (``{"text": fn}``), and recompute the trailer.  The header is encoded
+    checkpoint header key, map the encoded header to new text
+    (``{"text": fn}``) or the parameter bytes after it to new bytes
+    (``{"payload": fn}``), and recompute the trailer.  The header is encoded
     as `save_model` encodes it."""
     (header_len,), payload, _ = read_framed(path, m.MODEL_MAGIC, m.MODEL_VERSION, 1, "model")
     header = json.loads(bytes(payload[:header_len]))
@@ -87,8 +88,9 @@ def rewrite_header(path, edit) -> None:
         header[key] = value
     text = json.dumps(header, sort_keys=True)
     new_header = (edit["text"](text) if "text" in edit else text).encode()
+    params = bytes(payload[header_len:])
     write_framed(path, m.MODEL_MAGIC, m.MODEL_VERSION, (len(new_header),),
-                 new_header + payload[header_len:])
+                 new_header + edit.get("payload", lambda b: b)(params))
 
 
 def key_path(steps) -> str:

@@ -140,6 +140,17 @@ class TestResolveConfig:
         with pytest.raises(ConfigurationError, match="alpha"):
             resolve_config(self.DEFAULTS, f, {})
 
+    def test_file_value_a_flag_replaces_is_checked(self, tmp_path):
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps({"alpha": "lots"}))
+        with pytest.raises(ConfigurationError, match="alpha"):
+            resolve_config(self.DEFAULTS, f, {"alpha": 3})
+
+    def test_flag_list_replaces_an_empty_file_list(self, tmp_path):
+        f = tmp_path / "c.json"
+        f.write_text(json.dumps({"flags": []}))
+        assert resolve_config(self.DEFAULTS, f, {"flags": [3]})["flags"] == [3]
+
     def test_int_is_acceptable_for_a_float_key(self, tmp_path):
         f = tmp_path / "c.json"
         f.write_text(json.dumps({"beta": 2}))
@@ -994,6 +1005,16 @@ class TestEval:
                      "--rounds", "200", "--out", str(tmp_path / "ev")]) == 2
         assert "'provenance[0].epoch' expects an integer" in _one_line_error(capsys)
 
+    def test_extra_parameter_block_is_format_error(self, run_dir, data_dir, tmp_path,
+                                                   capsys):
+        model = tmp_path / "model.pegm"
+        model.write_bytes((run_dir / "model.pegm").read_bytes())
+        rewrite_header(model, {"payload": lambda b: b + bytes(24)})
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--data", str(data_dir),
+                     "--rounds", "200", "--out", str(tmp_path / "ev")]) == 2
+        assert "architecture its header names" in _one_line_error(capsys)
+
     def test_non_utf8_manifest_is_format_error(self, run_dir, data_dir, tmp_path,
                                               capsys):
         bad = _copy_with_manifest(data_dir, tmp_path / "bad", lambda raw: None)
@@ -1018,6 +1039,14 @@ class TestEval:
     def test_missing_model_is_format_error(self, data_dir, tmp_path):
         assert main(["eval", "--model", str(tmp_path / "nope.pegm"),
                      "--data", str(data_dir), "--out", str(tmp_path / "o")]) == 2
+
+    def test_model_path_is_not_completed_with_a_suffix(self, run_dir, data_dir, tmp_path,
+                                                       capsys):
+        (tmp_path / "m.pegm").write_bytes((run_dir / "model.pegm").read_bytes())
+        capsys.readouterr()
+        assert main(["eval", "--model", str(tmp_path / "m"), "--data", str(data_dir),
+                     "--rounds", "200", "--out", str(tmp_path / "o")]) == 2
+        assert "cannot read model file" in _one_line_error(capsys)
 
 
 class TestPush:

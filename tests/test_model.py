@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import struct
 import sys
 import threading
 from dataclasses import asdict
@@ -11,7 +13,7 @@ from numpy.testing import assert_allclose
 from conftest import rewrite_header
 
 from protoeeg import model as m
-from protoeeg.container import decode
+from protoeeg.container import decode, read_framed, write_framed
 from protoeeg.dataset import make_windows
 from protoeeg.diffcore import Tensor
 from protoeeg.errors import (
@@ -410,16 +412,13 @@ def _reference_embed(net, window):
     return z / np.linalg.norm(z)
 
 
-def _shapes_with(name, shape) -> list:
-    """The default model's parameter table with one block's shape replaced."""
-    net = m.ProtoEEGNet.initialize(seed=0)
-    return [{"name": n, "shape": list(shape) if n == name else list(t.data.shape)}
-            for n, t in m._param_manifest(net)]
-
-
 # the default table with a final time kernel of 9: the backbone ends at 2x1
 NONREDUCING_BACKBONE = asdict(m.BackboneConfig(
     blocks=m.DEFAULT_BLOCKS[:3] + (m.ConvBlock(128, (9, 3), (1, 1)),)))
+
+
+# the default head block: 9 x 108 little-endian float64
+HEAD_BYTES = 8 * m.NUM_CLASSES * m.NUM_CLASSES * m.PROTOS_PER_CLASS
 
 
 def _first_pushed(**change) -> list:
@@ -486,18 +485,20 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("edit", [
         {"drop": "backbone"}, {"drop": "num_classes"}, {"drop": "per_class"},
-        {"drop": "parameters"}, {"set": ("num_classes", "nine")},
-        {"set": ("parameters", 5)}, {"set": ("backbone", [1, 2])},
-        # well-formed headers that disagree with the blocks they describe
-        {"set": ("parameters", _shapes_with("head", [108, 9]))},
-        {"set": ("parameters", _shapes_with("conv0", [16, 1, 25, 1]))},
+        {"set": ("num_classes", "nine")}, {"set": ("backbone", [1, 2])},
+        # the parameter table of a version-3 header is an unknown key
+        {"set": ("parameters", [{"name": "head", "shape": [9, 108]}])},
+        # well-formed headers that disagree with the payload after them
         {"set": ("provenance", [None])},
         {"set": ("backbone", NONREDUCING_BACKBONE)},
-        {"set": ("parameters", _shapes_with("conv0", [-1, 1, 5, 5]))},
+        {"set": ("num_classes", 0)}, {"set": ("num_classes", -1)},
+        {"set": ("per_class", 0)}, {"set": ("per_class", -1)},
+        {"payload": lambda b: b + bytes(24)},  # an extra block of 3 values
+        {"payload": lambda b: b + np.full((9, 108), 7.0).tobytes()},  # the head twice
+        {"payload": lambda b: b[:-HEAD_BYTES]},  # no head
         # ill-typed values that a reader must not cast
         {"set": ("per_class", 12.0)}, {"set": ("num_classes", "9")},
         {"set": ("backbone", {**asdict(m.BackboneConfig()), "latent_dim": 128.9})},
-        {"set": ("parameters", _shapes_with("conv0", [16, 1, "5", 5]))},
         {"set": ("provenance", _first_pushed(epoch=2.7))},
         {"set": ("provenance", _first_pushed(similarity="0.5"))},
     ])
@@ -513,6 +514,28 @@ class TestCheckpoint:
         m.save_model(net, path)
         rewrite_header(path, {"text": lambda t: t.replace("{", '{"per_class": 12, ', 1)})
         with pytest.raises(DataFormatError, match="repeats the key 'per_class'"):
+            m.load_model(path)
+
+    def test_file_is_frame_head_header_parameters_and_trailer(self, net, tmp_path):
+        path = tmp_path / "model.pegm"
+        m.save_model(net, path)
+        blob = path.read_bytes()
+        magic, version, header_len = struct.unpack_from("<4sII", blob)
+        assert (magic, version) == (m.MODEL_MAGIC, m.MODEL_VERSION)
+        shapes = m._param_shapes(net.config, net.bank.num_classes, net.bank.per_class)
+        assert len(blob) == 12 + header_len + 8 * sum(math.prod(s) for s in shapes) + 32
+        assert sorted(json.loads(blob[12:12 + header_len])) == [
+            "backbone", "config_digest", "num_classes", "per_class", "provenance"]
+        assert blob[12 + header_len:-32] == b"".join(
+            t.data.astype("<f8").tobytes() for t in net.all_parameters())
+
+    def test_version_3_is_unsupported(self, net, tmp_path):
+        path = tmp_path / "model.pegm"
+        m.save_model(net, path)
+        (header_len,), payload, _ = read_framed(path, m.MODEL_MAGIC, m.MODEL_VERSION, 1,
+                                                "model")
+        write_framed(path, m.MODEL_MAGIC, 3, (header_len,), bytes(payload))
+        with pytest.raises(DataFormatError, match="unsupported model version 3"):
             m.load_model(path)
 
     def test_initialize_deterministic(self, tmp_path):
