@@ -91,11 +91,6 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
 
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise ContractError("tensor/tensor division is not supported")
-        return mul(self, _as_tensor(1.0 / float(other)))
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

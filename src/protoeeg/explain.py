@@ -17,7 +17,7 @@ from .container import write_atomic, write_json
 from .dataset import require_class_coverage, rows_of
 from .errors import ConfigurationError, NumericError, ProvenanceError
 from .evaluation import POSITIVE_VOTE_THRESHOLD, binary_scores
-from .model import ProtoEEGNet, points_contributed
+from .model import ProtoEEGNet, own_prototypes, points_contributed
 
 
 def _fmt(x: float) -> str:
@@ -80,20 +80,19 @@ def explain(model: ProtoEEGNet, sample, top_k: int = 3) -> Explanation:
     points = points_contributed(sims, model.head.data)  # (num_classes, count)
 
     bank = model.bank
-    order = sorted(range(bank.num_classes),
-                   key=lambda k: (k != predicted, -probs[k], k))
     sections = []
-    for k in order:
+    # descending probability, ties to the smaller class: the predicted
+    # class, the first maximum, comes first
+    for k in np.argsort(-probs, kind="stable").tolist():
         residual = float(logits[k]) - float(np.sum(points[k]))
         if abs(residual) > 1e-12:
             raise NumericError(
                 f"class {k} logit fails completeness: residual {residual!r}")
-        ranked = sorted(range(bank.count),
-                        key=lambda j: (-abs(points[k, j]), j))[:top_k]
+        # descending |points|, ties to the smaller prototype index
+        ranked = np.argsort(-np.abs(points[k]), kind="stable")[:top_k].tolist()
         rows = tuple(
             PrototypeRow(
-                prototype_class=bank.class_of(j),
-                prototype_index=j % bank.per_class,
+                *divmod(j, bank.per_class),
                 similarity=float(sims[j]),
                 class_connection=float(model.head.data[k, j]),
                 points=float(points[k, j]),
@@ -230,30 +229,28 @@ def global_prototype_report(model: ProtoEEGNet, train) -> dict:
     sample of their own class.
     """
     _require_provenance(model)
-    labels = train.votes
     bank = model.bank
     require_class_coverage(train, bank.num_classes, "to audit against")
 
     sims = model.forward_probs(train.values)["similarities"]  # (n, count)
-    rows, flagged = [], []
-    for j in range(bank.count):
-        c = bank.class_of(j)
-        on = sims[labels == c, j]
-        off = sims[labels != c, j]
-        max_off = float(off.max()) if off.size else -np.inf
-        rec = bank.provenance[j]
-        is_flagged = bool(max_off > float(on.max()))
+    own = own_prototypes(train.votes, bank)
+    max_on = np.where(own, sims, -np.inf).max(axis=0)
+    max_off = np.where(own, -np.inf, sims).max(axis=0)  # -inf with no off-class row
+    flagged = max_off > max_on
+    rows = []
+    for j, rec in enumerate(bank.provenance):
+        c, i = divmod(j, bank.per_class)
         rows.append({
             "prototype_class": c,
-            "prototype_index": j % bank.per_class,
+            "prototype_index": i,
             "source_sample_id": rec.source_sample_id,
             "push_similarity": rec.similarity,
             "push_epoch": rec.epoch,
-            "mean_on_class": float(on.mean()),
-            "max_on_class": float(on.max()),
-            "max_off_class": max_off,
-            "flagged": is_flagged,
+            # a 1-d mean per prototype: a masked sum over axis 0 adds in
+            # another order and rounds differently
+            "mean_on_class": float(sims[own[:, j], j].mean()),
+            "max_on_class": float(max_on[j]),
+            "max_off_class": float(max_off[j]),
+            "flagged": bool(flagged[j]),
         })
-        if is_flagged:
-            flagged.append(j)
-    return {"prototypes": rows, "flagged": flagged}
+    return {"prototypes": rows, "flagged": np.flatnonzero(flagged).tolist()}

@@ -20,7 +20,7 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import Tensor
 from .errors import ConfigurationError, DimensionError
-from .model import PrototypeBank, own_class_mask
+from .model import PrototypeBank, own_class_mask, own_prototypes
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ class BatchLossReport:
 def orthogonality_loss(bank: PrototypeBank) -> Tensor:
     """Sum over classes of ||P P^T - I||_F^2 for the class's prototype rows:
     one Gram of the whole bank, masked to its same-class blocks."""
-    classes = bank.prototype_classes()
-    same_class = own_class_mask(bank.num_classes, bank.per_class)[classes]
+    own = own_class_mask(bank.num_classes, bank.per_class)
+    same_class = own.T @ own
     gram = dc.mul(dc.linear(bank.vectors, bank.vectors), Tensor(same_class))
     diff = dc.sub(gram, Tensor(np.eye(bank.count)))
     return dc.tsum(dc.mul(diff, diff))
@@ -90,7 +90,7 @@ def total_loss(latents, labels, bank: PrototypeBank, head: Tensor,
     labels = np.asarray(labels, dtype=np.int64)
     sims = dc.linear(lat, bank.vectors)
     ce = dc.cross_entropy(dc.linear(sims, head), labels)  # checks the labels
-    own = own_class_mask(bank.num_classes, bank.per_class)[labels]
+    own = own_prototypes(labels, bank)
     clst = dc.neg(dc.tmean(dc.masked_rowmax(sims, own)))
     sep = dc.tmean(dc.masked_rowmax(sims, ~own))
     orth = orthogonality_loss(bank)

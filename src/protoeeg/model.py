@@ -134,15 +134,6 @@ class PrototypeBank:
     def count(self) -> int:
         return self.num_classes * self.per_class
 
-    def class_of(self, j: int) -> int:
-        return j // self.per_class
-
-    def class_slice(self, c: int) -> slice:
-        return slice(c * self.per_class, (c + 1) * self.per_class)
-
-    def prototype_classes(self) -> np.ndarray:
-        return np.repeat(np.arange(self.num_classes), self.per_class)
-
     def validate(self) -> None:
         if self.vectors.data.ndim != 2 or self.vectors.data.shape[0] != self.count:
             raise ConfigurationError(
@@ -177,10 +168,20 @@ def init_prototypes(seed, num_classes: int = NUM_CLASSES,
 def own_class_mask(num_classes: int, per_class: int) -> np.ndarray:
     """(num_classes, num_classes * per_class) bool, True where prototype j
     belongs to class k: row k owns the k-th contiguous block of columns.
-    Indexed by labels it marks each sample's own-class prototypes; indexed
-    by prototype classes it marks the same-class prototype pairs."""
+
+    The one statement of the prototype class layout: the head, the losses,
+    the refit, the push, the report and explanations all read it.  Its rows
+    picked by labels (:func:`own_prototypes`) mark each sample's own-class
+    prototypes; ``own.T @ own`` marks the same-class prototype pairs."""
     cols = np.arange(num_classes * per_class) // per_class
     return cols[None, :] == np.arange(num_classes)[:, None]
+
+
+def own_prototypes(labels, bank: PrototypeBank) -> np.ndarray:
+    """(N, count) bool: row i is the :func:`own_class_mask` row of label i,
+    and a label past the bank's last class owns no prototype."""
+    one_hot = np.asarray(labels)[:, None] == np.arange(bank.num_classes)
+    return one_hot @ own_class_mask(bank.num_classes, bank.per_class)
 
 
 def init_head(num_classes: int = NUM_CLASSES,
@@ -248,6 +249,11 @@ def _param_shapes(config: BackboneConfig, num_classes: int,
                   per_class: int) -> list[tuple]:
     """Parameter shapes in checkpoint order: conv kernel, LayerNorm gain and
     bias per block, then the prototypes and the head."""
+    # with these, every block is non-empty
+    if min(num_classes, per_class, config.latent_dim) < 1:
+        raise ConfigurationError(
+            f"num_classes {num_classes}, per_class {per_class} and "
+            f"latent_dim {config.latent_dim} must each be >= 1")
     shapes, c_in = [], 1
     for b in config.blocks:
         o = b.out_channels
@@ -419,13 +425,6 @@ class CheckpointHeader:
     provenance: tuple[PushRecord | None, ...]
     config_digest: str
 
-    def __post_init__(self):
-        # with these, every block `_param_shapes` gives is non-empty
-        if min(self.num_classes, self.per_class, self.backbone.latent_dim) < 1:
-            raise ConfigurationError(
-                f"num_classes {self.num_classes}, per_class {self.per_class} and "
-                f"latent_dim {self.backbone.latent_dim} must each be >= 1")
-
 
 # the decoder's template: one value of each field's type, and a provenance
 # entry that may be null, for a prototype not yet pushed
@@ -453,9 +452,9 @@ def load_model(path) -> ProtoEEGNet:
     try:
         header = decode(_HEADER, loads(payload[:header_len], DataFormatError, "model header"),
                         DataFormatError, "model header")
-    except ConfigurationError as exc:  # a value the header's dataclasses reject
+        shapes = _param_shapes(header.backbone, header.num_classes, header.per_class)
+    except ConfigurationError as exc:  # a value the dataclasses or the sizes reject
         raise DataFormatError(f"model header holds a bad value: {exc}") from exc
-    shapes = _param_shapes(header.backbone, header.num_classes, header.per_class)
     sizes = [math.prod(s) for s in shapes]
     if 8 * sum(sizes) != len(payload) - header_len:
         raise DataFormatError(

@@ -31,8 +31,8 @@ from .container import write_atomic
 from .dataset import require_class_coverage
 from .errors import ConfigurationError
 from .losses import LossCoefficients, total_loss
-from .model import (ProtoEEGNet, PushRecord, own_class_mask, save_model,
-                    similarities, softmax_rows)
+from .model import (ProtoEEGNet, PushRecord, own_class_mask, own_prototypes,
+                    save_model, similarities, softmax_rows)
 
 __all__ = [
     "TrainConfig", "TrainHistory", "stage_spans", "joint_lr_factor",
@@ -305,10 +305,11 @@ def push_prototypes(model, train, *, epoch: int = 0) -> tuple:
     """Snap each prototype onto its most similar same-class training latent.
 
     One `forward_probs` pass over the `train` windows gives the latents and
-    the similarities the classifier scores with.  Each class's rows are
-    scanned in ascending sample_id order and the first maximum wins, so
-    ties resolve to the smallest sample_id.  Prototype rows are overwritten
-    with the winning latents byte for byte.
+    the similarities the classifier scores with.  One argmax runs over the
+    rows in ascending sample_id order, each prototype's off-class rows
+    masked to -inf, and the first maximum wins, so ties resolve to the
+    smallest sample_id.  Prototype rows are overwritten with the winning
+    latents byte for byte.
 
     Returns (records, latents): the training windows' latents in `train`
     order, which the frozen-backbone head refit reuses.
@@ -319,15 +320,12 @@ def push_prototypes(model, train, *, epoch: int = 0) -> tuple:
     out = model.forward_probs(train.values)
     latents, sims = out["latents"], out["similarities"]
     order = np.argsort(train.sample_id, kind="stable")
-    winner = np.empty(bank.count, dtype=np.int64)
-    for c in range(bank.num_classes):
-        rows = order[train.votes[order] == c]
-        cols = bank.class_slice(c)
-        winner[cols] = rows[np.argmax(sims[rows, cols], axis=0)]
+    # coverage above leaves no column all -inf, whose argmax would be row 0
+    own = own_prototypes(train.votes[order], bank)
+    winner = order[np.argmax(np.where(own, sims[order], -np.inf), axis=0)]
 
     top = np.clip(sims[winner, np.arange(bank.count)], -1.0, 1.0)
-    records = [PushRecord(prototype_class=bank.class_of(j),
-                          prototype_index=j % bank.per_class,
+    records = [PushRecord(*divmod(j, bank.per_class),
                           source_sample_id=int(train.sample_id[winner[j]]),
                           similarity=float(top[j]), epoch=int(epoch))
                for j in range(bank.count)]

@@ -99,11 +99,6 @@ class TestTensorBasics:
         dc.backward(dc.tsum(dc.mul(x, x)))
         assert_allclose(x.grad, [6.0])
 
-    def test_division_by_tensor_rejected(self):
-        a, b = Tensor(np.ones(2)), Tensor(np.ones(2))
-        with pytest.raises(ContractError):
-            a / b
-
     def test_determinism(self, rng):
         x = rng.standard_normal((5, 7))
         labels = rng.integers(0, 7, size=5)

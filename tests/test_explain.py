@@ -1,5 +1,6 @@
 """Explanation accounting, report rendering, and the prototype audit."""
 
+import copy
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import asdict
@@ -112,6 +113,17 @@ class TestExplain:
                    for s in ex.explain(net, samples[0], top_k=99).sections)
         with pytest.raises(ConfigurationError):
             ex.explain(net, samples[0], top_k=0)
+
+    def test_equal_points_rank_by_prototype_index(self, pushed):
+        net, samples, _ = pushed
+        net = copy.deepcopy(net)
+        net.head.data[~m.own_class_mask(9, 2)] = 0.0  # every off-class row ties at 0
+        result = ex.explain(net, samples[3], top_k=net.bank.count)
+        for section in result.sections:
+            ranked = [(abs(r.points), r.prototype_class * 2 + r.prototype_index)
+                      for r in section.rows]
+            assert [mag for mag, _ in ranked].count(0.0) == net.bank.count - 2
+            assert ranked == sorted(ranked, key=lambda pair: (-pair[0], pair[1]))
 
     def test_sources_belong_to_prototype_class(self, pushed):
         net, samples, _ = pushed
@@ -251,7 +263,48 @@ class TestRenderReport:
             ex.render_report(result, pruned, tmp_path)
 
 
+def brute_force_report(net, train) -> dict:
+    """The audit one prototype at a time, with per-prototype row masks."""
+    sims = net.forward_probs(train.values)["similarities"]
+    per = net.bank.per_class
+    rows = []
+    for j, rec in enumerate(net.bank.provenance):
+        on = sims[train.votes == j // per, j]
+        off = sims[train.votes != j // per, j]
+        max_off = float(off.max()) if off.size else -np.inf
+        rows.append({"prototype_class": j // per, "prototype_index": j % per,
+                     "source_sample_id": rec.source_sample_id,
+                     "push_similarity": rec.similarity, "push_epoch": rec.epoch,
+                     "mean_on_class": float(on.mean()), "max_on_class": float(on.max()),
+                     "max_off_class": max_off, "flagged": bool(max_off > on.max())})
+    return {"prototypes": rows,
+            "flagged": [j for j, row in enumerate(rows) if row["flagged"]]}
+
+
 class TestGlobalPrototypeReport:
+    def test_equals_brute_force(self, pushed):
+        net, samples, _ = pushed
+        assert ex.global_prototype_report(net, samples) == brute_force_report(net, samples)
+
+    def test_flags_equal_brute_force(self, pushed):
+        net, samples, _ = pushed
+        net = copy.deepcopy(net)
+        latents = net.forward_probs(samples.values)["latents"]
+        # prototypes 0 and 7 (classes 0 and 3) take a class-5 window's latent
+        net.bank.vectors.data[[0, 7]] = latents[samples.votes == 5][:2]
+        report = ex.global_prototype_report(net, samples)
+        assert report["flagged"] == [0, 7]
+        assert report == brute_force_report(net, samples)
+
+    def test_votes_past_the_last_class_are_off_class(self):
+        values, labels = toy_windows(n_per_class=3, num_classes=6)
+        train, _ = train_data(values, labels)
+        net = m.ProtoEEGNet.initialize(config=TOY_ARCH, seed=2, num_classes=4,
+                                       per_class=2)
+        tr.push_prototypes(net, train, epoch=1)
+        report = ex.global_prototype_report(net, train)
+        assert report == brute_force_report(net, train)
+
     def test_requires_push(self, pushed):
         _, samples, _ = pushed
         fresh = m.ProtoEEGNet.initialize(config=TOY_ARCH, seed=5,

@@ -25,6 +25,7 @@ from protoeeg.errors import (
 )
 from protoeeg.evaluation import score_samples
 from protoeeg.explain import explain
+from protoeeg.training import push_prototypes
 
 
 @pytest.fixture(scope="module")
@@ -71,12 +72,27 @@ class TestPrototypeInit:
         assert np.max(np.abs(norms - 1.0)) < 1e-9
         bank.validate()
 
-    def test_count_and_class_layout(self):
+    def test_count_and_class_layout(self, windows):
         bank = m.init_prototypes(seed=3)
         assert bank.vectors.data.shape == (108, 128)
-        assert bank.class_of(0) == 0
-        assert bank.class_of(107) == 8
-        assert list(bank.prototype_classes()[:13]) == [0] * 12 + [1]
+        own = m.own_class_mask(9, 12)
+        assert np.array_equal(np.argmax(own, axis=0), np.repeat(np.arange(9), 12))
+        assert (own.sum(axis=0) == 1).all()
+        # a push names prototype j by its class and its slot in the class
+        net = m.ProtoEEGNet.initialize(seed=3, num_classes=3, per_class=2)
+        train = make_windows(np.arange(6) * 5, [2, 0, 1, 0, 2, 1], windows[:6])
+        records, _ = push_prototypes(net, train)
+        assert [(r.prototype_class, r.prototype_index) for r in records] == [
+            (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1)]
+        own = m.own_class_mask(3, 2)
+        for j, r in enumerate(records):
+            assert own[r.prototype_class, j]
+            assert train.votes[train.sample_id == r.source_sample_id].tolist() == [r.prototype_class]
+
+    @pytest.mark.parametrize("sizes", [{"per_class": 0}, {"num_classes": -1}])
+    def test_empty_class_layout_is_a_config_error(self, sizes):
+        with pytest.raises(ConfigurationError, match="must each be >= 1"):
+            m.ProtoEEGNet.initialize(**sizes)
 
     def test_deterministic(self):
         a = m.init_prototypes(seed=9)
@@ -109,6 +125,14 @@ class TestHeadInit:
     def test_own_class_entries_are_the_own_class_mask(self):
         # one definition serves the head, the losses and the refit
         assert np.array_equal(m.init_head(4, 3).data == 1.0, m.own_class_mask(4, 3))
+
+    def test_own_prototypes_are_mask_rows(self):
+        bank = m.init_prototypes(seed=0, num_classes=3, per_class=2, latent_dim=4)
+        own = m.own_prototypes(np.array([2, 0, 5, 1]), bank)
+        mask = m.own_class_mask(3, 2)
+        assert own.dtype == bool
+        assert np.array_equal(own[[0, 1, 3]], mask[[2, 0, 1]])
+        assert not own[2].any()  # a label past the last class owns no prototype
 
 
 class TestSimilarities:
