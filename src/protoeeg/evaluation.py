@@ -3,9 +3,10 @@
 The vote classes collapse to a binary task at the 4-vote threshold: the
 positive score averages the five high-vote class probabilities, the
 negative score the four low-vote ones, and a two-way softmax renormalizes
-the pair.  AUROC is the Mann-Whitney statistic over midranks (ties get
-half credit), one expression for the point estimate and for every
-bootstrap round.
+the pair.  AUROC is the Mann-Whitney pair count over per-score counts
+(Hanley & McNeil 1982), one expression for the point estimate and for every
+bootstrap round, whose counts are one `bincount` of its draws.  It needs
+numpy alone, so `eval` loads no scipy module.
 """
 
 from __future__ import annotations
@@ -13,14 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import (ConfigurationError, ContractError, DimensionError,
                      NumericError, UndefinedMetricError)
 
 POSITIVE_VOTE_THRESHOLD = 4
 AMBIGUOUS_VOTES = frozenset({3, 4, 5})
-# index draws per bootstrap block: bounds the block's rank temporaries
+# index draws per bootstrap block: bounds the block's count temporaries
 _BOOTSTRAP_BLOCK_DRAWS = 1 << 16
 
 
@@ -30,7 +30,6 @@ class BootstrapCI:
     lower: float
     upper: float
     rounds: int
-    seed: int
 
     def __post_init__(self):
         if not (self.lower <= self.point <= self.upper):
@@ -61,7 +60,9 @@ def binary_scores(probs) -> np.ndarray:
     return e_pos / (e_pos + e_neg)
 
 
-def _check_score_inputs(scores, labels):
+def _score_codes(scores, labels) -> np.ndarray:
+    """The checked windows' cells in a flat (n, 2) table of counts: 2 * the
+    rank of each score among the distinct scores, ascending, plus its label."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.ndim != 1 or labels.shape != scores.shape:
@@ -72,30 +73,27 @@ def _check_score_inputs(scores, labels):
         raise NumericError("scores contain non-finite values")
     if not np.all(np.isin(labels, (0, 1))):
         raise ContractError("labels must be binary (0 or 1)")
-    labels = labels.astype(np.int64)
     n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    if not 0 < n_pos < labels.size:
         raise UndefinedMetricError(
-            f"AUROC needs both classes (n_pos={n_pos}, n_neg={n_neg})")
-    return scores, labels, n_pos, n_neg
+            f"AUROC needs both classes (n_pos={n_pos}, n_neg={labels.size - n_pos})")
+    return 2 * np.unique(scores, return_inverse=True)[1] + labels.astype(np.int64)
 
 
-def _auroc_value(scores, labels, n_pos, n_neg):
-    """Mann-Whitney statistic via midranks (ties get half credit).
-
-    Ranks along the last axis, so a block of rows gives one value per row.
-    Midranks are half-integers, so the rank sums are exact in float64.
-    """
-    ranks = rankdata(scores, axis=-1)
-    return (((ranks * labels).sum(axis=-1) - n_pos * (n_pos + 1) / 2.0)
-            / (n_pos * n_neg))
+def _counts_auroc(counts) -> np.ndarray:
+    """AUROC of each (n, 2) table of negative and positive counts per
+    distinct score, ascending, in the last two axes.  2U = sum_k P_k *
+    (2 * N_below_k + N_k) counts a positive-negative pair twice, a tie once;
+    each term is an integer below 2n^2, so the one division rounds exactly."""
+    neg, pos = counts[..., 0], counts[..., 1]
+    twice_u = (pos * (2 * np.cumsum(neg, axis=-1) - neg)).sum(axis=-1)
+    return twice_u / (2 * pos.sum(axis=-1) * neg.sum(axis=-1))
 
 
 def auroc(scores, labels) -> float:
     """AUROC of binary labels under real-valued scores (higher = positive)."""
-    scores, labels, n_pos, n_neg = _check_score_inputs(scores, labels)
-    return float(_auroc_value(scores, labels, n_pos, n_neg))
+    codes = _score_codes(scores, labels)
+    return float(_counts_auroc(np.bincount(codes, minlength=2 * codes.size).reshape(-1, 2)))
 
 
 def ambiguity_mask(votes) -> np.ndarray:
@@ -114,28 +112,27 @@ def bootstrap_ci(scores, labels, rounds: int = 10000, seed: int = 0) -> Bootstra
     with redraws would keep.  The interval is widened (rarely) to include
     the point estimate, keeping lower <= point <= upper.
     """
-    scores, labels, n_pos, n_neg = _check_score_inputs(scores, labels)
+    point = auroc(scores, labels)
     if rounds < 1:
         raise ConfigurationError("bootstrap rounds must be >= 1")
-    point = float(_auroc_value(scores, labels, n_pos, n_neg))
-    n = scores.size
+    codes = _score_codes(scores, labels)
+    n = codes.size
     rows = min(rounds, max(1, _BOOTSTRAP_BLOCK_DRAWS // n))
+    offsets = 2 * n * np.arange(rows)[:, None]  # row r's table starts at 2nr
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     blocks = []
     kept = 0
     while kept < rounds:
-        idx = rng.integers(0, n, size=(rows, n))
-        drawn = labels[idx]
-        pos = drawn.sum(axis=1)
+        cells = codes[rng.integers(0, n, size=(rows, n))] + offsets
+        counts = np.bincount(cells.ravel(), minlength=2 * n * rows).reshape(rows, n, 2)
+        pos = counts[..., 1].sum(axis=1)
         valid = np.nonzero((pos > 0) & (pos < n))[0][:rounds - kept]
-        idx, drawn, pos = idx[valid], drawn[valid], pos[valid]
-        blocks.append(_auroc_value(scores[idx], drawn, pos, n - pos))
+        blocks.append(_counts_auroc(counts[valid]))
         kept += valid.size
     estimates = np.concatenate(blocks)
     lower, upper = np.percentile(estimates, [2.5, 97.5])
     return BootstrapCI(point=point, lower=float(min(lower, point)),
-                       upper=float(max(upper, point)), rounds=rounds,
-                       seed=seed)
+                       upper=float(max(upper, point)), rounds=rounds)
 
 
 def score_samples(model, windows) -> np.ndarray:
@@ -155,15 +152,13 @@ def metrics_from_scores(p_pos, votes, rounds: int = 10000, seed: int = 0) -> dic
         raise DimensionError("votes must align with scores")
     labels = (votes >= POSITIVE_VOTE_THRESHOLD).astype(np.int64)
 
-    unfiltered = auroc(p_pos, labels)
     ci_u = bootstrap_ci(p_pos, labels, rounds=rounds, seed=seed)
     keep = ambiguity_mask(votes)
-    filtered = auroc(p_pos[keep], labels[keep])
     ci_f = bootstrap_ci(p_pos[keep], labels[keep], rounds=rounds, seed=seed)
     return {
-        "auroc_unfiltered": unfiltered,
+        "auroc_unfiltered": ci_u.point,
         "ci_unfiltered": [ci_u.lower, ci_u.upper],
-        "auroc_filtered": filtered,
+        "auroc_filtered": ci_f.point,
         "ci_filtered": [ci_f.lower, ci_f.upper],
         "n_test": int(votes.size),
         "n_filtered": int(keep.sum()),

@@ -18,7 +18,8 @@ padding, so output spatial dims are ``(H - kh)//sh + 1`` by
 * ``conv2d_backward_input`` is one GEMM to patch gradients, then one
   product with a 0/1 ``scipy.sparse`` scatter matrix, built once per shape,
   that sums each patch gradient into the positions it was read from
-  (col2im) in a fixed order, without BLAS.
+  (col2im) in a fixed order, without BLAS.  ``scipy.sparse`` is imported
+  there, on the first backward pass, so inference loads no scipy module.
 
 ``conv2d_forward`` and ``conv2d_backward_input`` return channels-last
 arrays, and take inputs of any layout, channels-last ones without a copy.
@@ -29,7 +30,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from scipy import sparse
 
 # GEMMs with fewer rows than this are zero-padded to it (see module docstring)
 MIN_GEMM_ROWS = 32
@@ -70,10 +70,10 @@ def conv2d_forward(x: np.ndarray, kernels: np.ndarray, sh: int, sw: int) -> np.n
 
 
 @functools.lru_cache(maxsize=16)  # a build costs more than the product
-def _scatter_matrix(n: int, h: int, w: int, kh: int, kw: int, sh: int,
-                    sw: int) -> sparse.csc_array:
-    """0/1 (N*H*W, N*ho*wo*kh*kw) matrix whose column for patch entry
+def _scatter_matrix(n: int, h: int, w: int, kh: int, kw: int, sh: int, sw: int):
+    """0/1 (N*H*W, N*ho*wo*kh*kw) CSC array whose column for patch entry
     (n, oh, ow, i, j) holds one 1, at input position (n, oh*sh + i, ow*sw + j)."""
+    from scipy import sparse
     ho, wo = out_shape(h, w, kh, kw, sh, sw)
     s, oh, ow, i, j = np.ix_(np.arange(n), np.arange(ho), np.arange(wo),
                              np.arange(kh), np.arange(kw))

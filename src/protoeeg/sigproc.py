@@ -9,6 +9,8 @@ one cascade of second-order sections, runs the cascade as one `sosfilt`
 over a block of windows and resamples with one banded sparse product, so
 every column takes the same arithmetic alone or in a batch, and without
 BLAS: a window's bits depend on neither batch nor thread count.
+`scipy.signal` and `scipy.sparse` are imported inside the functions that
+call them, so importing this module loads no scipy module.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import signal as sps, sparse
 
 from .errors import ConfigurationError
 
@@ -45,6 +46,7 @@ def _filter_cascade(fs: float, notch_hz: float, notch_q: float, highpass_hz: flo
     if highpass_order != int(highpass_order) or highpass_order < 1:
         raise ConfigurationError(
             f"highpass order must be an integer >= 1, got {highpass_order}")
+    from scipy import signal as sps
     return np.vstack([sps.tf2sos(*sps.iirnotch(notch_hz, notch_q, fs=fs)),
                       sps.butter(int(highpass_order), highpass_hz, btype="highpass",
                                  fs=fs, output="sos")])
@@ -57,9 +59,10 @@ def resampled_length(n_in: int, fs_in: float, fs_out: float) -> int:
     return int(round(n_in * fs_out / fs_in))
 
 
-def _resampling_matrix(n_in: int, fs_in: float, fs_out: float) -> sparse.csr_array:
-    """Banded (n_out, n_in) Hann-windowed sinc weights, normalized per row;
+def _resampling_matrix(n_in: int, fs_in: float, fs_out: float):
+    """Banded (n_out, n_in) CSR array of Hann-windowed sinc weights, normalized per row;
     taps outside the window or off either end of the signal get weight 0."""
+    from scipy import sparse
     ratio = fs_in / fs_out                 # input samples per output sample
     rho = min(1.0, fs_out / fs_in)         # cutoff relative to input Nyquist
     half = _SINC_TAPS_PER_SIDE / rho
@@ -104,6 +107,7 @@ def preprocess_window(values: np.ndarray, fs_in: float,
     """Notch, then high-pass, then resample one (time, channel) window or a
     batch (n, time, channel), in float64.  The windows go through
     PREPROCESS_BLOCK at a time, each block converted to float64 on its own."""
+    from scipy import signal as sps
     x = np.asarray(values)
     batch = x if x.ndim == 3 else x[None]
     sos = _filter_cascade(fs_in, notch_hz, notch_q, highpass_hz, highpass_order)

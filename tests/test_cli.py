@@ -1122,6 +1122,27 @@ class TestInferenceThreadCount:
             assert digests[name, "1"] == digests[name, "2"], name
 
 
+def test_numpy_only_commands_load_no_scipy_module(run_dir, data_dir, tmp_path):
+    # scipy is imported only inside the preprocessing filters and the conv
+    # input gradient, so one fresh interpreter that runs every other command
+    # through main has loaded no scipy module
+    common = ["--model", str(run_dir), "--data", str(data_dir)]
+    sid = str(load(data_dir / "dataset.peeg")[1].ids_for("test")[0])
+    commands = [["synth", "--n", "20"], ["split", "--data", str(data_dir)],
+                ["eval", *common, "--rounds", "20"], ["explain", *common, "--sample-id", sid],
+                ["push", *common], ["report", *common]]
+    code = ("import json, sys; from protoeeg.cli import main\n"
+            "for k, argv in enumerate(json.loads(sys.argv[1])):\n"
+            "    assert main([*argv, '--out', f'{sys.argv[2]}/{k}']) == 0, argv\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))")
+    pkg = str(Path(protoeeg.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(commands), str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": pkg}, capture_output=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert json.loads(proc.stdout.decode().splitlines()[-1]) == []
+
+
 class TestReport:
     def test_prototype_report(self, run_dir, data_dir, tmp_path):
         out = tmp_path / "rep"

@@ -169,14 +169,24 @@ def reference_bootstrap(scores, labels, rounds, seed):
 
 
 class TestBootstrap:
-    @pytest.mark.parametrize("n", [3, 150])
-    def test_matches_round_by_round_reference(self, n):
+    @pytest.mark.parametrize("case", ["3", "150", "all_tied", "one_positive", "2000"])
+    def test_matches_round_by_round_reference(self, case):
+        n = {"all_tied": 40, "one_positive": 150}.get(case) or int(case)
         rng = np.random.default_rng(n)
-        if n == 3:  # about a third of all draws hold a single class
+        scores = rng.integers(0, 20, size=n) / 19.0  # ties
+        labels = rng.integers(0, 2, size=n)
+        if case == "3":  # about a third of all draws hold a single class
             scores, labels = np.array([0.3, 0.6, 0.4]), np.array([0, 1, 0])
-        else:
-            scores = rng.integers(0, 20, size=n) / 19.0  # ties
-            labels = rng.integers(0, 2, size=n)
+        elif case == "all_tied":  # every pair is a tie
+            scores = np.full(n, 0.5)
+        elif case == "one_positive":  # about 37% of all draws miss it
+            labels = np.zeros(n, dtype=np.int64)
+            labels[n // 3] = 1
+        elif case == "2000":
+            # 32 rows a block; about 13% of all draws miss both positives, so
+            # kept and dropped rows fall on both sides of block edges
+            labels = np.zeros(n, dtype=np.int64)
+            labels[[5, 1234]] = 1
         ci = ev.bootstrap_ci(scores, labels, rounds=2000, seed=5)
         assert (ci.point, ci.lower, ci.upper) == \
             reference_bootstrap(scores, labels, rounds=2000, seed=5)
@@ -233,6 +243,9 @@ class TestBootstrap:
     def test_rounds_must_be_positive(self):
         with pytest.raises(ConfigurationError):
             ev.bootstrap_ci([0.1, 0.9], [0, 1], rounds=0, seed=0)
+        # the scores are checked first
+        with pytest.raises(UndefinedMetricError):
+            ev.bootstrap_ci([0.1, 0.9], [1, 1], rounds=0, seed=0)
 
 
 TOY_ARCH = m.BackboneConfig(
