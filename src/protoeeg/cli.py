@@ -16,9 +16,10 @@ written) land in ``<out>/resolved_config.json``.  With the same numpy/BLAS build
 enough to reproduce a run bit for bit; ``train`` also needs the same BLAS
 thread count, which the record does not store.
 
-Exit codes: 0 success; 1 usage or configuration error; 2 data or file
-format error, or a file that cannot be read or written; 3 numeric failure
-during computation.
+Exit codes: 0 success; otherwise the ``exit_code`` of the error class
+raised: 1 `ConfigurationError` (usage or configuration); 2
+`DataFormatError` (data or file format), or an OSError, a file that cannot
+be read or written; 3 `NumericError` (numeric failure during computation).
 """
 
 from __future__ import annotations
@@ -38,22 +39,11 @@ from . import sigproc
 from .container import decode, loads, read_bytes, recording, write_json
 from .dataset import (DatasetManifest, SynthConfig, generate_synthetic, load,
                       make_windows, rows_of, save, split_windows)
-from .errors import (ConfigurationError, ContractError, DataFormatError,
-                     DegenerateInputError, DimensionError, MissingSampleError,
-                     NumericError, ProtoeegError, ProvenanceError,
-                     UndefinedMetricError, UsageError)
+from .errors import ConfigurationError, DataFormatError, ProtoeegError
 from .evaluation import POSITIVE_VOTE_THRESHOLD, metrics_from_scores, score_samples
 from .explain import explain, global_prototype_report, render_report
 from .model import INPUT_CHANNELS, INPUT_TIME, load_model, save_model
 from .training import TrainConfig, push_prototypes, train
-
-# exit code by error class; an OSError is a file the run could not read or write
-_EXIT_CODES = {UsageError: 1, ConfigurationError: 1,
-               DataFormatError: 2, MissingSampleError: 2, ProvenanceError: 2,
-               UndefinedMetricError: 2, OSError: 2,
-               NumericError: 3, DegenerateInputError: 3, DimensionError: 3,
-               ContractError: 3}
-
 
 # --------------------------------------------------------------------------
 # config resolution
@@ -87,7 +77,8 @@ def resolve_config(defaults: dict, config_path, overrides: dict,
     merged = decode(defaults, given, ConfigurationError, "config")
     for key in required:
         if key not in given:
-            raise UsageError(f"config key {key!r} must come from a flag or the config file")
+            raise ConfigurationError(
+                f"config key {key!r} must come from a flag or the config file")
     if merged.get("seed", 0) < 0:
         raise ConfigurationError(
             f"config key 'seed' must be a non-negative integer, got {merged['seed']}")
@@ -354,7 +345,7 @@ def _cmd_report(ns, out: Path) -> tuple:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit 2; the contract is 1
-        raise UsageError(message)
+        raise ConfigurationError(message)
 
 
 def _build_parser() -> _Parser:
@@ -429,10 +420,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)
-    except UsageError as exc:
+    except ConfigurationError as exc:
         parser.print_usage(sys.stderr)
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
     except SystemExit as exc:  # --help; keep main() returning an int
         return exc.code if isinstance(exc.code, int) else 0
     if getattr(ns, "handler", None) is None:
@@ -447,7 +438,8 @@ def main(argv=None) -> int:
         print(message)
     except (ProtoeegError, OSError) as exc:
         print(f"{parser.prog} {ns.command}: error: {exc}", file=sys.stderr)
-        return next(_EXIT_CODES[k] for k in type(exc).__mro__ if k in _EXIT_CODES)
+        # an OSError is a file the run could not read or write: a data error
+        return exc.exit_code if isinstance(exc, ProtoeegError) else DataFormatError.exit_code
     return 0
 
 

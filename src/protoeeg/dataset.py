@@ -29,7 +29,7 @@ import numpy as np
 
 from .container import (decode, loads, read_bytes, read_framed, write_atomic,
                         write_framed)
-from .errors import ConfigurationError, DataFormatError, MissingSampleError
+from .errors import ConfigurationError, DataFormatError
 
 CHANNELS = 37
 SAMPLE_RATE_HZ = 128.0
@@ -123,12 +123,12 @@ def make_windows(ids, votes, values) -> np.recarray:
 
 def rows_of(windows, ids) -> np.ndarray:
     """Row of each id in `windows`, in the order of `ids`; raises
-    MissingSampleError naming the first id that no window carries."""
+    DataFormatError naming the first id that no window carries."""
     ids = [int(i) for i in ids]
     row_of = dict(zip(windows.sample_id.tolist(), range(len(windows))))
     missing = next((i for i in ids if i not in row_of), None)
     if missing is not None:
-        raise MissingSampleError(f"sample id {missing} is not in the dataset")
+        raise DataFormatError(f"sample id {missing} is not in the dataset")
     return np.array([row_of[i] for i in ids], dtype=np.intp)
 
 
@@ -389,8 +389,8 @@ def load(path):
                        ("time_steps", time_steps), ("channel_count", channels)):
         if getattr(manifest, key) != value:
             raise DataFormatError(f"manifest {key} {getattr(manifest, key)} != container {value}")
-    try:
-        rows_of(windows, manifest.splits)
-    except MissingSampleError as exc:
-        raise DataFormatError(f"manifest splits name an absent window: {exc}") from exc
+    absent = manifest.splits.keys() - set(windows.sample_id.tolist())
+    if absent:  # the splits are in ascending id, so the first absent is the least
+        raise DataFormatError(f"manifest splits name an absent window: "
+                              f"sample id {min(absent)} is not in the dataset")
     return windows, manifest

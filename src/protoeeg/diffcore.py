@@ -25,13 +25,7 @@ import threading
 import numpy as np
 
 from . import kernels as _k
-from .errors import (
-    ConfigurationError,
-    ContractError,
-    DegenerateInputError,
-    DimensionError,
-    NumericError,
-)
+from .errors import ConfigurationError, NumericError
 
 
 class _GradMode(threading.local):
@@ -77,7 +71,7 @@ class Tensor:
 
     def item(self) -> float:
         if self.data.size != 1:
-            raise ContractError(f"item() on tensor of shape {self.data.shape}")
+            raise NumericError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data)
 
     def zero_grad(self) -> None:
@@ -123,13 +117,13 @@ def backward(loss: Tensor) -> None:
     """Backpropagate from a scalar loss, accumulating into the ``.grad`` of
     the leaves it reaches.
 
-    Raises ContractError when ``loss`` is not scalar.  Each call adds its
+    Raises NumericError when ``loss`` is not scalar.  Each call adds its
     contribution on top of whatever gradients the leaves already hold.
     Intermediate results get no ``.grad``: their gradients are freed as the
     walk moves past them.
     """
     if loss.data.ndim != 0:
-        raise ContractError(
+        raise NumericError(
             f"backward requires a scalar loss, got shape {loss.data.shape}"
         )
 
@@ -217,12 +211,12 @@ def linear(x: Tensor, weight: Tensor) -> Tensor:
     """Apply ``x @ weight.T`` to a batch of rows."""
     w = weight.data
     if w.ndim != 2:
-        raise DimensionError(f"linear weight must be 2-d, got ndim={w.ndim}")
+        raise NumericError(f"linear weight must be 2-d, got ndim={w.ndim}")
     xd = x.data
     if xd.ndim != 2:
-        raise DimensionError(f"linear input must be 2-d, got ndim={xd.ndim}")
+        raise NumericError(f"linear input must be 2-d, got ndim={xd.ndim}")
     if xd.shape[1] != w.shape[1]:
-        raise DimensionError(f"linear: weight {w.shape} incompatible with input {xd.shape}")
+        raise NumericError(f"linear: weight {w.shape} incompatible with input {xd.shape}")
     data = xd @ w.T
     return _make(data, (x, weight), lambda g: (g @ w, g.T @ xd))
 
@@ -257,7 +251,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     layout."""
     xd = x.data
     if xd.ndim != 4:
-        raise DimensionError(f"layer_norm expects 4-d input, got ndim={xd.ndim}")
+        raise NumericError(f"layer_norm expects 4-d input, got ndim={xd.ndim}")
     n, c, h, w = xd.shape
     # the row length is explicit: -1 cannot be inferred for N = 0
     rows = xd.transpose(0, 2, 3, 1).reshape(n, h * w * c)
@@ -274,7 +268,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         data = np.multiply(gain.data, xhat4, out=nchw(sq))
         data += bias.data
     except ValueError as exc:
-        raise DimensionError(
+        raise NumericError(
             f"layer_norm affine shapes {gain.data.shape}/{bias.data.shape} "
             f"do not broadcast over {xd.shape}"
         ) from exc
@@ -306,16 +300,16 @@ def conv2d_valid(x: Tensor, kernels: Tensor, stride=(1, 1)) -> Tensor:
         raise ConfigurationError(f"conv2d_valid stride must be >= 1, got {stride}")
     kd = kernels.data
     if kd.ndim != 4:
-        raise DimensionError(f"kernels must be 4-d, got ndim={kd.ndim}")
+        raise NumericError(f"kernels must be 4-d, got ndim={kd.ndim}")
     xd = x.data
     if xd.ndim != 4:
-        raise DimensionError(f"conv input must be 4-d, got ndim={xd.ndim}")
+        raise NumericError(f"conv input must be 4-d, got ndim={xd.ndim}")
     n, ci, h, w = xd.shape
     co, kci, kh, kw = kd.shape
     if kci != ci:
-        raise DimensionError(f"channel mismatch: input has {ci}, kernels expect {kci}")
+        raise NumericError(f"channel mismatch: input has {ci}, kernels expect {kci}")
     if kh > h or kw > w:
-        raise DimensionError(f"kernel ({kh},{kw}) larger than input ({h},{w})")
+        raise NumericError(f"kernel ({kh},{kw}) larger than input ({h},{w})")
 
     out = _k.conv2d_forward(xd, kd, sh, sw)
 
@@ -332,11 +326,11 @@ def l2_normalize(v: Tensor) -> Tensor:
     """Scale each row of a matrix to unit L2 norm."""
     vd = v.data
     if vd.ndim != 2:
-        raise DimensionError(f"l2_normalize expects 2-d input, got ndim={vd.ndim}")
+        raise NumericError(f"l2_normalize expects 2-d input, got ndim={vd.ndim}")
     norms = np.linalg.norm(vd, axis=1, keepdims=True)
     if np.any(norms <= 1e-8):
         bad = int(np.argmin(norms))
-        raise DegenerateInputError(
+        raise NumericError(
             f"cannot normalize row {bad} with norm {float(norms[bad, 0]):.3e}"
         )
     y = vd / norms
@@ -355,10 +349,10 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     """
     ld = logits.data
     if ld.ndim != 2:
-        raise DimensionError(f"cross_entropy expects 2-d logits, got ndim={ld.ndim}")
+        raise NumericError(f"cross_entropy expects 2-d logits, got ndim={ld.ndim}")
     lab = np.asarray(labels, dtype=np.int64)
     if lab.ndim != 1 or lab.shape[0] != ld.shape[0]:
-        raise DimensionError(
+        raise NumericError(
             f"labels shape {lab.shape} does not match logits {ld.shape}"
         )
     if lab.size and (lab.min() < 0 or lab.max() >= ld.shape[1]):
@@ -388,7 +382,7 @@ def masked_rowmax(x: Tensor, mask: np.ndarray) -> Tensor:
     xd = x.data
     mask = np.asarray(mask, dtype=bool)
     if xd.ndim != 2 or mask.shape != xd.shape:
-        raise DimensionError(
+        raise NumericError(
             f"masked_rowmax expects matching 2-d shapes, got {xd.shape} and {mask.shape}"
         )
     if not mask.any(axis=1).all():
@@ -414,7 +408,9 @@ def masked_rowmax(x: Tensor, mask: np.ndarray) -> Tensor:
 class Adam:
     """Bias-corrected Adam over named groups of Tensors, one rate per group,
     one step counter, one pair of moments per parameter.  A missing
-    gradient counts as zero and leaves its parameter unchanged."""
+    gradient counts as zero: it leaves its parameter unchanged only while
+    the parameter's moments are zero, and after a nonzero gradient the
+    decaying moments still move it."""
 
     beta1, beta2, epsilon = 0.9, 0.999, 1e-8
 
@@ -451,7 +447,7 @@ class Adam:
             for p, (m, v) in zip(group["params"], group["moments"]):
                 g = p.grad if p.grad is not None else np.zeros_like(p.data)
                 if p.data.shape != g.shape:
-                    raise DimensionError(f"Adam: param {p.data.shape} vs grad {g.shape}")
+                    raise NumericError(f"Adam: param {p.data.shape} vs grad {g.shape}")
                 if not np.all(np.isfinite(g)):
                     raise NumericError("Adam received a non-finite gradient")
                 m *= b1

@@ -1,50 +1,34 @@
 """Exception taxonomy shared across the package.
 
-Every error raised by protoeeg code derives from ProtoeegError so callers
-(and the CLI exit-code mapping) can distinguish our failures from genuine
-bugs surfacing as bare ValueError/KeyError.
+Every error raised by protoeeg code derives from ProtoeegError, so callers
+can tell our failures from genuine bugs surfacing as bare ValueError or
+KeyError.  There is one class per CLI exit code, and each class carries
+its code: `cli.main` returns ``exc.exit_code``.
 """
 
 
 class ProtoeegError(Exception):
     """Base class for all package errors."""
 
-
-class ContractError(ProtoeegError):
-    """An API contract was violated (non-scalar backward, invalid distribution, ...)."""
-
-
-class DimensionError(ProtoeegError):
-    """Array shapes are incompatible with the requested operation."""
-
-
-class NumericError(ProtoeegError):
-    """A computation produced or received non-finite values."""
+    exit_code: int
 
 
 class ConfigurationError(ProtoeegError):
-    """A config value is out of range or internally inconsistent."""
+    """Bad command-line usage, or a config value out of range or inconsistent."""
 
-
-class DegenerateInputError(ProtoeegError):
-    """Input is degenerate for the operation (e.g. near-zero norm before normalization)."""
+    exit_code = 1
 
 
 class DataFormatError(ProtoeegError):
-    """A serialized file failed validation (magic, version, truncation, checksum)."""
+    """A file or its content failed validation: magic, version, truncation,
+    checksum, an absent sample, a model never pushed, or a metric the data
+    leaves undefined."""
+
+    exit_code = 2
 
 
-class MissingSampleError(ProtoeegError):
-    """A referenced sample id is absent from the dataset."""
+class NumericError(ProtoeegError):
+    """A computation received inputs it cannot use: non-finite values,
+    incompatible shapes, a degenerate norm or a violated API contract."""
 
-
-class ProvenanceError(ProtoeegError):
-    """Prototype provenance is required but absent (model was never pushed)."""
-
-
-class UndefinedMetricError(ProtoeegError):
-    """The requested metric is undefined for the given inputs (e.g. single-class AUROC)."""
-
-
-class UsageError(ProtoeegError):
-    """Bad command-line usage."""
+    exit_code = 3

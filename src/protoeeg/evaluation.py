@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConfigurationError, ContractError, DimensionError,
-                     NumericError, UndefinedMetricError)
+from .errors import ConfigurationError, DataFormatError, NumericError
 
 POSITIVE_VOTE_THRESHOLD = 4
 AMBIGUOUS_VOTES = frozenset({3, 4, 5})
@@ -33,7 +32,7 @@ class BootstrapCI:
 
     def __post_init__(self):
         if not (self.lower <= self.point <= self.upper):
-            raise ContractError(
+            raise NumericError(
                 f"CI [{self.lower}, {self.upper}] excludes point {self.point}")
 
 
@@ -47,11 +46,11 @@ def binary_scores(probs) -> np.ndarray:
     """
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 2 or probs.shape[1] != 9:
-        raise ContractError(f"expected rows of 9 class probabilities, got shape {probs.shape}")
+        raise NumericError(f"expected rows of 9 class probabilities, got shape {probs.shape}")
     if not np.all(np.isfinite(probs)):
-        raise ContractError("class probabilities must be finite")
+        raise NumericError("class probabilities must be finite")
     if np.any(probs < -1e-12) or np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-9):
-        raise ContractError("class probabilities must be a distribution")
+        raise NumericError("class probabilities must be a distribution")
     pos = probs[:, POSITIVE_VOTE_THRESHOLD:].mean(axis=1)
     neg = probs[:, :POSITIVE_VOTE_THRESHOLD].mean(axis=1)
     shift = np.maximum(pos, neg)
@@ -66,16 +65,16 @@ def _score_codes(scores, labels) -> np.ndarray:
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.ndim != 1 or labels.shape != scores.shape:
-        raise DimensionError(
+        raise NumericError(
             f"scores {scores.shape} and labels {labels.shape} must be "
             "matching 1-d arrays")
     if not np.all(np.isfinite(scores)):
         raise NumericError("scores contain non-finite values")
     if not np.all(np.isin(labels, (0, 1))):
-        raise ContractError("labels must be binary (0 or 1)")
+        raise NumericError("labels must be binary (0 or 1)")
     n_pos = int(labels.sum())
     if not 0 < n_pos < labels.size:
-        raise UndefinedMetricError(
+        raise DataFormatError(
             f"AUROC needs both classes (n_pos={n_pos}, n_neg={labels.size - n_pos})")
     return 2 * np.unique(scores, return_inverse=True)[1] + labels.astype(np.int64)
 
@@ -149,7 +148,7 @@ def metrics_from_scores(p_pos, votes, rounds: int = 10000, seed: int = 0) -> dic
     p_pos = np.asarray(p_pos, dtype=np.float64)
     votes = np.asarray(votes)
     if votes.shape != p_pos.shape:
-        raise DimensionError("votes must align with scores")
+        raise NumericError("votes must align with scores")
     labels = (votes >= POSITIVE_VOTE_THRESHOLD).astype(np.int64)
 
     ci_u = bootstrap_ci(p_pos, labels, rounds=rounds, seed=seed)

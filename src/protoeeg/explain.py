@@ -15,7 +15,7 @@ import numpy as np
 
 from .container import write_atomic, write_json
 from .dataset import require_class_coverage, rows_of
-from .errors import ConfigurationError, NumericError, ProvenanceError
+from .errors import ConfigurationError, DataFormatError, NumericError
 from .evaluation import POSITIVE_VOTE_THRESHOLD, binary_scores
 from .model import ProtoEEGNet, own_prototypes, points_contributed
 
@@ -55,7 +55,7 @@ class Explanation:
 
 def _require_provenance(model: ProtoEEGNet) -> None:
     if any(rec is None for rec in model.bank.provenance):
-        raise ProvenanceError(
+        raise DataFormatError(
             "prototypes have no push provenance; run push_prototypes (or "
             "train through a push epoch) before requesting explanations")
 
@@ -201,7 +201,7 @@ def render_report(explanation: Explanation, dataset, out_dir) -> dict:
     """Write explain_<id>.{json,svg,txt} into out_dir; returns the paths.
 
     `dataset` is a dataset record array; it must hold the query window and
-    every source window of the predicted class's rows, or MissingSampleError
+    every source window of the predicted class's rows, or DataFormatError
     names the first absent id, the query's before the sources'.
     """
     ids = [explanation.sample_id,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-from .errors import ConfigurationError, DimensionError
+from .errors import ConfigurationError, NumericError
 from .model import PrototypeBank, own_class_mask, own_prototypes
 
 
@@ -72,7 +72,7 @@ def l1_offclass(head: Tensor) -> Tensor:
     """
     k, j = head.data.shape
     if j % k != 0:
-        raise DimensionError(f"head shape {head.data.shape} has no per-class block layout")
+        raise NumericError(f"head shape {head.data.shape} has no per-class block layout")
     off = ~own_class_mask(k, j // k)
     return dc.tsum(dc.mul(dc.absolute(head), Tensor(off)))
 

@@ -24,12 +24,7 @@ import numpy as np
 from . import diffcore as dc
 from .container import decode, loads, read_framed, write_framed
 from .diffcore import Tensor
-from .errors import (
-    ConfigurationError,
-    DataFormatError,
-    DimensionError,
-    NumericError,
-)
+from .errors import ConfigurationError, DataFormatError, NumericError
 
 INPUT_TIME = 128
 INPUT_CHANNELS = 37
@@ -77,7 +72,7 @@ class BackboneConfig:
     blocks: tuple[ConvBlock, ...] = DEFAULT_BLOCKS
     latent_dim: int = LATENT_DIM
 
-    def validate(self) -> None:
+    def __post_init__(self):
         """Check the composed shape arithmetic ends at latent_dim x 1 x 1."""
         if not self.blocks:
             raise ConfigurationError("backbone needs at least one block")
@@ -204,7 +199,7 @@ def similarities(z: np.ndarray, bank: PrototypeBank) -> np.ndarray:
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2:
-        raise DimensionError(f"similarities expects (N, latent_dim) latents, got {z.shape}")
+        raise NumericError(f"similarities expects (N, latent_dim) latents, got {z.shape}")
     n, dim = z.shape
     padded = np.zeros((-(-n // OFF_TAPE_CHUNK) * OFF_TAPE_CHUNK, dim))
     padded[:n] = z
@@ -222,7 +217,7 @@ def class_logits(sims: np.ndarray, head: np.ndarray) -> np.ndarray:
     """
     sims = np.asarray(sims)
     if sims.ndim != 2:
-        raise DimensionError(f"class_logits expects (N, count) sims, got {sims.shape}")
+        raise NumericError(f"class_logits expects (N, count) sims, got {sims.shape}")
     return np.sum(head[None, :, :] * sims[:, None, :], axis=2)
 
 
@@ -239,9 +234,9 @@ def points_contributed(sims: np.ndarray, head: np.ndarray) -> np.ndarray:
     """Per-class, per-prototype contribution matrix; rows sum to logits."""
     sims = np.asarray(sims)
     if sims.ndim != 1:
-        raise DimensionError("points_contributed expects a single 108-vector")
+        raise NumericError("points_contributed expects a single 108-vector")
     if head.shape[1] != sims.shape[0]:
-        raise DimensionError(f"head {head.shape} incompatible with sims {sims.shape}")
+        raise NumericError(f"head {head.shape} incompatible with sims {sims.shape}")
     return head * sims[None, :]
 
 
@@ -270,7 +265,6 @@ class ProtoEEGNet:
                  per_class: int, provenance: list | None = None):
         """Build the network from one array per parameter, in
         :func:`_param_shapes` order."""
-        config.validate()
         self.config = config
         tensors = [Tensor(p, requires_grad=True) for p in params]
         self.conv_kernels = tensors[0:-2:3]
@@ -321,7 +315,7 @@ class ProtoEEGNet:
         if values.ndim == 2:
             values = values[None]
         if values.ndim != 3 or values.shape[1:] != (INPUT_TIME, INPUT_CHANNELS):
-            raise DimensionError(
+            raise NumericError(
                 f"expected ({INPUT_TIME}, {INPUT_CHANNELS}) windows, got {values.shape}"
             )
         if not np.all(np.isfinite(values)):

@@ -73,9 +73,6 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         for name in ("num_train_epochs", "num_warm_epochs",
                      "num_secondary_warm_epochs", "push_start",
                      "joint_lr_step_size", "batch_size",

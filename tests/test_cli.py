@@ -26,11 +26,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import key_path, rewrite_header, same_json_type
 import protoeeg
-from protoeeg import container
+from protoeeg import cli, container
 from protoeeg.cli import main, resolve_config
 from protoeeg.container import decode
 from protoeeg.dataset import SynthConfig, load, save
-from protoeeg.errors import ConfigurationError, DataFormatError
+from protoeeg.errors import ConfigurationError, DataFormatError, NumericError, ProtoeegError
 from protoeeg.losses import LossCoefficients
 from protoeeg.model import load_model
 from protoeeg.training import TrainConfig
@@ -677,6 +677,23 @@ def _one_line_error(capsys) -> str:
     err = capsys.readouterr().err
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1
     return err
+
+
+def test_one_error_class_per_exit_code():
+    assert {c: c.exit_code for c in ProtoeegError.__subclasses__()} == {
+        ConfigurationError: 1, DataFormatError: 2, NumericError: 3}
+
+
+@pytest.mark.parametrize("error, code", [(ConfigurationError, 1), (DataFormatError, 2),
+                                         (NumericError, 3), (PermissionError, 2)])
+def test_main_returns_the_exit_code_of_the_error_raised(error, code, monkeypatch,
+                                                         tmp_path, capsys):
+    def handler(ns, out):
+        raise error("raised by the handler")
+
+    monkeypatch.setattr(cli, "_cmd_synth", handler)
+    assert main(["synth", "--out", str(tmp_path / "o")]) == code
+    assert _one_line_error(capsys) == "protoeeg synth: error: raised by the handler\n"
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,7 @@ import pytest
 from protoeeg import dataset as ds
 from protoeeg.cli import resolve_config
 from protoeeg.container import decode, read_framed, recording, write_framed
-from protoeeg.errors import ConfigurationError, DataFormatError, MissingSampleError
+from protoeeg.errors import ConfigurationError, DataFormatError
 
 
 @pytest.fixture(scope="module")
@@ -285,7 +285,8 @@ class TestStorage:
         splits[999999] = splits.pop(manifest.ids_for("test")[0])
         path = tmp_path / "d.peeg"
         ds.save(samples, dataclasses.replace(manifest, splits=splits), path)
-        with pytest.raises(DataFormatError, match="999999"):
+        with pytest.raises(DataFormatError, match="manifest splits name an absent window: "
+                                                  "sample id 999999 is not in the dataset"):
             ds.load(path)
 
     def test_window_too_large_for_a_record(self, tmp_path):
@@ -364,7 +365,7 @@ class TestRowsOf:
                                             ([2 ** 64, 10], 2 ** 64)])
     def test_names_the_first_absent_id(self, ids, first):
         windows = ds.make_windows([30, 10, 20], [1, 2, 3], np.zeros((3, 4, 5)))
-        with pytest.raises(MissingSampleError, match=f"sample id {first} "):
+        with pytest.raises(DataFormatError, match=f"sample id {first} is not in the dataset"):
             ds.rows_of(windows, ids)
 
 

@@ -11,8 +11,7 @@ from scipy.stats import rankdata
 from protoeeg import evaluation as ev
 from protoeeg import model as m
 from protoeeg.dataset import make_windows
-from protoeeg.errors import (ConfigurationError, ContractError, DimensionError,
-                             NumericError, UndefinedMetricError)
+from protoeeg.errors import ConfigurationError, DataFormatError, NumericError
 
 
 def pairwise_auroc(scores, labels):
@@ -65,15 +64,15 @@ class TestBinarize:
                               np.argsort(raw_diff, kind="stable"))
 
     def test_rejects_bad_distributions(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(NumericError, match="expected rows of 9 class probabilities"):
             ev.binary_scores(np.full((1, 8), 0.125))
-        with pytest.raises(ContractError):
+        with pytest.raises(NumericError, match="expected rows of 9 class probabilities"):
             ev.binary_scores(np.full(9, 1.0 / 9.0))  # one row, not an (N, 9) array
-        with pytest.raises(ContractError):
+        with pytest.raises(NumericError, match="must be a distribution"):
             ev.binary_scores(np.full((2, 9), 0.2))  # rows do not sum to 1
         bad = np.full((3, 9), 1.0 / 9.0)
         bad[1, 0] = np.nan
-        with pytest.raises(ContractError):
+        with pytest.raises(NumericError, match="class probabilities must be finite"):
             ev.binary_scores(bad)
 
     @settings(deadline=None)
@@ -122,15 +121,15 @@ class TestAuroc:
         assert abs(ev.auroc(np.exp(3 * scores) + 2, labels) - base) <= 1e-12
 
     def test_error_paths(self):
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(DataFormatError, match=r"AUROC needs both classes \(n_pos=2, n_neg=0\)"):
             ev.auroc([0.1, 0.2], [1, 1])
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(DataFormatError, match=r"AUROC needs both classes \(n_pos=0, n_neg=0\)"):
             ev.auroc([], [])
-        with pytest.raises(DimensionError):
+        with pytest.raises(NumericError, match="must be matching 1-d arrays"):
             ev.auroc([0.1, 0.2], [0, 1, 1])
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="scores contain non-finite values"):
             ev.auroc([0.1, np.nan], [0, 1])
-        with pytest.raises(ContractError):
+        with pytest.raises(NumericError, match="labels must be binary"):
             ev.auroc([0.1, 0.2], [0, 2])
 
 
@@ -241,10 +240,10 @@ class TestBootstrap:
         assert 0.0 <= ci.lower <= ci.upper <= 1.0
 
     def test_rounds_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="bootstrap rounds must be >= 1"):
             ev.bootstrap_ci([0.1, 0.9], [0, 1], rounds=0, seed=0)
         # the scores are checked first
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(DataFormatError, match="AUROC needs both classes"):
             ev.bootstrap_ci([0.1, 0.9], [1, 1], rounds=0, seed=0)
 
 
@@ -300,5 +299,5 @@ class TestEvaluate:
     def test_single_class_filtered_subset_rejected(self, nine_class_model):
         # after dropping 3/4/5-vote samples only negatives remain
         samples = make_samples([0, 1, 2, 4, 5])
-        with pytest.raises(UndefinedMetricError):
+        with pytest.raises(DataFormatError, match="AUROC needs both classes"):
             metrics(nine_class_model, samples, rounds=50, seed=0)

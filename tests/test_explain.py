@@ -13,8 +13,7 @@ from protoeeg import explain as ex
 from protoeeg import model as m
 from protoeeg import training as tr
 from protoeeg.dataset import make_windows
-from protoeeg.errors import (ConfigurationError, MissingSampleError,
-                             ProvenanceError)
+from protoeeg.errors import ConfigurationError, DataFormatError
 
 TOY_ARCH = m.BackboneConfig(
     blocks=(m.ConvBlock(4, (29, 17), (11, 10)), m.ConvBlock(8, (10, 3), (1, 1))),
@@ -55,7 +54,7 @@ class TestExplain:
         net = m.ProtoEEGNet.initialize(config=TOY_ARCH, seed=1, num_classes=4,
                                        per_class=2)
         sample = make_windows([0], [1], np.zeros((1, 128, 37)) + 0.5)[0]
-        with pytest.raises(ProvenanceError, match="push"):
+        with pytest.raises(DataFormatError, match="prototypes have no push provenance"):
             ex.explain(net, sample)
 
     def test_push_source_scores_similarity_one(self, pushed):
@@ -251,15 +250,15 @@ class TestRenderReport:
         result = ex.explain(net, samples[4])
         needed = {r.source_sample_id for r in result.sections[0].rows}
         pruned = samples[~np.isin(samples.sample_id, list(needed))]
-        with pytest.raises(MissingSampleError):
+        with pytest.raises(DataFormatError, match=r"sample id \d+ is not in the dataset"):
             ex.render_report(result, pruned, tmp_path)
 
     def test_missing_query_rejected(self, pushed, tmp_path):
         net, samples, _ = pushed
         result = ex.explain(net, samples[4])
         pruned = samples[samples.sample_id != samples[4].sample_id]
-        with pytest.raises(MissingSampleError,
-                           match=str(samples[4].sample_id)):
+        with pytest.raises(DataFormatError,
+                           match=f"sample id {samples[4].sample_id} is not in the dataset"):
             ex.render_report(result, pruned, tmp_path)
 
 
@@ -309,7 +308,7 @@ class TestGlobalPrototypeReport:
         _, samples, _ = pushed
         fresh = m.ProtoEEGNet.initialize(config=TOY_ARCH, seed=5,
                                          num_classes=4, per_class=2)
-        with pytest.raises(ProvenanceError):
+        with pytest.raises(DataFormatError, match="prototypes have no push provenance"):
             ex.global_prototype_report(fresh, samples)
 
     def test_rows_and_push_similarities(self, pushed):

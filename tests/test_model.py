@@ -16,13 +16,7 @@ from protoeeg import model as m
 from protoeeg.container import decode, read_framed, write_framed
 from protoeeg.dataset import make_windows
 from protoeeg.diffcore import Tensor
-from protoeeg.errors import (
-    ConfigurationError,
-    DataFormatError,
-    DegenerateInputError,
-    DimensionError,
-    NumericError,
-)
+from protoeeg.errors import ConfigurationError, DataFormatError, NumericError
 from protoeeg.evaluation import score_samples
 from protoeeg.explain import explain
 from protoeeg.training import push_prototypes
@@ -42,7 +36,6 @@ def windows():
 class TestBackboneConfig:
     def test_default_block_table(self):
         cfg = m.BackboneConfig()
-        cfg.validate()
         t, c, ch = 128, 37, None
         for b in cfg.blocks:
             t = (t - b.kernel[0]) // b.stride[0] + 1
@@ -51,13 +44,15 @@ class TestBackboneConfig:
         assert (ch, t, c) == (128, 1, 1)
 
     def test_wrong_final_time_extent(self):
-        blocks = m.DEFAULT_BLOCKS[:3] + (m.ConvBlock(128, (9, 3), (1, 1)),)
-        with pytest.raises(ConfigurationError):
-            m.BackboneConfig(blocks=blocks).validate()
+        # ends at 1x1, through a final time kernel of 9
+        blocks = m.DEFAULT_BLOCKS[:2] + (m.ConvBlock(64, (12, 3), (2, 2)),
+                                         m.ConvBlock(128, (9, 3), (1, 1)))
+        with pytest.raises(ConfigurationError, match="final kernel time extent must be 10"):
+            m.BackboneConfig(blocks=blocks)
 
     def test_nonreducing_table(self):
-        with pytest.raises(ConfigurationError):
-            m.BackboneConfig(blocks=(m.ConvBlock(128, (10, 5), (2, 2)),)).validate()
+        with pytest.raises(ConfigurationError, match="expected spatial 1x1"):
+            m.BackboneConfig(blocks=(m.ConvBlock(128, (10, 5), (2, 2)),))
 
     def test_dict_roundtrip(self):
         cfg = m.BackboneConfig(blocks=m.DEFAULT_BLOCKS[:3] + (m.ConvBlock(128, (10, 3), (1, 2)),))
@@ -185,7 +180,7 @@ class TestSimilarities:
 
     def test_rejects_single_vector(self):
         bank = m.init_prototypes(seed=0)
-        with pytest.raises(DimensionError):
+        with pytest.raises(NumericError, match=r"similarities expects \(N, latent_dim\)"):
             m.similarities(bank.vectors.data[0], bank)
 
 
@@ -230,7 +225,7 @@ class TestHeadMath:
     def test_nonfinite_sims_rejected(self):
         sims = np.zeros((1, 108))
         sims[0, 0] = np.inf
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="softmax_rows received non-finite"):
             m.softmax_rows(m.class_logits(sims, m.init_head().data))
 
 
@@ -264,19 +259,19 @@ class TestEmbed:
         assert out["logits"].shape == out["probabilities"].shape == (0, 9)
 
     def test_bad_shape(self, net):
-        with pytest.raises(DimensionError):
+        with pytest.raises(NumericError, match=r"expected \(128, 37\) windows"):
             net.embed(np.zeros((64, 37)))
 
     def test_nonfinite_input(self, net):
         w = np.zeros((128, 37))
         w[3, 3] = np.nan
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="embed received non-finite input"):
             net.embed(w)
 
     def test_degenerate_latent(self):
         dead = m.ProtoEEGNet.initialize(seed=1)
         dead.conv_kernels[-1].data[:] = 0.0
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(NumericError, match="cannot normalize row 0 with norm"):
             dead.embed(np.zeros((128, 37)))
 
 
@@ -406,7 +401,7 @@ class TestWorkers:
 
         monkeypatch.setattr(m.ProtoEEGNet, "embed", embed_with_a_nan_off_the_caller)
         before = threading.active_count()
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="embed received non-finite input"):
             net.forward_probs(rows[:3 * m.EMBED_SLICE])
         assert failed.is_set()
         assert threading.active_count() == before
@@ -437,8 +432,8 @@ def _reference_embed(net, window):
 
 
 # the default table with a final time kernel of 9: the backbone ends at 2x1
-NONREDUCING_BACKBONE = asdict(m.BackboneConfig(
-    blocks=m.DEFAULT_BLOCKS[:3] + (m.ConvBlock(128, (9, 3), (1, 1)),)))
+NONREDUCING_BACKBONE = asdict(m.BackboneConfig())
+NONREDUCING_BACKBONE["blocks"][-1]["kernel"] = (9, 3)
 
 
 # the default head block: 9 x 108 little-endian float64
