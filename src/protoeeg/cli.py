@@ -14,7 +14,8 @@ read, the config file and a dataset's manifest too, with the sha256 of the
 bytes read) and the outputs (the files this command wrote, hashed as
 written) land in ``<out>/resolved_config.json``.  With the same numpy/BLAS build that is
 enough to reproduce a run bit for bit; ``train`` also needs the same BLAS
-thread count, which the record does not store.
+thread count, which the record does not store.  The seed and config that
+made a dataset are in the record of the command that wrote it, not in its manifest.
 
 Exit codes: 0 success; otherwise the ``exit_code`` of the error class
 raised: 1 `ConfigurationError` (usage or configuration); 2
@@ -25,11 +26,9 @@ be read or written; 3 `NumericError` (numeric failure during computation).
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
-import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -218,7 +217,7 @@ def _cmd_preprocess(ns, out: Path) -> tuple:
     merged = resolve_config(defaults, ns.config, {"seed": ns.seed})
     src = Path(ns.input)
     values, fs_in, votes, ids = _read_archive(src)
-    n, raw_steps, channels = values.shape
+    n, raw_steps, _ = values.shape
     time_steps = sigproc.resampled_length(raw_steps, fs_in, merged["target_fs"])
     if time_steps == 0:
         raise DataFormatError(
@@ -232,12 +231,8 @@ def _cmd_preprocess(ns, out: Path) -> tuple:
     limit = float(np.finfo(np.float32).max)
     if not (processed.min() >= -limit and processed.max() <= limit):
         raise DataFormatError(f"'values' in {src} preprocess to numbers outside the float32 range")
-    digest = hashlib.sha256(
-        json.dumps(merged, sort_keys=True).encode()).hexdigest()
-    manifest = DatasetManifest(
-        version=ds.FORMAT_VERSION, sample_count=n, channel_count=channels,
-        time_steps=time_steps, sample_rate_hz=float(merged["target_fs"]),
-        splits={}, seed=merged["seed"], config_digest=digest)
+    manifest = DatasetManifest(train=[], val=[], test=[],
+                               sample_rate_hz=float(merged["target_fs"]))
     data_path = out / "dataset.peeg"
     save(make_windows(ids, votes, processed), manifest, data_path)
     return merged, (f"preprocessed {n} windows ({fs_in:g} Hz -> "
@@ -250,10 +245,10 @@ def _cmd_split(ns, out: Path) -> tuple:
                  "seed": ns.seed}
     merged = resolve_config(defaults, ns.config, overrides)
     windows, old = _read_dataset(ns.data)
-    # acquisition facts carry over from the source manifest
-    manifest = replace(old, version=ds.FORMAT_VERSION, seed=merged["seed"],
-                       splits=ds.split(windows, fractions=merged["fractions"],
-                                       seed=merged["seed"]))
+    # only the sample rate carries over; the seed is in the run record
+    manifest = DatasetManifest(
+        sample_rate_hz=old.sample_rate_hz,
+        **ds.split(windows, fractions=merged["fractions"], seed=merged["seed"]))
     data_path = out / "dataset.peeg"
     save(windows, manifest, data_path)
     sizes = {name: len(manifest.ids_for(name)) for name in ("train", "val", "test")}

@@ -116,8 +116,7 @@ def decode(template, value, error, noun: str, steps=()):
     ``__post_init__`` checks what a type cannot.  A dict of config defaults
     takes any of its keys; the others keep their defaults.  List elements
     match the template list's first, and may be null if it also holds None
-    (an unpushed prototype's provenance).  A dict template keyed by an int
-    maps sample ids: its keys must be canonical decimal ids, read as ints.
+    (an unpushed prototype's provenance).
     """
     if isinstance(template, str):
         want, ok = "a string", isinstance(value, str)
@@ -150,14 +149,6 @@ def decode(template, value, error, noun: str, steps=()):
                  else decode(template[0], v, error, noun, (*steps, i))
                  for i, v in enumerate(value)]
         return tuple(items) if isinstance(template, tuple) else items
-    if isinstance(template, dict) and isinstance(next(iter(template), None), int):
-        (item,) = template.values()
-        ids = {}
-        for sub, v in value.items():
-            if not (sub.isdecimal() and len(sub) <= 20 and str(int(sub)) == sub):
-                raise error(f"{_key(noun, (*steps, sub))} is not a canonical sample id")
-            ids[int(sub)] = decode(item, v, error, noun, (*steps, sub))
-        return ids
     names = (template.keys() if isinstance(template, dict)
              else [f.name for f in dataclasses.fields(template)])
     for sub in value:

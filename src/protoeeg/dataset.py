@@ -11,15 +11,15 @@ A dataset in memory is a record array of :func:`record_dtype`, one row per
 window with fields ``sample_id``, ``votes`` and ``values``, and so is each
 split of it (:func:`split_windows`).  That record is also the stored one:
 the container (magic ``PEEG``, framed by :mod:`.container` like a
-checkpoint) holds the rows' bytes as they are, so :func:`load` is one
-read-only view over the mapped file and :func:`save` one ``tobytes``.  A
-JSON manifest sidecar carries the split assignments and the container's
+checkpoint, whose header gives the window count and shape) holds the rows'
+bytes as they are, so :func:`load` is one read-only view over the mapped
+file and :func:`save` one ``tobytes``.  A JSON manifest sidecar states the
+rest once: the ids of each split, the sample rate and the container's
 sha256, which :func:`load` checks without another pass.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -38,7 +38,7 @@ DEFAULT_FRACTIONS = (0.73, 0.12, 0.15)
 SPLIT_NAMES = ("train", "val", "test")
 
 MAGIC = b"PEEG"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,6 @@ class SynthConfig:
     @property
     def time_steps(self) -> int:
         return int(round(self.sample_rate_hz))
-
-    def digest(self) -> str:
-        return hashlib.sha256(
-            json.dumps(asdict(self), sort_keys=True).encode()
-        ).hexdigest()
 
 
 def record_dtype(time_steps: int, channels: int) -> np.dtype:
@@ -152,33 +147,31 @@ def require_class_coverage(train, num_classes: int, purpose: str) -> None:
 class DatasetManifest:
     """A dataset's JSON sidecar, written as ``asdict`` and read by
     :func:`.container.decode` against ``_TEMPLATE``, so every field is
-    required; its splits are held, and written, in ascending sample id."""
+    required.  Each split is a list of sample ids in ascending order, and no
+    id is in two splits; an unsplit dataset's lists are empty."""
 
-    version: int
-    sample_count: int
-    channel_count: int
-    time_steps: int
+    train: list
+    val: list
+    test: list
     sample_rate_hz: float
-    splits: dict  # sample_id (int) -> "train" | "val" | "test"
-    seed: int
-    config_digest: str
     container_sha256: str = ""  # set by save
 
     def __post_init__(self):
-        if min(self.sample_count, self.channel_count, self.time_steps) < 1:
-            raise DataFormatError("manifest counts and dimensions must be >= 1")
         if not 0 < self.sample_rate_hz < math.inf:  # NaN fails too
             raise DataFormatError(f"manifest sample_rate_hz {self.sample_rate_hz!r} "
                                   f"is not a finite positive number")
-        for sid, name in self.splits.items():
-            if name not in SPLIT_NAMES:
-                raise DataFormatError(f"manifest split for sample {sid} is {name!r}")
-        self.splits = dict(sorted(self.splits.items()))
+        for name in SPLIT_NAMES:
+            if getattr(self, name) != sorted(getattr(self, name)):
+                raise DataFormatError(f"manifest split {name!r} is not in ascending sample id")
+        ids = sorted(self.train + self.val + self.test)
+        twice = next((a for a, b in zip(ids, ids[1:]) if a == b), None)
+        if twice is not None:
+            raise DataFormatError(f"manifest names sample id {twice} twice")
 
     def ids_for(self, split: str) -> list[int]:
         if split not in SPLIT_NAMES:
             raise ConfigurationError(f"unknown split {split!r}")
-        return sorted(sid for sid, name in self.splits.items() if name == split)
+        return list(getattr(self, split))
 
     @classmethod
     def from_json(cls, text) -> "DatasetManifest":
@@ -186,11 +179,8 @@ class DatasetManifest:
                       DataFormatError, "manifest")
 
 
-# the decoder's template: one value of each field's type, and splits keyed by
-# an int, so that the manifest's keys are read as sample ids
-_TEMPLATE = DatasetManifest(version=FORMAT_VERSION, sample_count=1, channel_count=1,
-                            time_steps=1, sample_rate_hz=1.0, splits={0: "train"},
-                            seed=0, config_digest="")
+# the decoder's template: one value of each field's type
+_TEMPLATE = DatasetManifest(train=[0], val=[1], test=[2], sample_rate_hz=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +266,8 @@ def generate_synthetic(config: SynthConfig):
         votes[i] = simulate_votes(salience, config.annotators, rng)
     windows = make_windows(np.arange(n), votes, values)
     manifest = DatasetManifest(
-        version=FORMAT_VERSION, sample_count=n, channel_count=CHANNELS,
-        time_steps=n_t, sample_rate_hz=config.sample_rate_hz,
-        splits=split(windows, fractions=DEFAULT_FRACTIONS, seed=config.seed),
-        seed=config.seed, config_digest=config.digest())
+        sample_rate_hz=config.sample_rate_hz,
+        **split(windows, fractions=DEFAULT_FRACTIONS, seed=config.seed))
     return windows, manifest
 
 
@@ -288,8 +276,8 @@ def generate_synthetic(config: SynthConfig):
 
 
 def split(windows, fractions=DEFAULT_FRACTIONS, seed: int = 0) -> dict:
-    """Stratified-by-vote-class assignment of each sample id to a split
-    name, deterministic under seed.
+    """Stratified-by-vote-class assignment of the sample ids to the splits,
+    ``{name: ascending ids}`` for each of SPLIT_NAMES, deterministic under seed.
 
     Within each class sizes follow largest-remainder rounding, and any
     class with >= 3 members lands in every split.
@@ -303,7 +291,7 @@ def split(windows, fractions=DEFAULT_FRACTIONS, seed: int = 0) -> dict:
         raise ConfigurationError(f"fractions must sum to 1, got {sum(fractions)}")
 
     rng = np.random.default_rng(seed)
-    assignments: dict[int, str] = {}
+    assignments = {name: [] for name in SPLIT_NAMES}
     for votes in np.unique(windows.votes):
         ids = np.sort(windows.sample_id[windows.votes == votes]).astype(np.int64)
         rng.shuffle(ids)
@@ -321,10 +309,9 @@ def split(windows, fractions=DEFAULT_FRACTIONS, seed: int = 0) -> dict:
                 counts[counts.index(min(counts))] += 1
         pos = 0
         for name, c in zip(SPLIT_NAMES, counts):
-            for sid in ids[pos:pos + c]:
-                assignments[int(sid)] = name
+            assignments[name] += ids[pos:pos + c].tolist()
             pos += c
-    return assignments
+    return {name: sorted(ids) for name, ids in assignments.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +354,10 @@ def load(path):
     """Read a dataset container and its manifest sidecar.
 
     The windows are a read-only record array over the mapped container; the
-    manifest must name the container's sha256 and agree with its windows,
-    down to every id its splits name.
+    manifest must name the container's sha256, and every id its splits name
+    must be a window's.
     """
-    (count, time_steps, channels), payload, digest = read_framed(
+    (_, time_steps, channels), payload, digest = read_framed(
         path, MAGIC, FORMAT_VERSION, 3, "dataset",
         lambda n, t, c: n * record_dtype(t, c).itemsize)
     windows = np.frombuffer(payload, record_dtype(time_steps, channels)).view(np.recarray)
@@ -385,12 +372,8 @@ def load(path):
     if manifest.container_sha256 != digest:
         raise DataFormatError(f"manifest {mpath} names a container of sha256 "
                               f"{manifest.container_sha256!r}, not {path} ({digest})")
-    for key, value in (("version", FORMAT_VERSION), ("sample_count", count),
-                       ("time_steps", time_steps), ("channel_count", channels)):
-        if getattr(manifest, key) != value:
-            raise DataFormatError(f"manifest {key} {getattr(manifest, key)} != container {value}")
-    absent = manifest.splits.keys() - set(windows.sample_id.tolist())
-    if absent:  # the splits are in ascending id, so the first absent is the least
+    absent = {*manifest.train, *manifest.val, *manifest.test} - set(windows.sample_id.tolist())
+    if absent:
         raise DataFormatError(f"manifest splits name an absent window: "
                               f"sample id {min(absent)} is not in the dataset")
     return windows, manifest

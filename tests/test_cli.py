@@ -28,8 +28,8 @@ from conftest import key_path, rewrite_header, same_json_type
 import protoeeg
 from protoeeg import cli, container
 from protoeeg.cli import main, resolve_config
-from protoeeg.container import decode
-from protoeeg.dataset import SynthConfig, load, save
+from protoeeg.container import decode, read_framed, write_framed
+from protoeeg.dataset import FORMAT_VERSION, MAGIC, SynthConfig, load, save
 from protoeeg.errors import ConfigurationError, DataFormatError, NumericError, ProtoeegError
 from protoeeg.losses import LossCoefficients
 from protoeeg.model import load_model
@@ -91,11 +91,6 @@ def _copy_with_manifest(data_dir: Path, dest: Path, edit) -> Path:
     text = edit(raw)
     (dest / "dataset.manifest.json").write_text(text or json.dumps(raw))
     return dest
-
-
-def _other_split(name: str) -> str:
-    """A split name other than name: an alias that moves a sample if accepted."""
-    return next(other for other in ("train", "val", "test") if other != name)
 
 
 class TestParsing:
@@ -398,7 +393,8 @@ class TestPreprocess:
         samples, manifest = load(out / "dataset.peeg")
         assert samples[0].values.shape == (128, 37)
         assert manifest.sample_rate_hz == 128.0
-        assert manifest.splits == {}  # splitting is a separate step
+        # splitting is a separate step
+        assert [manifest.ids_for(name) for name in ("train", "val", "test")] == [[], [], []]
         assert [s.votes for s in samples] == [0, 3, 6, 8]
 
     def test_missing_key_is_format_error(self, tmp_path):
@@ -613,46 +609,68 @@ class TestSplit:
         _, old = load(data_dir / "dataset.peeg")
         samples, new = load(out / "dataset.peeg")
         assert new.sample_rate_hz == old.sample_rate_hz
-        assert new.config_digest == old.config_digest
-        assert new.seed == 3
+        assert _record(out)["seed"] == 3
         sizes = [len(new.ids_for(s)) for s in ("train", "val", "test")]
         assert sum(sizes) == len(samples) and sizes[0] > sizes[1]
 
     @pytest.mark.parametrize("edit", [
-        lambda raw: raw["splits"].update({"seven": "train"}),
-        lambda raw: raw.update(splits=["train", "val"]),
-        lambda raw: raw.update(seed="three"),
-        lambda raw: raw.update(time_steps=64, channel_count=5),
-        lambda raw: raw.update(sample_count=raw["sample_count"] + 0.9),
-        lambda raw: raw.update(seed=str(raw["seed"])),
-        lambda raw: raw.update(version=True),
-        lambda raw: raw.update(channel_count=float(raw["channel_count"])),
-        lambda raw: raw.update(sample_rate_hz=float("nan")),
-        lambda raw: raw.update(sample_rate_hz=float("inf")),
-        lambda raw: raw.update(sample_rate_hz=0.0),
-        lambda raw: raw.update(sample_rate_hz="128"),
-        lambda raw: raw.update(sample_rate_hz=True),
-        lambda raw: raw.update(config_digest=7),
-        lambda raw: raw.update(container_sha256=7),
-        lambda raw: raw.update(container_sha256="0" * 64),
-        lambda raw: raw["splits"].update({"07": _other_split(raw["splits"]["7"])}),
-        lambda raw: raw["splits"].update({"+7": raw["splits"].pop("7")}),
-        lambda raw: raw["splits"].update({" 7": raw["splits"].pop("7")}),
-        lambda raw: json.dumps(raw).replace(
-            '"splits": {', f'"splits": {{"7": "{_other_split(raw["splits"]["7"])}", ', 1),
-    ], ids=["non_integer_split_key", "splits_not_an_object", "ill_typed_seed",
-            "shape_disagrees_with_container", "fractional_count", "numeric_string_seed",
-            "bool_version", "float_channel_count", "nan_sample_rate", "infinite_sample_rate",
-            "zero_sample_rate", "string_sample_rate", "bool_sample_rate", "numeric_digest",
-            "zero_padded_split_key", "signed_split_key", "space_padded_split_key",
-            "repeated_split_key", "numeric_container_digest", "other_container_digest"])
+        pytest.param(lambda raw: raw.update(sample_rate_hz=float("nan")),
+                     id="nan_sample_rate"),
+        pytest.param(lambda raw: raw.update(sample_rate_hz=float("inf")),
+                     id="infinite_sample_rate"),
+        pytest.param(lambda raw: raw.update(sample_rate_hz=0.0), id="zero_sample_rate"),
+        pytest.param(lambda raw: raw.update(sample_rate_hz="128"), id="string_sample_rate"),
+        pytest.param(lambda raw: raw.update(sample_rate_hz=True), id="bool_sample_rate"),
+        pytest.param(lambda raw: raw.update(container_sha256=7),
+                     id="numeric_container_digest"),
+        pytest.param(lambda raw: raw.update(container_sha256="0" * 64),
+                     id="other_container_digest"),
+        pytest.param(lambda raw: raw.update(train={"7": "train"}), id="split_not_a_list"),
+        pytest.param(lambda raw: raw["train"].__setitem__(0, str(raw["train"][0])),
+                     id="string_id"),
+        pytest.param(lambda raw: raw["train"].__setitem__(0, True), id="bool_id"),
+        pytest.param(lambda raw: raw["train"].__setitem__(0, float(raw["train"][0])),
+                     id="float_id"),
+        pytest.param(lambda raw: raw["val"].__setitem__(0, None), id="null_id"),
+        pytest.param(lambda raw: raw.update(train=[-1] + raw["train"]), id="negative_id"),
+        pytest.param(lambda raw: raw["test"].append(2 ** 64), id="id_beyond_uint64"),
+        pytest.param(lambda raw: raw["train"].reverse(), id="descending_ids"),
+        pytest.param(lambda raw: raw["train"].insert(1, raw["train"][0]),
+                     id="id_repeated_in_one_split"),
+        pytest.param(lambda raw: raw.update(val=sorted(raw["val"] + raw["train"][:1])),
+                     id="id_in_two_splits"),
+        pytest.param(lambda raw: raw.__delitem__("val"), id="missing_val"),
+        pytest.param(lambda raw: raw.__delitem__("container_sha256"),
+                     id="missing_container_digest"),
+        pytest.param(lambda raw: raw.update(splits={"7": "train"}), id="old_splits_key"),
+        pytest.param(lambda raw: json.dumps(raw).replace('"val": ', '"val": [], "val": ', 1),
+                     id="repeated_split_key"),
+    ])
     def test_malformed_manifest_is_format_error(self, data_dir, tmp_path, edit):
         bad = _copy_with_manifest(data_dir, tmp_path / "bad", edit)
         assert main(["split", "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    def test_id_in_two_splits_is_named(self, data_dir, tmp_path, capsys):
+        _, manifest = load(data_dir / "dataset.peeg")
+        sid = manifest.ids_for("train")[0]
+        bad = _copy_with_manifest(data_dir, tmp_path / "bad",
+                                  lambda raw: raw.update(test=sorted(raw["test"] + [sid])))
+        capsys.readouterr()
+        assert main(["split", "--data", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert f"sample id {sid} twice" in _one_line_error(capsys)
+
+    def test_dataset_of_an_older_version_is_format_error(self, data_dir, tmp_path, capsys):
+        old = _copy_with_manifest(data_dir, tmp_path / "old", lambda raw: None)
+        fields, payload, _ = read_framed(old / "dataset.peeg", MAGIC, FORMAT_VERSION, 3,
+                                         "dataset")
+        write_framed(old / "dataset.peeg", MAGIC, 2, fields, bytes(payload))
+        capsys.readouterr()
+        assert main(["split", "--data", str(old), "--out", str(tmp_path / "o")]) == 2
+        assert "unsupported dataset version 2\n" in _one_line_error(capsys)
+
     def test_container_beside_another_manifest_is_format_error(self, tmp_path, capsys):
         # what a synth over an old directory leaves if it dies between its two
-        # writes: the counts and shapes agree, the windows do not
+        # writes: a container beside the manifest of other windows
         for seed in (1, 2):
             assert main(["synth", "--n", "50", "--seed", str(seed),
                          "--out", str(tmp_path / f"s{seed}")]) == 0
@@ -668,9 +686,9 @@ class TestSplit:
         before, _ = load(work / "dataset.peeg")
         expected = before.tobytes()
         assert main(["split", "--data", str(work), "--seed", "4", "--out", str(work)]) == 0
-        after, manifest = load(work / "dataset.peeg")
+        after, _ = load(work / "dataset.peeg")
         assert after.tobytes() == before.tobytes() == expected
-        assert manifest.seed == 4
+        assert _record(work)["seed"] == 4
 
 
 def _one_line_error(capsys) -> str:
@@ -833,11 +851,8 @@ class TestRunRecord:
 
     def test_record_holds_only_its_own_call(self, chain, data_dir, tmp_path):
         # eval fails after reading the model and the dataset ...
-        _, manifest = load(data_dir / "dataset.peeg")
-        renamed = str(manifest.ids_for("test")[0])
-        bad = _copy_with_manifest(
-            data_dir, tmp_path / "bad",
-            lambda raw: raw["splits"].update({"999999": raw["splits"].pop(renamed)}))
+        bad = _copy_with_manifest(data_dir, tmp_path / "bad",
+                                  lambda raw: raw.update(test=raw["test"][1:] + [999999]))
         assert main(["eval", "--model", str(chain / "train0"), "--data", str(bad),
                      "--out", str(tmp_path / "ev")]) == 2
         # ... and synth after writing its container, not its manifest
@@ -930,7 +945,7 @@ class TestTrain:
     def test_manifest_naming_an_absent_sample_is_format_error(self, data_dir, cfg_file,
                                                               tmp_path, capsys):
         bad = _copy_with_manifest(data_dir, tmp_path / "bad",
-                                  lambda raw: raw["splits"].update({"4242": "train"}))
+                                  lambda raw: raw.update(train=raw["train"] + [4242]))
         assert main(["train", "--config", str(cfg_file), "--data", str(bad),
                      "--out", str(tmp_path / "o")]) == 2
         assert "4242" in capsys.readouterr().err
@@ -1043,11 +1058,8 @@ class TestEval:
 
     def test_manifest_naming_an_absent_sample_is_format_error(self, run_dir, data_dir,
                                                               tmp_path, capsys):
-        _, manifest = load(data_dir / "dataset.peeg")
-        renamed = str(manifest.ids_for("test")[0])
-        bad = _copy_with_manifest(
-            data_dir, tmp_path / "bad",
-            lambda raw: raw["splits"].update({"999999": raw["splits"].pop(renamed)}))
+        bad = _copy_with_manifest(data_dir, tmp_path / "bad",
+                                  lambda raw: raw.update(test=raw["test"][1:] + [999999]))
         capsys.readouterr()
         assert main(["eval", "--model", str(run_dir), "--data", str(bad),
                      "--rounds", "200", "--out", str(tmp_path / "ev")]) == 2

@@ -40,7 +40,6 @@ class TestSynthConfig:
         again = decode(ds.SynthConfig(n_samples=1), json.loads(json.dumps(dataclasses.asdict(cfg))),
                        ConfigurationError, "config")
         assert again == cfg
-        assert again.digest() == cfg.digest()
 
     def test_unknown_key_rejected(self, tmp_path):
         f = tmp_path / "c.json"
@@ -58,7 +57,7 @@ class TestGenerator:
         for x, y in zip(a, b):
             assert x.votes == y.votes
             assert x.values.tobytes() == y.values.tobytes()
-        assert ma.splits == mb.splits
+        assert ma == mb
 
     def test_spike_rate_zero_vote_floor(self):
         samples, _ = ds.generate_synthetic(
@@ -81,8 +80,8 @@ class TestGenerator:
         assert np.all(diffs > -0.05)  # nondecreasing up to Monte Carlo noise
 
     def test_sample_shapes_and_ranges(self, small_set):
-        samples, manifest = small_set
-        assert manifest.sample_count == 60
+        samples, _ = small_set
+        assert len(samples) == 60
         for s in samples:
             assert s.values.shape == (128, 37)
             assert s.values.dtype == np.float32
@@ -116,14 +115,14 @@ class TestSplit:
         rng = np.random.default_rng(0)
         samples = _fake_samples(rng.integers(0, 9, size=10_000))
         man = ds.split(samples, seed=0)
-        sizes = [list(man.values()).count(s) for s in ("train", "val", "test")]
+        sizes = [len(man[s]) for s in ("train", "val", "test")]
         for got, want in zip(sizes, (7300, 1200, 1500)):
             assert abs(got - want) <= 9  # +-1 per class
 
     def test_all_train(self):
         samples = _fake_samples([0, 1, 4, 8] * 5)
         man = ds.split(samples, fractions=(1.0, 0.0, 0.0), seed=1)
-        assert list(man.values()) == ["train"] * 20
+        assert man == {"train": list(range(20)), "val": [], "test": []}
 
     def test_deterministic(self):
         samples = _fake_samples(list(range(9)) * 30)
@@ -137,23 +136,25 @@ class TestSplit:
         samples = _fake_samples(votes)
         man = ds.split(samples, seed=3)
         for c in range(9):
-            ids = [s.sample_id for s in samples if s.votes == c]
+            ids = set(samples.sample_id[samples.votes == c].tolist())
             n = len(ids)
             for frac, name in zip((0.73, 0.12, 0.15), ("train", "val", "test")):
-                got = sum(1 for i in ids if man[i] == name)
+                got = len(ids & set(man[name]))
                 assert abs(got - frac * n) <= 1
 
     def test_each_class_in_every_split(self):
         samples = _fake_samples([0] * 3 + [5] * 4 + [8] * 100)
         man = ds.split(samples, seed=7)
-        for c, members in ((0, 3), (5, 4), (8, 100)):
-            names = {man[s.sample_id] for s in samples if s.votes == c}
-            assert names == {"train", "val", "test"}
+        for c in (0, 5, 8):
+            ids = set(samples.sample_id[samples.votes == c].tolist())
+            assert all(ids & set(man[name]) for name in ("train", "val", "test"))
 
     def test_every_id_assigned_once(self):
         samples = _fake_samples(list(range(9)) * 10)
         man = ds.split(samples, seed=0)
-        assert sorted(man) == [s.sample_id for s in samples]
+        assert list(man) == list(ds.SPLIT_NAMES)
+        assert all(ids == sorted(ids) for ids in man.values())
+        assert sorted(man["train"] + man["val"] + man["test"]) == list(range(90))
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -169,9 +170,7 @@ class TestSplit:
         windows, manifest = ds.generate_synthetic(
             ds.SynthConfig(n_samples=3, sample_rate_hz=64.0))
         assert windows.values.shape[1:] == (64, 37)
-        assert (manifest.time_steps, manifest.channel_count) == (64, 37)
-        assert manifest.sample_rate_hz == 64.0
-        assert manifest.splits == ds.split(windows, seed=0)
+        assert manifest == ds.DatasetManifest(sample_rate_hz=64.0, **ds.split(windows, seed=0))
 
 
 class TestStorage:
@@ -185,9 +184,16 @@ class TestStorage:
             assert a.sample_id == b.sample_id
             assert a.votes == b.votes
             assert a.values.tobytes() == b.values.tobytes()
-        assert man2.splits == manifest.splits
-        assert man2.config_digest == manifest.config_digest
+        assert dataclasses.replace(man2, container_sha256="") == manifest
         assert loaded.tobytes() == samples.tobytes()
+
+    def test_manifest_holds_five_keys(self, small_set, tmp_path):
+        samples, manifest = small_set
+        path = tmp_path / "d.peeg"
+        ds.save(samples, manifest, path)
+        raw = json.loads(ds.manifest_path(path).read_text("utf-8"))
+        assert list(raw) == ["train", "val", "test", "sample_rate_hz", "container_sha256"]
+        assert raw["train"] == manifest.ids_for("train") == sorted(raw["train"])
 
     def test_payload_is_the_packed_records(self, small_set, tmp_path):
         # per window: u64 id, u8 votes, then float32 (time, channel) values
@@ -269,22 +275,11 @@ class TestStorage:
         with pytest.raises(DataFormatError, match="manifest"):
             ds.load(path)
 
-    @pytest.mark.parametrize("key, value", [("sample_count", 59), ("time_steps", 64),
-                                            ("channel_count", 5), ("version", 1)])
-    def test_manifest_disagreeing_with_container(self, small_set, tmp_path, key,
-                                                 value):
-        samples, manifest = small_set
-        path = tmp_path / "d.peeg"
-        ds.save(samples, dataclasses.replace(manifest, **{key: value}), path)
-        with pytest.raises(DataFormatError, match=key):
-            ds.load(path)
-
     def test_manifest_naming_an_absent_id(self, small_set, tmp_path):
         samples, manifest = small_set
-        splits = dict(manifest.splits)
-        splits[999999] = splits.pop(manifest.ids_for("test")[0])
+        test = manifest.ids_for("test")[1:] + [999999]
         path = tmp_path / "d.peeg"
-        ds.save(samples, dataclasses.replace(manifest, splits=splits), path)
+        ds.save(samples, dataclasses.replace(manifest, test=test), path)
         with pytest.raises(DataFormatError, match="manifest splits name an absent window: "
                                                   "sample id 999999 is not in the dataset"):
             ds.load(path)
@@ -328,10 +323,7 @@ class TestStorage:
 
 def _one_window(tmp_path, values, votes=0):
     """Save one window with the given values and votes under a stub manifest."""
-    manifest = ds.DatasetManifest(version=ds.FORMAT_VERSION, sample_count=1,
-                                  channel_count=values.shape[1],
-                                  time_steps=values.shape[0], sample_rate_hz=128.0,
-                                  splits={}, seed=0, config_digest="")
+    manifest = ds.DatasetManifest(train=[], val=[], test=[], sample_rate_hz=128.0)
     ds.save(ds.make_windows([1], [votes], values[None]), manifest, tmp_path / "d.peeg")
 
 

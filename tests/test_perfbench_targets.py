@@ -86,9 +86,11 @@ def test_workloads_read_the_dataset(workloads, tmp_path):
     manifest = DatasetManifest.from_json(manifest_path(data_file).read_text("utf-8"))
     expected, _ = generate_synthetic(SynthConfig(n_samples=40, seed=2))
     windows, votes, loaded = workloads._load_dataset(data_file)
-    assert loaded.splits == manifest.splits
-    assert sorted(windows) == sorted(votes) == sorted(manifest.splits) == list(range(40))
-    for sid in manifest.splits:
+    ids = [sid for name in ("train", "val", "test") for sid in manifest.ids_for(name)]
+    assert [loaded.ids_for(name) for name in ("train", "val", "test")] == [
+        manifest.ids_for(name) for name in ("train", "val", "test")]
+    assert sorted(windows) == sorted(votes) == sorted(ids) == list(range(40))
+    for sid in ids:
         assert windows[sid].dtype == np.float64
         assert np.array_equal(windows[sid], expected.values[sid])
         assert votes[sid] == int(expected.votes[sid])
