@@ -1,12 +1,11 @@
 """Minimal reverse-mode automatic differentiation over float64 numpy arrays.
 
-A :class:`Tensor` wraps an ndarray plus an optional gradient buffer.  Ops
-build a closure-based tape; :func:`backward` walks it in reverse
-topological order.  Gradients accumulate on leaves only (tensors that no op
-produced, such as parameters): they add into the leaf's ``.grad`` until
-explicitly reset, so repeated backward passes sum their contributions
-(the semantics optimizers rely on for gradient accumulation).  An op's
-result keeps ``.grad`` at None; its gradient lives only during the walk.
+A :class:`Tensor` wraps an ndarray.  Ops build a closure-based tape;
+:func:`backward` walks it in reverse topological order and returns the
+gradient of each leaf it reaches (a tensor that no op produced, such as a
+parameter) as a ``{leaf: gradient}`` dict.  Nothing is written on the
+tensors, so each backward pass stands alone, and the gradient of an op's
+result lives only during the walk.
 
 Only the operations the network needs are provided, each for the batched
 layout the network sends it.  Everything runs in float64; inputs of other
@@ -51,16 +50,14 @@ def no_grad():
 class Tensor:
     """float64 array with reverse-mode gradient tracking.
 
-    ``grad`` is None until a backward pass reaches this tensor as a leaf.
     ``requires_grad=True`` marks a leaf parameter; results of ops derive it
     from their inputs.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple = ()
         self._backward = None
@@ -73,9 +70,6 @@ class Tensor:
         if self.data.size != 1:
             raise NumericError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # operator sugar for weighting and summing losses; scalars and ndarrays
     # are wrapped as constants
@@ -113,14 +107,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return np.reshape(grad, shape)
 
 
-def backward(loss: Tensor) -> None:
-    """Backpropagate from a scalar loss, accumulating into the ``.grad`` of
-    the leaves it reaches.
+def backward(loss: Tensor) -> dict:
+    """Backpropagate from a scalar loss; returns ``{leaf: gradient}`` for
+    every grad-requiring leaf the walk reaches.
 
-    Raises NumericError when ``loss`` is not scalar.  Each call adds its
-    contribution on top of whatever gradients the leaves already hold.
-    Intermediate results get no ``.grad``: their gradients are freed as the
-    walk moves past them.
+    Raises NumericError when ``loss`` is not scalar.  The gradients of
+    intermediate results are freed as the walk moves past them.
     """
     if loss.data.ndim != 0:
         raise NumericError(
@@ -144,6 +136,7 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
 
+    grads: dict[Tensor, np.ndarray] = {}
     local: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(order):
         g = local.pop(id(node), None)
@@ -151,13 +144,14 @@ def backward(loss: Tensor) -> None:
             continue
         if node._backward is None:
             if node.requires_grad:
-                node.grad = g.copy() if node.grad is None else node.grad + g
+                grads[node] = g
             continue
         for parent, pg in zip(node._parents, node._backward(g)):
             if pg is None or not parent.requires_grad:
                 continue
             acc = local.get(id(parent))
             local[id(parent)] = pg if acc is None else acc + pg
+    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -406,46 +400,29 @@ def masked_rowmax(x: Tensor, mask: np.ndarray) -> Tensor:
 
 
 class Adam:
-    """Bias-corrected Adam over named groups of Tensors, one rate per group,
-    one step counter, one pair of moments per parameter.  A missing
-    gradient counts as zero: it leaves its parameter unchanged only while
-    the parameter's moments are zero, and after a nonzero gradient the
-    decaying moments still move it."""
+    """Bias-corrected Adam over named groups of Tensors: one step counter and
+    one pair of moments per parameter; each step brings the gradients and
+    every group's rate."""
 
     beta1, beta2, epsilon = 0.9, 0.999, 1e-8
 
-    def __init__(self, groups: list[dict]):
-        if not groups:
-            raise ConfigurationError("Adam requires at least one parameter group")
-        self.groups = []
+    def __init__(self, groups: dict):
         self.step_count = 0
-        for spec in groups:
-            name = spec.get("name", f"group{len(self.groups)}")
-            params = list(spec["params"])
-            self.groups.append({
-                "name": name,
-                "params": params,
-                "lr": _checked_lr(name, spec["lr"]),
-                "moments": [(np.zeros_like(p.data), np.zeros_like(p.data))
-                            for p in params],
-            })
+        self.groups = {name: [(p, np.zeros_like(p.data), np.zeros_like(p.data))
+                              for p in params]
+                       for name, params in groups.items()}
 
-    def set_lr(self, name: str, lr: float) -> None:
-        for g in self.groups:
-            if g["name"] == name:
-                g["lr"] = _checked_lr(name, lr)
-                return
-        raise ConfigurationError(f"no parameter group named {name!r}")
-
-    def step(self) -> None:
-        """One update of every parameter, mutating ``.data`` in place."""
+    def step(self, grads: dict, lr: dict) -> None:
+        """One update of every parameter from its gradient in `grads` (as
+        :func:`backward` returns them) at its group's rate in `lr`, mutating
+        ``.data`` in place."""
         self.step_count += 1
         b1, b2, eps = self.beta1, self.beta2, self.epsilon
         c1 = 1.0 - b1 ** self.step_count
         c2 = 1.0 - b2 ** self.step_count
-        for group in self.groups:
-            for p, (m, v) in zip(group["params"], group["moments"]):
-                g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        for name, params in self.groups.items():
+            for p, m, v in params:
+                g = grads[p]
                 if p.data.shape != g.shape:
                     raise NumericError(f"Adam: param {p.data.shape} vs grad {g.shape}")
                 if not np.all(np.isfinite(g)):
@@ -454,11 +431,4 @@ class Adam:
                 m += (1.0 - b1) * g
                 v *= b2
                 v += (1.0 - b2) * (g * g)
-                p.data -= group["lr"] * (m / c1) / (np.sqrt(v / c2) + eps)
-
-
-def _checked_lr(name: str, lr) -> float:
-    lr = float(lr)
-    if lr < 0:
-        raise ConfigurationError(f"negative learning rate {lr} for group {name!r}")
-    return lr
+                p.data -= lr[name] * (m / c1) / (np.sqrt(v / c2) + eps)

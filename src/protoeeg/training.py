@@ -180,8 +180,9 @@ def _validation_metrics(model: ProtoEEGNet, val):
     }
 
 
-def _epoch_pass(model, train, config, opt, rng, latents_cache=None) -> dict:
-    """One shuffled gradient epoch; returns sample-weighted mean losses."""
+def _epoch_pass(model, train, config, opt, lr, rng, latents_cache=None) -> dict:
+    """One shuffled gradient epoch at the group rates `lr`; returns
+    sample-weighted mean losses."""
     n = len(train)
     perm = rng.permutation(n)
     keys = ("total", "cross_entropy", "cluster", "separation",
@@ -195,10 +196,7 @@ def _epoch_pass(model, train, config, opt, rng, latents_cache=None) -> dict:
             latents = model.embed(train.values[idx])
         report = total_loss(latents, train.votes[idx], model.bank,
                             model.head, config.coefficients)
-        for p in model.all_parameters():
-            p.zero_grad()
-        dc.backward(report.tensor)
-        opt.step()
+        opt.step(dc.backward(report.tensor), lr)
         model.bank.renormalize()
         for key in keys:
             agg[key] += getattr(report, key) * len(idx)
@@ -271,17 +269,14 @@ def run_stage(stage: str, model, train, val, config, epochs=None, *, rng=None,
     params = {"prototypes": [model.bank.vectors],
               "features": model.backbone_parameters(),
               "last_layer": [model.head]}
-    opt = dc.Adam([{"name": group, "params": params[group], "lr": lr}
-                   for group, lr in stage_lr(config, stage, epochs[0]).items()])
+    opt = dc.Adam({group: params[group] for group in _STAGE_RATES[stage]})
     cache = None
     if stage == "warm":
         cache = (model.forward_probs(train.values)["latents"]
                  if latents is None else latents)
     for epoch in epochs:
         lr = stage_lr(config, stage, epoch)
-        for group, value in lr.items():
-            opt.set_lr(group, value)
-        losses = _epoch_pass(model, train, config, opt, rng, latents_cache=cache)
+        losses = _epoch_pass(model, train, config, opt, lr, rng, latents_cache=cache)
         _record(history, model, val, epoch=epoch, stage=stage, lr=lr,
                 losses=losses, defer_val=defer_val)
     return model

@@ -54,12 +54,9 @@ def gradcheck(build_loss, params: list, h: float = 1e-5) -> None:
     ``build_loss(params) -> Tensor`` must rebuild the graph from the
     Tensors' current data on every call.
     """
+    grads = dc.backward(build_loss(params))
     for p in params:
-        p.zero_grad()
-    loss = build_loss(params)
-    dc.backward(loss)
-    for p in params:
-        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
+        analytic = grads.get(p, np.zeros_like(p.data))
         numeric = fd_gradient(lambda: float(build_loss(params).data), p.data, h=h)
         assert_grad_matches(analytic, numeric)
 

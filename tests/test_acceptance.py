@@ -214,15 +214,13 @@ def test_criterion_01_gradient_suite():
             return total_loss(net.embed(x), labels, net.bank, net.head,
                               coefs).tensor
 
-        for p in net.all_parameters():
-            p.zero_grad()
-        dc.backward(batch_loss())
+        grads = dc.backward(batch_loss())
         for p in net.all_parameters():
             n_coords = min(3, p.data.size)
             coords = rng.choice(p.data.size, size=n_coords, replace=False)
             numeric = _fd_at_coords(lambda: float(batch_loss().data),
                                     p.data, coords)
-            analytic = p.grad.ravel()
+            analytic = grads[p].ravel()
             for i, num in numeric.items():
                 assert_grad_matches(np.asarray(analytic[i]), np.asarray(num))
 

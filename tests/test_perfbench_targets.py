@@ -13,6 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import train_data
+from protoeeg import diffcore
+from protoeeg import training as tr
 from protoeeg.cli import main
 from protoeeg.dataset import (DatasetManifest, SynthConfig, generate_synthetic,
                               manifest_path)
@@ -77,6 +80,46 @@ def test_refit_hook_records_iterations(spans):
     result = optimize_last_layer(net, latents, labels, max_iters=7)
     assert hook_attrs(spans, "training.optimize_last_layer", result) == \
         {"iterations": result[1]["iterations"]}
+
+
+def _secondary_warm_epoch(batch_size=8, n=18) -> int:
+    """One secondary-warm epoch on `n` random windows; returns its batch count."""
+    rng = np.random.default_rng(0)
+    net = ProtoEEGNet.initialize(seed=0)
+    data = train_data(rng.standard_normal((n, 128, 37)),
+                      np.arange(n) % net.bank.num_classes)
+    tr.run_secondary_warm_stage(net, *data, tr.TrainConfig(batch_size=batch_size),
+                                range(11, 12))
+    return -(-n // batch_size)
+
+
+def test_backward_hook_records_nodes_as_training_calls_it(spans, monkeypatch):
+    hook = {entry[0]: entry[3] for entry in spans.TARGETS}["diffcore.backward"]
+    backward, nodes = diffcore.backward, []
+
+    def traced(*args, **kwargs):
+        result = backward(*args, **kwargs)
+        span = spans.Span("diffcore.backward", 0.0, None, None)
+        hook(span, args, kwargs, result)
+        nodes.append(span.attrs.get("nodes"))
+        return result
+
+    monkeypatch.setattr(diffcore, "backward", traced)
+    batches = _secondary_warm_epoch()
+    assert len(nodes) == batches
+    assert all(isinstance(k, int) and k > 1 for k in nodes)
+
+
+def test_step_clock_counts_one_step_per_batch(spans):
+    # train/op_p50_ms: from the on-tape embed call to the next Adam.step
+    clock = spans.StepClock()
+    undo = clock.install()
+    try:
+        batches = _secondary_warm_epoch()
+    finally:
+        undo()
+    assert len(clock.steps) == batches
+    assert all(t > 0 for t in clock.steps)
 
 
 def test_workloads_read_the_dataset(workloads, tmp_path):

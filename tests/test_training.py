@@ -100,6 +100,15 @@ class TestTrainConfig:
         with pytest.raises(ConfigurationError):
             toy_config(joint_lr_decay=1.5)
 
+    def test_negative_rate_rejected(self):
+        # Adam takes each epoch's rates as given, so the config bounds them all
+        for name in ("warm_prototype_lr", "secondary_prototype_lr",
+                     "secondary_feature_lr", "joint_prototype_lr",
+                     "joint_feature_lr", "joint_last_layer_lr"):
+            for bad in (-0.1, float("nan"), float("inf")):
+                with pytest.raises(ConfigurationError, match=name):
+                    toy_config(**{name: bad})
+
     def test_dict_roundtrip(self):
         cfg = toy_config(joint_prototype_lr=0.02,
                          coefficients=LossCoefficients(sep=0.1))
@@ -630,7 +639,7 @@ class TestTrain:
                               out_dir=tmp_path)
         batches = -(-len(toy_data[0]) // cfg.batch_size)
         assert [a.step_count for a in adams] == [batches * k for k in (1, 2, 1, 1, 2)]
-        groups = [[g["name"] for g in a.groups] for a in adams]
+        groups = [list(a.groups) for a in adams]
         assert groups == [["prototypes"]] * 2 + [["prototypes", "features"]] * 2 \
             + [["prototypes", "features", "last_layer"]]
         assert [r["stage"] for r in history.records] == \
