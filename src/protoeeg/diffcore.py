@@ -112,7 +112,9 @@ def backward(loss: Tensor) -> dict:
     every grad-requiring leaf the walk reaches.
 
     Raises NumericError when ``loss`` is not scalar.  The gradients of
-    intermediate results are freed as the walk moves past them.
+    intermediate results are freed as the walk moves past them.  A returned
+    array is the walk's own, so two leaves' arrays may share memory: read
+    them, do not write them.
     """
     if loss.data.ndim != 0:
         raise NumericError(

@@ -11,7 +11,6 @@ per-prototype "points contributed".
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -44,7 +43,7 @@ OFF_TAPE_CHUNK = 32
 EMBED_SLICE = 8
 
 MODEL_MAGIC = b"PEGM"
-MODEL_VERSION = 4
+MODEL_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -139,6 +138,12 @@ class PrototypeBank:
             raise ConfigurationError(
                 f"provenance length {len(self.provenance)} != {self.count}"
             )
+        for j, rec in enumerate(self.provenance):
+            if rec is not None and (rec.prototype_class,
+                                    rec.prototype_index) != divmod(j, self.per_class):
+                raise ConfigurationError(
+                    f"provenance entry {j} names prototype ({rec.prototype_class}, "
+                    f"{rec.prototype_index}), not {divmod(j, self.per_class)}")
         norms = np.linalg.norm(self.vectors.data, axis=1)
         worst = float(np.max(np.abs(norms - 1.0)))
         if worst > 1e-9:
@@ -299,14 +304,6 @@ class ProtoEEGNet:
     def backbone_parameters(self) -> list[Tensor]:
         return self.all_parameters()[:-2]
 
-    def config_digest(self) -> str:
-        arch = {
-            "backbone": asdict(self.config),
-            "num_classes": self.bank.num_classes,
-            "per_class": self.bank.per_class,
-        }
-        return hashlib.sha256(json.dumps(arch, sort_keys=True).encode()).hexdigest()
-
     # -- forward -------------------------------------------------------------
 
     @staticmethod
@@ -417,20 +414,18 @@ class CheckpointHeader:
     num_classes: int
     per_class: int
     provenance: tuple[PushRecord | None, ...]
-    config_digest: str
 
 
 # the decoder's template: one value of each field's type, and a provenance
 # entry that may be null, for a prototype not yet pushed
 _HEADER = CheckpointHeader(backbone=BackboneConfig(), num_classes=1, per_class=1,
-                           provenance=(PushRecord(0, 0, 0, 0.0, 0), None), config_digest="")
+                           provenance=(PushRecord(0, 0, 0, 0.0, 0), None))
 
 
 def save_model(model: ProtoEEGNet, path) -> None:
     header = CheckpointHeader(
         backbone=model.config, num_classes=model.bank.num_classes,
-        per_class=model.bank.per_class, provenance=tuple(model.bank.provenance),
-        config_digest=model.config_digest())
+        per_class=model.bank.per_class, provenance=tuple(model.bank.provenance))
     header_bytes = json.dumps(asdict(header), sort_keys=True).encode()
     payload = bytearray(header_bytes)
     for t in model.all_parameters():
@@ -462,6 +457,4 @@ def load_model(path) -> ProtoEEGNet:
                             list(header.provenance))
     except ConfigurationError as exc:
         raise DataFormatError(f"model header disagrees with its blocks: {exc}") from exc
-    if model.config_digest() != header.config_digest:
-        raise DataFormatError("config digest mismatch in model header")
     return model

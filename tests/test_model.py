@@ -520,6 +520,9 @@ class TestCheckpoint:
         {"set": ("backbone", {**asdict(m.BackboneConfig()), "latent_dim": 128.9})},
         {"set": ("provenance", _first_pushed(epoch=2.7))},
         {"set": ("provenance", _first_pushed(similarity="0.5"))},
+        # a push record must name the prototype at its position
+        {"set": ("provenance", _first_pushed(prototype_class=7))},
+        {"set": ("provenance", _first_pushed(prototype_index=5))},
     ])
     def test_malformed_header_is_format_error(self, net, tmp_path, edit):
         path = tmp_path / "model.pegm"
@@ -544,17 +547,18 @@ class TestCheckpoint:
         shapes = m._param_shapes(net.config, net.bank.num_classes, net.bank.per_class)
         assert len(blob) == 12 + header_len + 8 * sum(math.prod(s) for s in shapes) + 32
         assert sorted(json.loads(blob[12:12 + header_len])) == [
-            "backbone", "config_digest", "num_classes", "per_class", "provenance"]
+            "backbone", "num_classes", "per_class", "provenance"]
         assert blob[12 + header_len:-32] == b"".join(
             t.data.astype("<f8").tobytes() for t in net.all_parameters())
 
-    def test_version_3_is_unsupported(self, net, tmp_path):
+    @pytest.mark.parametrize("version", [3, 4])
+    def test_old_version_is_unsupported(self, net, tmp_path, version):
         path = tmp_path / "model.pegm"
         m.save_model(net, path)
         (header_len,), payload, _ = read_framed(path, m.MODEL_MAGIC, m.MODEL_VERSION, 1,
                                                 "model")
-        write_framed(path, m.MODEL_MAGIC, 3, (header_len,), bytes(payload))
-        with pytest.raises(DataFormatError, match="unsupported model version 3"):
+        write_framed(path, m.MODEL_MAGIC, version, (header_len,), bytes(payload))
+        with pytest.raises(DataFormatError, match=f"unsupported model version {version}"):
             m.load_model(path)
 
     def test_initialize_deterministic(self, tmp_path):
